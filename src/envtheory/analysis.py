@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NoCriticalPoint, NotShortRange, PerturbationSizeWarning
 from .model import (
@@ -29,6 +28,7 @@ from .model import (
     eval_term,
 )
 from .qnum import QValue
+from .roots import brentq
 
 _SAMPLES = 33
 _SIGN_REL_TOL = 1e-5
@@ -218,6 +218,8 @@ def critical_coupling(
     qv = float(q)
     if qv <= 0.0:
         raise ValueError(f"quantum number must be positive, got {qv}")
+    if not (np.isfinite(mass) and np.isfinite(qv)):
+        raise ValueError(f"mass and quantum number must be finite, got mass={mass}, q={qv}")
 
     y0 = _profile_stationary_scale(shape)
     w0 = float(shape.well_profile(y0))

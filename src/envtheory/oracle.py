@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     DimensionTooSmall,
@@ -170,6 +169,17 @@ def _grid_eigenvalues(problem: RadialProblem, points: int, count: int) -> np.nda
     return eigh_tridiagonal(
         diag, off, select="i", select_range=(0, count - 1), eigvals_only=True
     )
+
+
+def eigh_tridiagonal(diag, off, **kwargs):
+    """``scipy.linalg.eigh_tridiagonal``, imported on the first call.
+
+    scipy.linalg costs about half a second to import, and only this oracle
+    needs it, so the solve path and the CLI start without it.
+    """
+    from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
+
+    return scipy_eigh_tridiagonal(diag, off, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,9 @@ ground-state value, the large-N asymptotic for spin-degenerate fermions, and
 the two-body towers that make the envelope exact for specific auxiliary
 power-law exponents.
 
-The linear auxiliary tower needs zeros of the Airy function Ai.  Those are
-not tabulated here: Ai is summed from its Maclaurin series in high-precision
-arithmetic and the zeros are found by bisection, once, then cached.  The
-series is the textbook pair of entire solutions of y'' = x y,
-
-    f(x) = 1 + x^3/6 + x^6/180 + ...      (a_{k+3} = a_k / ((k+3)(k+2)))
-    g(x) = x + x^4/12 + x^7/504 + ...
-
-with Ai = f / (3^(2/3) Gamma(2/3)) - g / (3^(1/3) Gamma(1/3)).
+The linear auxiliary tower needs zeros of the Airy function Ai.  They come
+from mpmath (``airyaizero``), which is imported on the first Airy call only,
+and each zero is cached once computed.
 """
 
 from __future__ import annotations
@@ -25,15 +19,12 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 
-import mpmath as mp
-
 from .errors import UnsupportedAuxiliary
 from .model import StateSpec
 
-_AIRY_DPS = 40  # working precision (decimal digits) for series and bisection
-_AIRY_CACHE_MIN = 10  # zeros computed on first use
+# mpmath's working precision is process-global, so its calls are serialized.
 _airy_lock = threading.Lock()
-_airy_zeros: list[float] = []
+_airy_zeros: dict[int, float] = {}
 
 
 class QProvenance(Enum):
@@ -131,73 +122,20 @@ def q_two_body_auxiliary(aux_exponent: float, n: int, l: int, d: int) -> QValue:
 
 
 def airy_ai(x: float) -> float:
-    """Ai(x) summed from the Maclaurin series in high-precision arithmetic.
+    """Ai(x), evaluated by mpmath."""
+    import mpmath
 
-    The two entire series f and g converge everywhere; the cancellation that
-    ruins double precision for x < -8 is absorbed by working at extended
-    precision and rounding only the final sum.
-    """
-    with mp.workdps(_AIRY_DPS):
-        return float(_airy_ai_mp(mp.mpf(x)))
-
-
-def _airy_ai_mp(x: "mp.mpf") -> "mp.mpf":
-    c1 = mp.mpf(3) ** mp.mpf("-2/3") / mp.gamma(mp.mpf(2) / 3)
-    c2 = mp.mpf(3) ** mp.mpf("-1/3") / mp.gamma(mp.mpf(1) / 3)
-    x3 = x * x * x
-    term_f = mp.mpf(1)
-    term_g = x
-    total = c1 * term_f - c2 * term_g
-    eps = mp.mpf(10) ** (-(mp.mp.dps + 5))
-    for k in range(1, 500):
-        base = 3 * k
-        term_f *= x3 / ((base - 1) * base)
-        term_g *= x3 / (base * (base + 1))
-        delta = c1 * term_f - c2 * term_g
-        total += delta
-        if abs(term_f) < eps and abs(term_g) < eps and abs(x3) < base * base:
-            break
-    return total
+    with _airy_lock:
+        return float(mpmath.airyai(x))
 
 
 def airy_zero(index: int) -> float:
-    """The index-th negative zero of Ai (0-based), by bracketed bisection."""
+    """The index-th negative zero of Ai (0-based), from mpmath, cached."""
     if index < 0:
         raise ValueError(f"zero index must be >= 0, got {index}")
     with _airy_lock:
-        want = max(index + 1, _AIRY_CACHE_MIN)
-        if len(_airy_zeros) < want:
-            _extend_airy_cache(want)
+        if index not in _airy_zeros:
+            import mpmath
+
+            _airy_zeros[index] = float(mpmath.airyaizero(index + 1))
         return _airy_zeros[index]
-
-
-def _extend_airy_cache(count: int) -> None:
-    with mp.workdps(_AIRY_DPS):
-        # Resume slightly past the last cached zero so the sign there is definite.
-        x = mp.mpf(_airy_zeros[-1]) - mp.mpf("1e-10") if _airy_zeros else mp.mpf(-1)
-        step = mp.mpf("0.05")
-        f_right = _airy_ai_mp(x)
-        while len(_airy_zeros) < count:
-            left = x - step
-            f_left = _airy_ai_mp(left)
-            if f_left == 0:
-                _airy_zeros.append(float(left))
-                x, f_right = left - step / 7, _airy_ai_mp(left - step / 7)
-                continue
-            if (f_left < 0) != (f_right < 0):
-                _airy_zeros.append(float(_bisect_airy(left, x, f_left)))
-            x, f_right = left, f_left
-
-
-def _bisect_airy(lo: "mp.mpf", hi: "mp.mpf", f_lo: "mp.mpf") -> "mp.mpf":
-    tol = mp.mpf(10) ** (-(mp.mp.dps - 5))
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        f_mid = _airy_ai_mp(mid)
-        if f_mid == 0:
-            return mid
-        if (f_mid < 0) == (f_lo < 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return (lo + hi) / 2

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import analysis
 from .errors import InvalidAuxiliaryExponent, NoStationaryPoint, ScanExhausted
@@ -38,6 +37,7 @@ from .model import (
     SystemSpec,
 )
 from .qnum import QValue
+from .roots import brentq
 
 _EPS = float(np.finfo(float).eps)
 
@@ -72,6 +72,8 @@ def _q_as_float(q: QValue | float) -> float:
     value = float(q)
     if not value > 0.0:
         raise ValueError(f"quantum number must be positive, got {value}")
+    if value == np.inf:
+        raise ValueError(f"quantum number must be finite, got {value}")
     return value
 
 

@@ -248,6 +248,17 @@ def test_critical_rejects_profile_without_turnover():
         critical_coupling("twobody", law, 2, QValue(1.5), 1.0)
 
 
+@pytest.mark.parametrize(
+    "q, mass",
+    [(QValue(1.5), math.nan), (QValue(1.5), math.inf), (math.inf, 1.0), (QValue(math.inf), 1.0), (math.nan, 1.0)],
+    ids=["mass-nan", "mass-inf", "q-inf", "QValue-inf", "q-nan"],
+)
+def test_critical_rejects_non_finite_inputs(q, mass):
+    for mode in ("onebody", "twobody"):
+        with pytest.raises(ValueError):
+            critical_coupling(mode, PotentialLaw.yukawa(1.0, 1.0), 2, q, mass)
+
+
 def test_critical_bound_side_is_reported():
     cc = critical_coupling(
         "twobody", PotentialLaw.yukawa(1.0, 1.0), 2, QValue(1.5), 1.0

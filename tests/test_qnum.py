@@ -16,7 +16,7 @@ from envtheory import (
 from envtheory.errors import UnsupportedAuxiliary
 
 # First ten negative zeros of the Airy function, root-found here once and
-# frozen; cross-checked against the series evaluator to full precision below.
+# frozen; cross-checked against Ai itself below.
 AIRY_ZEROS = [
     -2.338107410459767,
     -4.08794944413097,
@@ -123,6 +123,28 @@ def test_airy_zero_ordering_and_spacing():
     k = 12
     est = -((3.0 * math.pi * (4 * k - 1) / 8.0) ** (2.0 / 3.0))
     assert zeros[-1] == pytest.approx(est, rel=1e-3)
+
+
+def _mcmahon_airy_zero(index):
+    # McMahon's large-k expansion of the k-th zero, k = index + 1, five terms
+    t = 3.0 * math.pi / 8.0 * (4 * (index + 1) - 1)
+    series = 1.0 + 5.0 / 48.0 * t**-2 - 5.0 / 36.0 * t**-4 + 77125.0 / 82944.0 * t**-6
+    series -= 108056875.0 / 6967296.0 * t**-8
+    return -(t ** (2.0 / 3.0)) * series
+
+
+def test_airy_zeros_match_mcmahon_expansion_at_high_index():
+    # the neglected terms are below 1e-14 relative from index 10 on
+    zeros = [airy_zero(i) for i in range(10, 41)]
+    for i, z in zip(range(10, 41), zeros):
+        assert z == pytest.approx(_mcmahon_airy_zero(i), rel=1e-12)
+    for a, b in zip(zeros, zeros[1:]):
+        assert b < a
+
+
+def test_linear_tower_q_at_high_index():
+    q = q_two_body_auxiliary(1.0, 30, 0, 3)
+    assert float(q) == pytest.approx(2.0 * (-_mcmahon_airy_zero(30) / 3.0) ** 1.5, rel=1e-12)
 
 
 def test_airy_series_known_values():

@@ -1,0 +1,74 @@
+import math
+
+import pytest
+from scipy.optimize import brentq as scipy_brentq
+
+from envtheory import KineticLaw, PotentialLaw, QValue, two_body_residual
+from envtheory.roots import brentq
+
+EPS = 2.220446049250313e-16
+
+
+def _both(f, a, b, **kwargs):
+    """(result, evaluation points) of the port and of scipy on the same problem."""
+    runs = []
+    for solver in (brentq, scipy_brentq):
+        xs = []
+
+        def g(x):
+            xs.append(x)
+            return f(x)
+
+        runs.append((solver(g, a, b, **kwargs), xs))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "f, a, b, kwargs",
+    [
+        (lambda x: x**3 - 2.0, 0.0, 3.0, {}),
+        (lambda x: math.exp(x) - 5.0, -1.0, 4.0, {"xtol": 1e-300, "rtol": 4.0 * EPS}),
+        (lambda x: math.cos(x) - x, 0.0, 1.5, {"rtol": 1e-10}),
+        (lambda x: math.tanh(30.0 * (x - 0.3)), -2.0, 5.0, {"xtol": 1e-300, "maxiter": 200}),
+        (lambda x: (x - 1.7) ** 5 + 1e-3 * (x - 1.7), 0.0, 2.0, {"xtol": 1e-300}),
+    ],
+)
+def test_same_float_and_steps_as_scipy(f, a, b, kwargs):
+    (ours, our_xs), (ref, ref_xs) = _both(f, a, b, **kwargs)
+    assert ours == ref
+    assert our_xs == ref_xs
+
+
+def test_two_body_residual_root_matches_scipy():
+    kinetic = KineticLaw.semirelativistic(1.0)
+    potential = PotentialLaw.power_law(1.0, 1.0)
+    q = QValue(2.5)
+
+    def f(r0):
+        return float(two_body_residual(kinetic, potential, q, r0))
+
+    (ours, our_xs), (ref, ref_xs) = _both(f, 0.1, 30.0, xtol=1e-300, rtol=1e-12, maxiter=200)
+    assert ours == ref
+    assert our_xs == ref_xs
+    assert abs(f(ours)) < 1e-9
+
+
+def test_zero_at_an_endpoint():
+    for a, b in ((1.0, 3.0), (-3.0, 1.0)):
+        assert brentq(lambda x: x - 1.0, a, b) == scipy_brentq(lambda x: x - 1.0, a, b) == 1.0
+
+
+@pytest.mark.parametrize(
+    "f, a, b, kwargs, error",
+    [
+        (lambda x: x * x + 1.0, -1.0, 1.0, {}, ValueError),
+        (lambda x: math.nan if x > 0.4 else x - 0.5, 0.0, 1.0, {}, ValueError),
+        (lambda x: math.tanh(30.0 * (x - 0.3)), -2.0, 5.0, {"xtol": 1e-300, "maxiter": 3}, RuntimeError),
+    ],
+    ids=["same-sign", "nan", "maxiter"],
+)
+def test_error_paths_match_scipy(f, a, b, kwargs, error):
+    with pytest.raises(error):
+        scipy_brentq(f, a, b, **kwargs)
+    with pytest.raises(error):
+        brentq(f, a, b, **kwargs)

@@ -313,3 +313,16 @@ def test_tight_tolerance_is_honored():
     sol = solve_nbody(spec, q_boson_ground(3, 3), SolverConfig(tolerance=1e-12))
     want_r0 = (3.0 * 9.0 / 2.0) ** 0.25
     assert sol.r0 == pytest.approx(want_r0, rel=1e-12)
+
+
+# --- non-finite quantum numbers ---------------------------------------------
+
+
+@pytest.mark.parametrize("q", [math.inf, QValue(math.inf), math.nan], ids=["inf", "QValue-inf", "nan"])
+def test_non_finite_q_is_rejected(q):
+    with pytest.raises(ValueError):
+        solve_nbody(harmonic_spec(3, 3, 1.0, 1.0), q)
+    with pytest.raises(ValueError):
+        solve_two_body(KineticLaw.nonrelativistic(0.5), PotentialLaw.power_law(1.0, 1.0), 2.0, q)
+    with pytest.raises(ValueError):
+        auxiliary_energy(1.0, 1.0, 2.0, q)
