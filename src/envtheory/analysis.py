@@ -21,14 +21,14 @@ from .model import (
     Convexity,
     ConvexityVerdict,
     EnvelopeSolution,
-    EvalMode,
     KineticLaw,
     PotentialLaw,
     SystemSpec,
-    eval_term,
+    checked,
+    require_counts,
 )
 from .qnum import QValue
-from .roots import brentq
+from .roots import brentq, sign_change_brackets
 
 _SAMPLES = 33
 _SIGN_REL_TOL = 1e-5
@@ -154,13 +154,13 @@ def perturbed_energy(
     correction = 0.0
     if pert.kinetic is not None:
         tau, shape = pert.kinetic
-        correction += n * tau * float(eval_term(shape, base.p0, EvalMode.VALUE))
+        correction += n * tau * float(shape.value(base.p0))
     if pert.onebody is not None:
         eta, shape = pert.onebody
-        correction += n * eta * float(eval_term(shape, base.r0 / n, EvalMode.VALUE))
+        correction += n * eta * float(shape.value(base.r0 / n))
     if pert.twobody is not None:
         eps, shape = pert.twobody
-        correction += c * eps * float(eval_term(shape, base.r0 / np.sqrt(c), EvalMode.VALUE))
+        correction += c * eps * float(shape.value(base.r0 / np.sqrt(c)))
     if abs(correction) > 0.1 * abs(base.energy):
         warnings.warn(
             f"first-order correction {correction:.6g} exceeds 10% of the level "
@@ -211,15 +211,9 @@ def critical_coupling(
         raise ValueError(f"mode must be 'onebody' or 'twobody', got {mode!r}")
     if not shape.short_range:
         raise NotShortRange(f"{shape.family.value} potential is not short range")
-    if n < 2:
-        raise ValueError(f"need at least two particles, got n={n}")
-    if mass <= 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
-    qv = float(q)
-    if qv <= 0.0:
-        raise ValueError(f"quantum number must be positive, got {qv}")
-    if not (np.isfinite(mass) and np.isfinite(qv)):
-        raise ValueError(f"mass and quantum number must be finite, got mass={mass}, q={qv}")
+    require_counts(n=n)
+    checked(mass, "mass", positive=True)
+    qv = checked(q, "quantum number", positive=True)
 
     y0 = _profile_stationary_scale(shape)
     w0 = float(shape.well_profile(y0))
@@ -245,18 +239,12 @@ def _profile_stationary_scale(shape: PotentialLaw) -> float:
     grid = center * np.logspace(-8.0, 8.0, 1025)
     with np.errstate(all="ignore"):
         values = np.asarray(residual(grid), dtype=float)
-    prev_x = prev_v = None
-    for x, v in zip(grid, values):
-        if not np.isfinite(v):
-            prev_x = prev_v = None
-            continue
-        if v == 0.0:
-            return float(x)
-        if prev_v is not None and (v < 0.0) != (prev_v < 0.0):
-            return float(
-                brentq(lambda t: float(residual(t)), prev_x, x, xtol=1e-300, rtol=4.0 * _EPS)
-            )
-        prev_x, prev_v = x, v
-    raise NoCriticalPoint(
-        "the well profile admits no stationary scale: 2 w(y) + y w'(y) never crosses zero"
-    )
+    brackets, _ = sign_change_brackets(grid, values)
+    if not brackets:
+        raise NoCriticalPoint(
+            "the well profile admits no stationary scale: 2 w(y) + y w'(y) never crosses zero"
+        )
+    lo, hi = brackets[0]
+    if lo == hi:
+        return float(lo)
+    return float(brentq(lambda t: float(residual(t)), lo, hi, xtol=1e-300, rtol=4.0 * _EPS))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollapseRegime, PerturbationSizeWarning
+from .model import checked, require_counts
 from .qnum import QValue
 
 
@@ -31,10 +32,7 @@ class BaryonParams:
     b: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need at least two particles, got n={self.n}")
-        if self.d < 2:
-            raise ValueError(f"need at least two dimensions, got d={self.d}")
+        require_counts(n=self.n, d=self.d)
         if self.a1 < 0.0 or self.a2 < 0.0:
             raise ValueError("confinement strengths a1, a2 must be non-negative")
         if self.a1 + self.a2 <= 0.0:
@@ -78,12 +76,9 @@ class BosonStarParams:
     alpha: float  # pair attraction strength G * m**2
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need at least two particles, got n={self.n}")
-        if self.mass <= 0.0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"attraction strength must be positive, got {self.alpha}")
+        require_counts(n=self.n)
+        checked(self.mass, "mass", positive=True)
+        checked(self.alpha, "attraction strength", positive=True)
 
 
 def boson_star_mass(params: BosonStarParams, q: QValue | float) -> float:
@@ -93,9 +88,7 @@ def boson_star_mass(params: BosonStarParams, q: QValue | float) -> float:
     collapse threshold of the self-gravitating system.
     """
     n, m, alpha = params.n, params.mass, params.alpha
-    qv = float(q)
-    if qv <= 0.0:
-        raise ValueError(f"quantum number must be positive, got {qv}")
+    qv = checked(q, "quantum number", positive=True)
     arg = 1.0 - n * (n - 1.0) ** 3 * alpha * alpha / (8.0 * qv * qv)
     if arg < 0.0:
         raise CollapseRegime(
@@ -106,8 +99,7 @@ def boson_star_mass(params: BosonStarParams, q: QValue | float) -> float:
 
 def boson_star_limit(d: int) -> float:
     """Large-N cap on M * G * m for the bosonic ground state: D / sqrt(2)."""
-    if d < 2:
-        raise ValueError(f"need at least two dimensions, got d={d}")
+    require_counts(d=d)
     return d / math.sqrt(2.0)
 
 
@@ -121,8 +113,7 @@ def boson_star_max_mass(
     are returned.  Ranges up to a few million are scanned outright; larger
     ones get a golden-section pass on the continuous relaxation first.
     """
-    if d < 2:
-        raise ValueError(f"need at least two dimensions, got d={d}")
+    require_counts(d=d)
     if mass <= 0.0 or alpha <= 0.0:
         raise ValueError("mass and alpha must be positive")
     if n_max < 2:
@@ -164,19 +155,13 @@ def minimal_length_energy(
     the p**4 deformation adds exactly 2 * spring * deformation * Q**2 at
     first order.  The result is exact again when the deformation vanishes.
     """
-    if n < 2:
-        raise ValueError(f"need at least two particles, got n={n}")
-    if d < 2:
-        raise ValueError(f"need at least two dimensions, got d={d}")
-    if mass <= 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
-    if spring <= 0.0:
-        raise ValueError(f"spring constant must be positive, got {spring}")
+    require_counts(n=n, d=d)
+    checked(mass, "mass", positive=True)
+    checked(spring, "spring constant", positive=True)
     if deformation < 0.0:
         raise ValueError(f"deformation must be non-negative, got {deformation}")
-    qv = float(q)
-    if qv <= 0.0:
-        raise ValueError(f"quantum number must be positive, got {qv}")
+    checked(deformation, "deformation")
+    qv = checked(q, "quantum number", positive=True)
     base = math.sqrt(2.0 * n * spring / mass) * qv
     correction = 2.0 * spring * deformation * qv * qv
     if correction > 0.1 * base:

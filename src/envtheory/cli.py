@@ -25,6 +25,7 @@ from .errors import (
     UnknownKey,
 )
 from .model import (
+    FAMILIES,
     KineticFamily,
     KineticLaw,
     PotentialFamily,
@@ -32,6 +33,7 @@ from .model import (
     StateSpec,
     Statistics,
     SystemSpec,
+    checked,
 )
 from .qnum import (
     QProvenance,
@@ -51,22 +53,16 @@ _SECTION_NAMES = (
     "perturbation",
 )
 
-_KINETIC_KEYS = {
-    "nonrelativistic": {"mass"},
-    "semirelativistic": {"mass"},
-    "ultrarelativistic": set(),
-    "minimal-length": {"mass", "deformation"},
-    "exponential-quadratic": {"stiffness"},
-}
 
-_POTENTIAL_KEYS = {
-    "powerlaw": {"amplitude", "exponent"},
-    "coulomb": {"strength"},
-    "squareroot": {"offset", "scale"},
-    "logarithmic": {"scale"},
-    "yukawa": {"coupling", "screening"},
-    "exponential": {"coupling", "screening"},
-    "gaussian": {"coupling", "screening"},
+# The law class and the config spelling of each family a law section takes;
+# custom profiles are Python callables, so no config names one.
+_LAW_SECTIONS = {
+    name: (law_cls, {f.value: f for f in enum if f is not enum.CUSTOM})
+    for name, law_cls, enum in (
+        ("kinetic", KineticLaw, KineticFamily),
+        ("onebody", PotentialLaw, PotentialFamily),
+        ("twobody", PotentialLaw, PotentialFamily),
+    )
 }
 
 Sections = dict[str, dict[str, tuple[int, str]]]
@@ -166,63 +162,22 @@ def _line_of(name: str, data: dict, key: str) -> int:
     return data[key][0] if key in data else 0
 
 
-def _build_kinetic(data: dict) -> KineticLaw:
-    _require("kinetic", data, "family")
-    family = _get_choice("kinetic", data, "family", set(_KINETIC_KEYS))
-    _reject_unknown("kinetic", data, _KINETIC_KEYS[family] | {"family"})
-    try:
-        if family == "nonrelativistic":
-            _require("kinetic", data, "mass")
-            return KineticLaw.nonrelativistic(_get_float("kinetic", data, "mass"))
-        if family == "semirelativistic":
-            _require("kinetic", data, "mass")
-            return KineticLaw.semirelativistic(_get_float("kinetic", data, "mass"))
-        if family == "ultrarelativistic":
-            return KineticLaw.ultrarelativistic()
-        if family == "minimal-length":
-            _require("kinetic", data, "mass")
-            _require("kinetic", data, "deformation")
-            return KineticLaw.minimal_length_quartic(
-                _get_float("kinetic", data, "mass"),
-                _get_float("kinetic", data, "deformation"),
-            )
-        _require("kinetic", data, "stiffness")
-        return KineticLaw.exponential_quadratic(_get_float("kinetic", data, "stiffness"))
-    except ValueError as exc:
-        raise ConstraintViolation(
-            f"line {_line_of('kinetic', data, 'family')}: [kinetic] {exc}"
-        ) from None
-
-
-def _build_potential(name: str, data: dict) -> PotentialLaw:
+def _build_law(sections: Sections, name: str):
+    """The law of section [name], or None; its keys, defaults and ranges come from ``FAMILIES``."""
+    if name not in sections:
+        return None
+    data = sections[name]
+    law_cls, families = _LAW_SECTIONS[name]
     _require(name, data, "family")
-    family = _get_choice(name, data, "family", set(_POTENTIAL_KEYS))
-    _reject_unknown(name, data, _POTENTIAL_KEYS[family] | {"family"})
+    family = families[_get_choice(name, data, "family", families)]
+    params = FAMILIES[family].params
+    _reject_unknown(name, data, {p.name for p in params} | {"family"})
+    for param in params:
+        if param.default is None:
+            _require(name, data, param.name)
+    values = [_get_float(name, data, p.name, p.default) for p in params]
     try:
-        if family == "powerlaw":
-            _require(name, data, "amplitude")
-            _require(name, data, "exponent")
-            return PotentialLaw.power_law(
-                _get_float(name, data, "amplitude"), _get_float(name, data, "exponent")
-            )
-        if family == "coulomb":
-            _require(name, data, "strength")
-            return PotentialLaw.coulomb(_get_float(name, data, "strength"))
-        if family == "squareroot":
-            return PotentialLaw.square_root(
-                _get_float(name, data, "offset", 0.0), _get_float(name, data, "scale", 1.0)
-            )
-        if family == "logarithmic":
-            return PotentialLaw.logarithmic(_get_float(name, data, "scale", 1.0))
-        builder = {
-            "yukawa": PotentialLaw.yukawa,
-            "exponential": PotentialLaw.exponential,
-            "gaussian": PotentialLaw.gaussian,
-        }[family]
-        _require(name, data, "coupling")
-        return builder(
-            _get_float(name, data, "coupling"), _get_float(name, data, "screening", 1.0)
-        )
+        return law_cls.of(family, *values)
     except ValueError as exc:
         raise ConstraintViolation(
             f"line {_line_of(name, data, 'family')}: [{name}] {exc}"
@@ -339,9 +294,9 @@ def config_from_sections(sections: Sections) -> RunConfig:
             f"must be >= 1, got {degeneracy}"
         )
 
-    kinetic = _build_kinetic(sections["kinetic"]) if "kinetic" in sections else None
-    onebody = _build_potential("onebody", sections["onebody"]) if "onebody" in sections else None
-    twobody = _build_potential("twobody", sections["twobody"]) if "twobody" in sections else None
+    kinetic = _build_law(sections, "kinetic")
+    onebody = _build_law(sections, "onebody")
+    twobody = _build_law(sections, "twobody")
 
     state_kind, quanta, state_q = "boson-gs", None, None
     if "state" in sections:
@@ -363,11 +318,12 @@ def config_from_sections(sections: Sections) -> RunConfig:
         else:
             state_kind = "q"
             state_q = _get_float("state", data, "q")
-            if state_q <= 0.0:
+            try:
+                checked(state_q, "q", positive=True)
+            except ValueError as exc:
                 raise ConstraintViolation(
-                    f"line {_line_of('state', data, 'q')}: [state] q must be positive, "
-                    f"got {state_q}"
-                )
+                    f"line {_line_of('state', data, 'q')}: [state] {exc}"
+                ) from None
 
     solver_cfg = solver.SolverConfig()
     if "solver" in sections:

@@ -9,12 +9,18 @@ energy is an upper or a lower bound, so the curvature query uses analytic
 forms where the family permits and a Richardson-refined central difference
 otherwise.
 
+Each family is one ``LawFamily`` record in ``FAMILIES``: its parameters with
+their ranges and config defaults, its value and derivative, its closed-form
+chart curvature if it has one, and its convexity rule.  The laws and the CLI
+read every per-family fact from that table.
+
 All evaluation methods accept floats or numpy arrays of strictly positive
 arguments and are pure functions of the law's parameters.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping
@@ -30,11 +36,6 @@ from .errors import (
 
 _FD_REL_STEP = 1e-4  # relative step for curvature finite differences
 _DERIV_REL_STEP = 6.0e-6  # ~cbrt(eps), central first differences for custom laws
-
-
-class EvalMode(Enum):
-    VALUE = "value"
-    FIRST_DERIVATIVE = "first-derivative"
 
 
 class Convexity(Enum):
@@ -90,6 +91,34 @@ class CustomProfile:
     derivative: Callable[..., object] | None = None
 
 
+def checked(value, what: str, positive: bool = False, integer: bool = False):
+    """``value`` as a finite float, positive when ``positive`` is set; a count unchanged.
+
+    The one input check behind the law constructors, ``SystemSpec``,
+    ``QValue``, the solver's Q and the closed forms: NaN, ±inf, a value that
+    is not > 0 where ``positive`` asks for one and, for a count (``integer``),
+    anything but a Python or numpy integer raise ValueError naming ``what``.
+    """
+    if integer:
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+        return value
+    number = float(value)
+    if positive and not number > 0.0:
+        raise ValueError(f"{what} must be positive, got {number}")
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {number}")
+    return number
+
+
+def require_counts(n: int | None = None, d: int | None = None) -> None:
+    """Reject fewer than two particles or fewer than two dimensions."""
+    if n is not None and n < 2:
+        raise ValueError(f"need at least two particles, got n={n}")
+    if d is not None and d < 2:
+        raise ValueError(f"need at least two dimensions, got d={d}")
+
+
 def _require_positive(x, what: str = "argument") -> None:
     arr = np.asarray(x, dtype=float)
     if arr.size == 0 or not np.all(arr > 0.0):
@@ -123,9 +152,222 @@ def _chart_exponent(aux_exponent: float | None) -> float:
     return lam
 
 
+def _kinetic_chart(aux_exponent: float | None) -> None:
+    if _chart_exponent(aux_exponent) != 2.0:
+        raise EvaluationDomainError("kinetic charts use the x**2 substitution only")
+
+
+# ---------------------------------------------------------------------------
+# Law families
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Param:
+    """One law parameter: its name (also the law's field), its range and its config default."""
+
+    name: str
+    rule: str  # ">" or ">=" against ``bound``; "!=" asks for a nonzero value
+    bound: float = 0.0
+    default: float | None = None  # None makes the config key required
+
+    def lack(self, value) -> str | None:
+        """What an out-of-range ``value`` lacks, worded to follow "<family> needs"."""
+        if self.rule == "!=":
+            return f"a nonzero {self.name}" if value == self.bound else None
+        if value > self.bound if self.rule == ">" else value >= self.bound:
+            return None
+        return f"{self.name} {self.rule} {self.bound:g}, got {value}"
+
+
+@dataclass(frozen=True)
+class LawFamily:
+    """Everything that defines one kinetic or potential family.
+
+    ``value`` and ``derivative`` take (law, x).  ``tag`` gives the global sign
+    of the chart curvature under the x**2 chart where it is provable a priori,
+    else None, so the classifier samples it.  A kinetic family may give its
+    chart curvature b''(s) in closed form as ``curvature`` (law, s).  A
+    potential that is a pure power amplitude * x**exponent gives that pair as
+    ``power`` (law); its chart curvature and tag then follow in closed form
+    under every substitution exponent.  Without a closed form, the chart
+    curvature comes from Richardson differences of the value.
+    """
+
+    label: str  # how constructor errors name the family
+    params: tuple[Param, ...]
+    value: Callable
+    derivative: Callable
+    tag: Callable = lambda law: None
+    curvature: Callable | None = None
+    power: Callable | None = None
+    short_range: bool = False
+
+    def fields(self, args) -> dict[str, float]:
+        """Field values of a law with parameters ``args``, checked in table order."""
+        if len(args) != len(self.params):
+            raise TypeError(f"{self.label} takes {len(self.params)} parameters, got {len(args)}")
+        fields = {}
+        for param, value in zip(self.params, args):
+            try:
+                fields[param.name] = checked(value, param.name)
+            except ValueError as exc:
+                raise ValueError(f"{self.label} {exc}") from None
+            lack = param.lack(value)
+            if lack is not None:
+                raise ValueError(f"{self.label} needs {lack}")
+        return fields
+
+
+def _tagged(convexity: Convexity) -> Callable:
+    return lambda law: convexity
+
+
+def _scale_sign(law) -> Convexity:
+    return Convexity.CONCAVE if law.scale > 0.0 else Convexity.CONVEX
+
+
+def _custom_family(kind: str) -> LawFamily:
+    """A user profile: no parameters, no closed forms and no a-priori tag."""
+
+    def call(fn: Callable, x):
+        try:
+            return fn(x)
+        except (ArithmeticError, ValueError) as exc:
+            raise EvaluationDomainError(f"custom {kind} profile failed at {x!r}") from exc
+
+    def value(law, x):
+        if law.profile is None:
+            raise EvaluationDomainError(f"custom {kind} law carries no profile")
+        return call(law.profile.value, x)
+
+    def derivative(law, x):
+        if law.profile is not None and law.profile.derivative is not None:
+            return call(law.profile.derivative, x)
+        return _central_difference(law.value, x)
+
+    return LawFamily(f"custom {kind} law", (), value, derivative)
+
+
+def _short_range_family(label: str, value: Callable, derivative: Callable) -> LawFamily:
+    """A well -coupling * w(x / screening) with a positive profile w vanishing at infinity."""
+    params = (Param("coupling", ">"), Param("screening", ">", default=1.0))
+    return LawFamily(
+        label, params, value, derivative, tag=_tagged(Convexity.CONCAVE), short_range=True
+    )
+
+
+def _minimal_length_value(law, p):
+    p2 = p * p
+    return p2 / (2.0 * law.mass) + law.deformation * p2 * p2 / law.mass
+
+
+def _yukawa_derivative(law, x):
+    r = law.screening
+    return law.coupling * np.exp(-x / r) * (1.0 / (x * x) + 1.0 / (r * x))
+
+
+def _gaussian_value(law, x):
+    u = x / law.screening
+    return -law.coupling * np.exp(-u * u)
+
+
+def _gaussian_derivative(law, x):
+    r2 = law.screening * law.screening
+    u = x / law.screening
+    return 2.0 * law.coupling * x / r2 * np.exp(-u * u)
+
+
+# One record per family member: ``KineticLaw``, ``PotentialLaw`` and the CLI
+# take every per-family fact from here.
+FAMILIES: dict[KineticFamily | PotentialFamily, LawFamily] = {
+    KineticFamily.NONRELATIVISTIC: LawFamily(
+        "nonrelativistic kinetic law",
+        (Param("mass", ">"),),
+        value=lambda law, p: p * p / (2.0 * law.mass),
+        derivative=lambda law, p: p / law.mass,
+        tag=_tagged(Convexity.LINEAR),
+        curvature=lambda law, s: 0.0 * s,
+    ),
+    KineticFamily.SEMIRELATIVISTIC: LawFamily(
+        "semirelativistic kinetic law",
+        (Param("mass", ">="),),
+        value=lambda law, p: np.sqrt(p * p + law.mass * law.mass),
+        derivative=lambda law, p: p / np.sqrt(p * p + law.mass * law.mass),
+        tag=_tagged(Convexity.CONCAVE),
+    ),
+    KineticFamily.ULTRARELATIVISTIC: LawFamily(
+        "ultrarelativistic kinetic law",
+        (),
+        value=lambda law, p: p + 0.0,
+        derivative=lambda law, p: np.ones_like(np.asarray(p, dtype=float)) if np.ndim(p) else 1.0,
+        tag=_tagged(Convexity.CONCAVE),
+    ),
+    KineticFamily.MINIMAL_LENGTH_QUARTIC: LawFamily(
+        "minimal-length kinetic law",
+        (Param("mass", ">"), Param("deformation", ">=")),
+        value=_minimal_length_value,
+        derivative=lambda law, p: p / law.mass + 4.0 * law.deformation * p * p * p / law.mass,
+        tag=lambda law: Convexity.CONVEX if law.deformation > 0.0 else Convexity.LINEAR,
+        curvature=lambda law, s: 2.0 * law.deformation / law.mass + 0.0 * s,
+    ),
+    KineticFamily.EXPONENTIAL_QUADRATIC: LawFamily(
+        "exponential-quadratic kinetic law",
+        (Param("stiffness", ">"),),
+        value=lambda law, p: np.exp(law.stiffness * p * p),
+        derivative=lambda law, p: 2.0 * law.stiffness * p * np.exp(law.stiffness * p * p),
+        tag=_tagged(Convexity.CONVEX),
+        curvature=lambda law, s: law.stiffness * law.stiffness * np.exp(law.stiffness * s),
+    ),
+    KineticFamily.CUSTOM: _custom_family("kinetic"),
+    PotentialFamily.POWER_LAW: LawFamily(
+        "power-law potential",
+        (Param("amplitude", "!="), Param("exponent", ">", -2.0)),
+        value=lambda law, x: law.amplitude * np.power(x, law.exponent),
+        derivative=lambda law, x: law.amplitude * law.exponent * np.power(x, law.exponent - 1.0),
+        power=lambda law: (law.amplitude, law.exponent),
+    ),
+    PotentialFamily.COULOMB: LawFamily(
+        "coulomb potential",
+        (Param("strength", ">"),),
+        value=lambda law, x: -law.strength / x,
+        derivative=lambda law, x: law.strength / (x * x),
+        power=lambda law: (-law.strength, -1.0),
+    ),
+    PotentialFamily.SQUARE_ROOT: LawFamily(
+        "square-root potential",
+        (Param("offset", ">=", default=0.0), Param("scale", "!=", default=1.0)),
+        value=lambda law, x: law.scale * np.sqrt(x * x + law.offset),
+        derivative=lambda law, x: law.scale * x / np.sqrt(x * x + law.offset),
+        tag=_scale_sign,
+    ),
+    PotentialFamily.LOGARITHMIC: LawFamily(
+        "logarithmic potential",
+        (Param("scale", "!=", default=1.0),),
+        value=lambda law, x: law.scale * np.log(x),
+        derivative=lambda law, x: law.scale / x,
+        tag=_scale_sign,
+    ),
+    PotentialFamily.YUKAWA: _short_range_family(
+        "yukawa potential",
+        lambda law, x: -law.coupling * np.exp(-x / law.screening) / x,
+        _yukawa_derivative,
+    ),
+    PotentialFamily.EXPONENTIAL: _short_range_family(
+        "exponential potential",
+        lambda law, x: -law.coupling * np.exp(-x / law.screening),
+        lambda law, x: (law.coupling / law.screening) * np.exp(-x / law.screening),
+    ),
+    PotentialFamily.GAUSSIAN: _short_range_family(
+        "gaussian potential", _gaussian_value, _gaussian_derivative
+    ),
+    PotentialFamily.CUSTOM: _custom_family("potential"),
+}
+
+
 @dataclass(frozen=True)
 class KineticLaw:
-    """Single-particle kinetic energy T(p)."""
+    """Single-particle kinetic energy T(p); its family record in ``FAMILIES`` holds the formulas."""
 
     family: KineticFamily
     mass: float = 0.0
@@ -136,42 +378,29 @@ class KineticLaw:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def of(cls, family: KineticFamily, *params: float) -> "KineticLaw":
+        """A law of ``family`` from its parameters in table order, each one checked."""
+        return cls(family, **FAMILIES[family].fields(params))
+
+    @classmethod
     def nonrelativistic(cls, mass: float) -> "KineticLaw":
-        if mass <= 0.0:
-            raise ValueError(f"nonrelativistic kinetic law needs mass > 0, got {mass}")
-        return cls(KineticFamily.NONRELATIVISTIC, mass=float(mass))
+        return cls.of(KineticFamily.NONRELATIVISTIC, mass)
 
     @classmethod
     def semirelativistic(cls, mass: float) -> "KineticLaw":
-        if mass < 0.0:
-            raise ValueError(f"semirelativistic kinetic law needs mass >= 0, got {mass}")
-        return cls(KineticFamily.SEMIRELATIVISTIC, mass=float(mass))
+        return cls.of(KineticFamily.SEMIRELATIVISTIC, mass)
 
     @classmethod
     def ultrarelativistic(cls) -> "KineticLaw":
-        return cls(KineticFamily.ULTRARELATIVISTIC)
+        return cls.of(KineticFamily.ULTRARELATIVISTIC)
 
     @classmethod
     def minimal_length_quartic(cls, mass: float, deformation: float) -> "KineticLaw":
-        if mass <= 0.0:
-            raise ValueError(f"minimal-length kinetic law needs mass > 0, got {mass}")
-        if deformation < 0.0:
-            raise ValueError(
-                f"minimal-length kinetic law needs deformation >= 0, got {deformation}"
-            )
-        return cls(
-            KineticFamily.MINIMAL_LENGTH_QUARTIC,
-            mass=float(mass),
-            deformation=float(deformation),
-        )
+        return cls.of(KineticFamily.MINIMAL_LENGTH_QUARTIC, mass, deformation)
 
     @classmethod
     def exponential_quadratic(cls, stiffness: float) -> "KineticLaw":
-        if stiffness <= 0.0:
-            raise ValueError(
-                f"exponential-quadratic kinetic law needs stiffness > 0, got {stiffness}"
-            )
-        return cls(KineticFamily.EXPONENTIAL_QUADRATIC, stiffness=float(stiffness))
+        return cls.of(KineticFamily.EXPONENTIAL_QUADRATIC, stiffness)
 
     @classmethod
     def custom(cls, profile: CustomProfile) -> "KineticLaw":
@@ -180,87 +409,34 @@ class KineticLaw:
     # -- evaluation ----------------------------------------------------------
 
     def value(self, p):
-        f = self.family
-        if f is KineticFamily.NONRELATIVISTIC:
-            return p * p / (2.0 * self.mass)
-        if f is KineticFamily.SEMIRELATIVISTIC:
-            return np.sqrt(p * p + self.mass * self.mass)
-        if f is KineticFamily.ULTRARELATIVISTIC:
-            return p + 0.0
-        if f is KineticFamily.MINIMAL_LENGTH_QUARTIC:
-            p2 = p * p
-            return p2 / (2.0 * self.mass) + self.deformation * p2 * p2 / self.mass
-        if f is KineticFamily.EXPONENTIAL_QUADRATIC:
-            return np.exp(self.stiffness * p * p)
-        return self._custom_value(p)
+        return FAMILIES[self.family].value(self, p)
 
     def derivative(self, p):
-        f = self.family
-        if f is KineticFamily.NONRELATIVISTIC:
-            return p / self.mass
-        if f is KineticFamily.SEMIRELATIVISTIC:
-            return p / np.sqrt(p * p + self.mass * self.mass)
-        if f is KineticFamily.ULTRARELATIVISTIC:
-            return np.ones_like(np.asarray(p, dtype=float)) if np.ndim(p) else 1.0
-        if f is KineticFamily.MINIMAL_LENGTH_QUARTIC:
-            return p / self.mass + 4.0 * self.deformation * p * p * p / self.mass
-        if f is KineticFamily.EXPONENTIAL_QUADRATIC:
-            return 2.0 * self.stiffness * p * np.exp(self.stiffness * p * p)
-        if self.profile is not None and self.profile.derivative is not None:
-            return self._wrap(self.profile.derivative, p)
-        return _central_difference(self.value, p)
-
-    def _custom_value(self, p):
-        if self.profile is None:
-            raise EvaluationDomainError("custom kinetic law carries no profile")
-        return self._wrap(self.profile.value, p)
-
-    @staticmethod
-    def _wrap(fn: Callable, x):
-        try:
-            return fn(x)
-        except (ArithmeticError, ValueError) as exc:
-            raise EvaluationDomainError(f"custom kinetic profile failed at {x!r}") from exc
+        return FAMILIES[self.family].derivative(self, p)
 
     # -- composition chart ---------------------------------------------------
 
     def chart_value(self, s, aux_exponent: float | None = None):
-        lam = _chart_exponent(aux_exponent)
-        if lam != 2.0:
-            raise EvaluationDomainError("kinetic charts use the x**2 substitution only")
+        _kinetic_chart(aux_exponent)
         return self.value(np.sqrt(s))
 
     def chart_second_derivative(self, s, aux_exponent: float | None = None):
-        lam = _chart_exponent(aux_exponent)
-        if lam != 2.0:
-            raise EvaluationDomainError("kinetic charts use the x**2 substitution only")
-        f = self.family
-        if f is KineticFamily.NONRELATIVISTIC:
-            return 0.0 * s
-        if f is KineticFamily.MINIMAL_LENGTH_QUARTIC:
-            return 2.0 * self.deformation / self.mass + 0.0 * s
-        if f is KineticFamily.EXPONENTIAL_QUADRATIC:
-            k = self.stiffness
-            return k * k * np.exp(k * s)
+        """Curvature b''(s) of the x**2 chart at s > 0."""
+        _require_positive(s, "chart argument")
+        _kinetic_chart(aux_exponent)
+        curvature = FAMILIES[self.family].curvature
+        if curvature is not None:
+            return curvature(self, s)
         return _richardson_second(lambda u: self.value(np.sqrt(u)), s)
 
     def convexity_tag(self) -> Convexity | None:
         """Global sign of the chart curvature where it is provable a priori."""
-        f = self.family
-        if f is KineticFamily.NONRELATIVISTIC:
-            return Convexity.LINEAR
-        if f is KineticFamily.SEMIRELATIVISTIC or f is KineticFamily.ULTRARELATIVISTIC:
-            return Convexity.CONCAVE
-        if f is KineticFamily.MINIMAL_LENGTH_QUARTIC:
-            return Convexity.CONVEX if self.deformation > 0.0 else Convexity.LINEAR
-        if f is KineticFamily.EXPONENTIAL_QUADRATIC:
-            return Convexity.CONVEX
-        return None
+        return FAMILIES[self.family].tag(self)
 
 
 @dataclass(frozen=True)
 class PotentialLaw:
-    """Radial interaction profile W(x), one- or two-body."""
+    """Radial interaction profile W(x), one- or two-body; formulas live in ``FAMILIES``."""
 
     family: PotentialFamily
     amplitude: float = 0.0  # power-law prefactor
@@ -276,61 +452,38 @@ class PotentialLaw:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def of(cls, family: PotentialFamily, *params: float) -> "PotentialLaw":
+        """A law of ``family`` from its parameters in table order, each one checked."""
+        record = FAMILIES[family]
+        return cls(family, short_range=record.short_range, **record.fields(params))
+
+    @classmethod
     def power_law(cls, amplitude: float, exponent: float) -> "PotentialLaw":
-        if amplitude == 0.0:
-            raise ValueError("power-law potential needs a nonzero amplitude")
-        if exponent <= -2.0:
-            raise ValueError(f"power-law potential needs exponent > -2, got {exponent}")
-        return cls(
-            PotentialFamily.POWER_LAW,
-            amplitude=float(amplitude),
-            exponent=float(exponent),
-        )
+        return cls.of(PotentialFamily.POWER_LAW, amplitude, exponent)
 
     @classmethod
     def coulomb(cls, strength: float) -> "PotentialLaw":
-        if strength <= 0.0:
-            raise ValueError(f"coulomb potential needs strength > 0, got {strength}")
-        return cls(PotentialFamily.COULOMB, strength=float(strength))
+        return cls.of(PotentialFamily.COULOMB, strength)
 
     @classmethod
     def square_root(cls, offset: float = 0.0, scale: float = 1.0) -> "PotentialLaw":
-        if offset < 0.0:
-            raise ValueError(f"square-root potential needs offset >= 0, got {offset}")
-        if scale == 0.0:
-            raise ValueError("square-root potential needs a nonzero scale")
-        return cls(PotentialFamily.SQUARE_ROOT, offset=float(offset), scale=float(scale))
+        return cls.of(PotentialFamily.SQUARE_ROOT, offset, scale)
 
     @classmethod
     def logarithmic(cls, scale: float = 1.0) -> "PotentialLaw":
-        if scale == 0.0:
-            raise ValueError("logarithmic potential needs a nonzero scale")
-        return cls(PotentialFamily.LOGARITHMIC, scale=float(scale))
+        return cls.of(PotentialFamily.LOGARITHMIC, scale)
 
     @classmethod
     def yukawa(cls, coupling: float, screening: float = 1.0) -> "PotentialLaw":
-        return cls._short_range(PotentialFamily.YUKAWA, coupling, screening)
+        return cls.of(PotentialFamily.YUKAWA, coupling, screening)
 
     @classmethod
     def exponential(cls, coupling: float, screening: float = 1.0) -> "PotentialLaw":
-        return cls._short_range(PotentialFamily.EXPONENTIAL, coupling, screening)
+        return cls.of(PotentialFamily.EXPONENTIAL, coupling, screening)
 
     @classmethod
     def gaussian(cls, coupling: float, screening: float = 1.0) -> "PotentialLaw":
-        return cls._short_range(PotentialFamily.GAUSSIAN, coupling, screening)
-
-    @classmethod
-    def _short_range(cls, family, coupling, screening) -> "PotentialLaw":
-        if coupling <= 0.0:
-            raise ValueError(f"{family.value} potential needs coupling > 0, got {coupling}")
-        if screening <= 0.0:
-            raise ValueError(f"{family.value} potential needs screening > 0, got {screening}")
-        return cls(
-            family,
-            coupling=float(coupling),
-            screening=float(screening),
-            short_range=True,
-        )
+        return cls.of(PotentialFamily.GAUSSIAN, coupling, screening)
 
     @classmethod
     def custom(cls, profile: CustomProfile, short_range: bool = False) -> "PotentialLaw":
@@ -340,73 +493,27 @@ class PotentialLaw:
 
     def value(self, x):
         _require_positive(x, "separation")
-        f = self.family
-        if f is PotentialFamily.POWER_LAW:
-            return self.amplitude * np.power(x, self.exponent)
-        if f is PotentialFamily.COULOMB:
-            return -self.strength / x
-        if f is PotentialFamily.SQUARE_ROOT:
-            return self.scale * np.sqrt(x * x + self.offset)
-        if f is PotentialFamily.LOGARITHMIC:
-            return self.scale * np.log(x)
-        if f is PotentialFamily.YUKAWA:
-            return -self.coupling * np.exp(-x / self.screening) / x
-        if f is PotentialFamily.EXPONENTIAL:
-            return -self.coupling * np.exp(-x / self.screening)
-        if f is PotentialFamily.GAUSSIAN:
-            u = x / self.screening
-            return -self.coupling * np.exp(-u * u)
-        return self._custom_value(x)
+        return FAMILIES[self.family].value(self, x)
 
     def derivative(self, x):
         _require_positive(x, "separation")
-        f = self.family
-        if f is PotentialFamily.POWER_LAW:
-            return self.amplitude * self.exponent * np.power(x, self.exponent - 1.0)
-        if f is PotentialFamily.COULOMB:
-            return self.strength / (x * x)
-        if f is PotentialFamily.SQUARE_ROOT:
-            return self.scale * x / np.sqrt(x * x + self.offset)
-        if f is PotentialFamily.LOGARITHMIC:
-            return self.scale / x
-        if f is PotentialFamily.YUKAWA:
-            r = self.screening
-            return self.coupling * np.exp(-x / r) * (1.0 / (x * x) + 1.0 / (r * x))
-        if f is PotentialFamily.EXPONENTIAL:
-            return (self.coupling / self.screening) * np.exp(-x / self.screening)
-        if f is PotentialFamily.GAUSSIAN:
-            r2 = self.screening * self.screening
-            u = x / self.screening
-            return 2.0 * self.coupling * x / r2 * np.exp(-u * u)
-        if self.profile is not None and self.profile.derivative is not None:
-            return self._wrap(self.profile.derivative, x)
-        return _central_difference(self.value, x)
-
-    def _custom_value(self, x):
-        if self.profile is None:
-            raise EvaluationDomainError("custom potential law carries no profile")
-        return self._wrap(self.profile.value, x)
-
-    @staticmethod
-    def _wrap(fn: Callable, x):
-        try:
-            return fn(x)
-        except (ArithmeticError, ValueError) as exc:
-            raise EvaluationDomainError(f"custom potential profile failed at {x!r}") from exc
+        return FAMILIES[self.family].derivative(self, x)
 
     # -- short-range well profile -------------------------------------------
 
-    def well_profile(self, x):
-        """Dimensionless positive well shape w with W(x) = -kappa * w(x)."""
+    def _well_depth(self) -> float:
+        """kappa in W(x) = -kappa * w(x): the coupling, or 1 for a custom profile."""
         if not self.short_range:
             raise NotShortRange(f"{self.family.value} potential is not short range")
-        kappa = self.coupling if self.family is not PotentialFamily.CUSTOM else 1.0
+        return self.coupling if self.profile is None else 1.0
+
+    def well_profile(self, x):
+        """Dimensionless positive well shape w with W(x) = -kappa * w(x)."""
+        kappa = self._well_depth()
         return -self.value(x) / kappa
 
     def well_profile_derivative(self, x):
-        if not self.short_range:
-            raise NotShortRange(f"{self.family.value} potential is not short range")
-        kappa = self.coupling if self.family is not PotentialFamily.CUSTOM else 1.0
+        kappa = self._well_depth()
         return -self.derivative(x) / kappa
 
     # -- composition chart ---------------------------------------------------
@@ -416,70 +523,33 @@ class PotentialLaw:
         return self.value(np.power(s, 1.0 / lam))
 
     def chart_second_derivative(self, s, aux_exponent: float | None = None):
+        """Curvature b''(s) at s > 0 of the x**2 chart, or of the auxiliary one.
+
+        A float ``aux_exponent`` selects the two-body substitution
+        W(x) = b(sgn(lam) * x**lam); ``s`` is then the magnitude of the
+        substituted variable.
+        """
+        _require_positive(s, "chart argument")
         lam = _chart_exponent(aux_exponent)
-        f = self.family
-        if f is PotentialFamily.POWER_LAW or f is PotentialFamily.COULOMB:
-            if f is PotentialFamily.COULOMB:
-                amp, q = -self.strength, -1.0
-            else:
-                amp, q = self.amplitude, self.exponent
-            kappa = q / lam
-            return amp * kappa * (kappa - 1.0) * np.power(s, kappa - 2.0)
-        return _richardson_second(lambda u: self.value(np.power(u, 1.0 / lam)), s)
+        power = FAMILIES[self.family].power
+        if power is None:
+            return _richardson_second(lambda u: self.value(np.power(u, 1.0 / lam)), s)
+        amp, q = power(self)
+        kappa = q / lam
+        return amp * kappa * (kappa - 1.0) * np.power(s, kappa - 2.0)
 
     def convexity_tag(self, aux_exponent: float | None = None) -> Convexity | None:
         """Global sign of the chart curvature where it is provable a priori."""
         lam = _chart_exponent(aux_exponent)
-        f = self.family
-        if f is PotentialFamily.POWER_LAW or f is PotentialFamily.COULOMB:
-            if f is PotentialFamily.COULOMB:
-                amp, q = -self.strength, -1.0
-            else:
-                amp, q = self.amplitude, self.exponent
+        record = FAMILIES[self.family]
+        if record.power is not None:
+            amp, q = record.power(self)
             sign = amp * (q / lam) * (q / lam - 1.0)
             if sign == 0.0:
                 return Convexity.LINEAR
             return Convexity.CONVEX if sign > 0.0 else Convexity.CONCAVE
-        if lam != 2.0:
-            return None
-        # Curvature signs below hold for every s > 0 under the x**2 chart.
-        if f is PotentialFamily.SQUARE_ROOT:
-            return Convexity.CONCAVE if self.scale > 0.0 else Convexity.CONVEX
-        if f is PotentialFamily.LOGARITHMIC:
-            return Convexity.CONCAVE if self.scale > 0.0 else Convexity.CONVEX
-        if f in (
-            PotentialFamily.YUKAWA,
-            PotentialFamily.EXPONENTIAL,
-            PotentialFamily.GAUSSIAN,
-        ):
-            return Convexity.CONCAVE
-        return None
-
-
-def eval_term(law: KineticLaw | PotentialLaw, x, mode: EvalMode = EvalMode.VALUE):
-    """Evaluate a law (or its first derivative) at strictly positive x."""
-    _require_positive(x)
-    if mode is EvalMode.VALUE:
-        return law.value(x)
-    if mode is EvalMode.FIRST_DERIVATIVE:
-        return law.derivative(x)
-    raise ValueError(f"unknown evaluation mode {mode!r}")
-
-
-def b_second_derivative(
-    law: KineticLaw | PotentialLaw, s, aux_exponent: float | None = None
-):
-    """Curvature of the composition chart at s > 0.
-
-    With ``aux_exponent=None`` the chart is the x**2 substitution (used by the
-    many-body bound rule for kinetic and potential terms alike).  A float
-    exponent selects the two-body auxiliary substitution, which only applies
-    to potentials; ``s`` is then the magnitude of the substituted variable.
-    """
-    _require_positive(s, "chart argument")
-    if isinstance(law, KineticLaw) and aux_exponent is not None:
-        raise EvaluationDomainError("kinetic charts use the x**2 substitution only")
-    return law.chart_second_derivative(s, aux_exponent)
+        # The other tags hold for every s > 0 under the x**2 chart only.
+        return record.tag(self) if lam == 2.0 else None
 
 
 @dataclass(frozen=True)
@@ -495,10 +565,9 @@ class SystemSpec:
     degeneracy: int = 1
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need at least two particles, got n={self.n}")
-        if self.d < 2:
-            raise ValueError(f"need at least two dimensions, got d={self.d}")
+        for count in ("n", "d", "degeneracy"):
+            checked(getattr(self, count), count, integer=True)
+        require_counts(n=self.n, d=self.d)
         if self.onebody is None and self.twobody is None:
             raise ValueError("at least one of onebody/twobody must be present")
         if self.degeneracy < 1:

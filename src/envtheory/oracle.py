@@ -20,7 +20,7 @@ from .errors import (
     UnboundedBelow,
     UnboundOscillator,
 )
-from .model import EnvelopeSolution, PotentialLaw, StateSpec, SystemSpec
+from .model import EnvelopeSolution, PotentialLaw, StateSpec, SystemSpec, require_counts
 from .qnum import q_from_quanta
 
 _RICHARDSON_REL_TOL = 1e-6
@@ -36,10 +36,7 @@ def harmonic_exact(
     the system into N-1 independent oscillators of frequency
     omega = sqrt(2 (nu + N rho) / mu), so every level is omega * Q.
     """
-    if n < 2:
-        raise ValueError(f"need at least two particles, got n={n}")
-    if d < 2:
-        raise ValueError(f"need at least two dimensions, got d={d}")
+    require_counts(n=n, d=d)
     if mu <= 0.0:
         raise ValueError(f"mass must be positive, got {mu}")
     if state.n_particles != n:
@@ -85,8 +82,7 @@ class RadialProblem:
     def __post_init__(self) -> None:
         if self.mu <= 0.0:
             raise ValueError(f"mass must be positive, got {self.mu}")
-        if self.d < 2:
-            raise ValueError(f"need at least two dimensions, got d={self.d}")
+        require_counts(d=self.d)
         if self.l < 0:
             raise ValueError(f"angular degree must be >= 0, got {self.l}")
         if self.r_max <= 0.0:
@@ -205,8 +201,7 @@ class SemiclassicalGeometry:
 
     @classmethod
     def for_system(cls, n: int, r0: float) -> "SemiclassicalGeometry":
-        if n < 2:
-            raise ValueError(f"need at least two particles, got n={n}")
+        require_counts(n=n)
         if r0 <= 0.0:
             raise ValueError(f"r0 must be positive, got {r0}")
         c = n * (n - 1) / 2.0

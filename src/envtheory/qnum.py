@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import UnsupportedAuxiliary
-from .model import StateSpec
+from .model import StateSpec, checked, require_counts
 
 # mpmath's working precision is process-global, so its calls are serialized.
 _airy_lock = threading.Lock()
@@ -45,8 +45,7 @@ class QValue:
     provenance: QProvenance = QProvenance.USER_DEFINED
 
     def __post_init__(self) -> None:
-        if not self.value > 0.0:
-            raise ValueError(f"quantum number must be positive, got {self.value}")
+        checked(self.value, "quantum number", positive=True)
 
     def __float__(self) -> float:
         return float(self.value)
@@ -54,8 +53,7 @@ class QValue:
 
 def q_from_quanta(state: StateSpec, d: int) -> QValue:
     """Q for an explicit excitation listing in d spatial dimensions."""
-    if d < 2:
-        raise ValueError(f"need at least two dimensions, got d={d}")
+    require_counts(d=d)
     total = sum(2 * n_i + l_i for n_i, l_i in state.quanta)
     value = total + len(state.quanta) * d / 2.0
     return QValue(value, QProvenance.OSCILLATOR_TOWER)
@@ -63,10 +61,7 @@ def q_from_quanta(state: StateSpec, d: int) -> QValue:
 
 def q_boson_ground(n: int, d: int) -> QValue:
     """Ground-state Q for n identical bosons: all internal quanta at zero."""
-    if n < 2:
-        raise ValueError(f"need at least two particles, got n={n}")
-    if d < 2:
-        raise ValueError(f"need at least two dimensions, got d={d}")
+    require_counts(n=n, d=d)
     return QValue((n - 1) * d / 2.0, QProvenance.BOSON_GROUND_STATE)
 
 
@@ -77,10 +72,7 @@ def q_fermion_asymptotic(n: int, d: int, degeneracy: int = 1) -> QValue:
     Q ~ (d/(d+1)) (d! n^(d+1) / degeneracy)^(1/d) once n is large; this is
     the leading term only and is not a shell-exact count at small n.
     """
-    if n < 2:
-        raise ValueError(f"need at least two particles, got n={n}")
-    if d < 2:
-        raise ValueError(f"need at least two dimensions, got d={d}")
+    require_counts(n=n, d=d)
     if degeneracy < 1:
         raise ValueError(f"degeneracy must be >= 1, got {degeneracy}")
     value = d / (d + 1.0) * (math.factorial(d) * float(n) ** (d + 1) / degeneracy) ** (1.0 / d)
@@ -97,8 +89,7 @@ def q_two_body_auxiliary(aux_exponent: float, n: int, l: int, d: int) -> QValue:
     """
     if n < 0 or l < 0:
         raise ValueError(f"quantum numbers must be non-negative, got n={n}, l={l}")
-    if d < 2:
-        raise ValueError(f"need at least two dimensions, got d={d}")
+    require_counts(d=d)
     lam = float(aux_exponent)
     if lam == -1.0:
         return QValue(n + l + (d - 1) / 2.0, QProvenance.COULOMB_EXACT)

@@ -1,6 +1,8 @@
 """Bracketed scalar root finding without scipy.
 
-``brentq`` is a step-for-step port of the Brent routine behind
+``sign_change_brackets`` finds the sign changes of a function sampled on a
+grid; the solver's stationarity scan and the critical-coupling profile scan
+both use it.  ``brentq`` is a step-for-step port of the Brent routine behind
 ``scipy.optimize.brentq`` (inverse quadratic interpolation, secant and
 bisection steps on a sign-change bracket).  It takes the same steps, returns
 the same float and raises the same errors, so the solve path needs numpy
@@ -73,3 +75,32 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL_MIN, 
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = fx(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def sign_change_brackets(grid, values) -> tuple[list[tuple[float, float]], int]:
+    """Consecutive-point brackets of a sampled function with opposite signs, in grid order.
+
+    A sample that is exactly zero is its own zero-width bracket; a NaN or
+    infinite sample breaks the run, so no bracket spans it.  Returns
+    (brackets, overall_sign); overall_sign summarizes the scan when no
+    bracket exists (+1 all positive, -1 all negative, 0 otherwise).
+    """
+    brackets: list[tuple[float, float]] = []
+    prev_x = prev_v = None
+    saw_pos = saw_neg = False
+    for x, v in zip(grid, values):
+        if not math.isfinite(v):
+            if math.isinf(v):
+                saw_pos, saw_neg = saw_pos or v > 0, saw_neg or v < 0
+            prev_x = prev_v = None
+            continue
+        if v == 0.0:
+            brackets.append((x, x))
+            prev_x = prev_v = None
+            continue
+        saw_pos, saw_neg = saw_pos or v > 0, saw_neg or v < 0
+        if prev_v is not None and (v < 0.0) != (prev_v < 0.0):
+            brackets.append((prev_x, x))
+        prev_x, prev_v = x, v
+    sign = 0 if saw_pos == saw_neg else (1 if saw_pos else -1)
+    return brackets, sign

@@ -35,9 +35,10 @@ from .model import (
     PotentialLaw,
     StationaryRoot,
     SystemSpec,
+    checked,
 )
 from .qnum import QValue
-from .roots import brentq
+from .roots import brentq, sign_change_brackets
 
 _EPS = float(np.finfo(float).eps)
 
@@ -68,15 +69,6 @@ class SolverConfig:
 _DEFAULT_CONFIG = SolverConfig()
 
 
-def _q_as_float(q: QValue | float) -> float:
-    value = float(q)
-    if not value > 0.0:
-        raise ValueError(f"quantum number must be positive, got {value}")
-    if value == np.inf:
-        raise ValueError(f"quantum number must be finite, got {value}")
-    return value
-
-
 def auxiliary_energy(mu: float, rho: float, aux_exponent: float, q: QValue | float) -> float:
     """Closed-form level of the auxiliary power-law system.
 
@@ -96,7 +88,7 @@ def auxiliary_energy(mu: float, rho: float, aux_exponent: float, q: QValue | flo
         raise InvalidAuxiliaryExponent(
             f"auxiliary exponent must be nonzero and > -2, got {aux_exponent}"
         )
-    qv = _q_as_float(q)
+    qv = checked(q, "quantum number", positive=True)
     return (
         (lam + 2.0)
         / (2.0 * lam)
@@ -123,7 +115,7 @@ def nbody_energy(spec: SystemSpec, r0, p0):
 
 def stationary_residual(spec: SystemSpec, q: QValue | float, r0):
     """Stationarity defect at trial scale r0 (vectorized over r0)."""
-    qv = _q_as_float(q)
+    qv = checked(q, "quantum number", positive=True)
     p0 = qv / r0
     c = float(spec.pair_count)
     res = spec.n * p0 * spec.kinetic.derivative(p0)
@@ -140,7 +132,7 @@ def solve_nbody(
 ) -> EnvelopeSolution:
     """Envelope level of the N-body system at global quantum number Q."""
     cfg = config or _DEFAULT_CONFIG
-    qv = _q_as_float(q)
+    qv = checked(q, "quantum number", positive=True)
 
     def residual(r0):
         return stationary_residual(spec, qv, r0)
@@ -172,7 +164,7 @@ def two_body_energy(kinetic: KineticLaw, potential: PotentialLaw, r0, p0):
 
 
 def two_body_residual(kinetic: KineticLaw, potential: PotentialLaw, q: QValue | float, r0):
-    qv = _q_as_float(q)
+    qv = checked(q, "quantum number", positive=True)
     p0 = qv / r0
     return p0 * kinetic.derivative(p0) - r0 * potential.derivative(r0)
 
@@ -197,7 +189,7 @@ def solve_two_body(
             f"auxiliary exponent must be nonzero and > -2, got {aux_exponent}"
         )
     cfg = config or _DEFAULT_CONFIG
-    qv = _q_as_float(q)
+    qv = checked(q, "quantum number", positive=True)
 
     def residual(r0):
         return two_body_residual(kinetic, potential, qv, r0)
@@ -258,7 +250,7 @@ def _scan_and_polish(residual, guess: float, cfg: SolverConfig) -> list[float]:
             raise ScanExhausted(
                 "stationarity residual could not be evaluated anywhere on the scan grid"
             )
-        brackets, signs = _sign_change_brackets(grid, values)
+        brackets, signs = sign_change_brackets(grid, values)
         if brackets:
             return _polish_all(residual, brackets, cfg)
         last_sign = signs
@@ -280,33 +272,6 @@ def _log_grid(guess: float, decades: float, per_decade: int) -> np.ndarray:
     half = decades / 2.0
     count = int(round(per_decade * decades)) + 1
     return guess * np.logspace(-half, half, count)
-
-
-def _sign_change_brackets(grid: np.ndarray, values: np.ndarray):
-    """Consecutive-point brackets with opposite residual signs.
-
-    Returns (brackets, overall_sign); overall_sign summarizes the scan when
-    no bracket exists (+1 all positive, -1 all negative).
-    """
-    brackets: list[tuple[float, float]] = []
-    prev_x = prev_v = None
-    saw_pos = saw_neg = False
-    for x, v in zip(grid, values):
-        if not np.isfinite(v):
-            if np.isinf(v):
-                saw_pos, saw_neg = saw_pos or v > 0, saw_neg or v < 0
-            prev_x = prev_v = None
-            continue
-        if v == 0.0:
-            brackets.append((x, x))
-            prev_x = prev_v = None
-            continue
-        saw_pos, saw_neg = saw_pos or v > 0, saw_neg or v < 0
-        if prev_v is not None and (v < 0.0) != (prev_v < 0.0):
-            brackets.append((prev_x, x))
-        prev_x, prev_v = x, v
-    sign = 0 if saw_pos == saw_neg else (1 if saw_pos else -1)
-    return brackets, sign
 
 
 def _polish_all(residual, brackets, cfg: SolverConfig) -> list[float]:

@@ -248,15 +248,22 @@ def test_critical_rejects_profile_without_turnover():
         critical_coupling("twobody", law, 2, QValue(1.5), 1.0)
 
 
+# Each case builds its Q inside pytest.raises, because QValue(inf) itself raises.
 @pytest.mark.parametrize(
-    "q, mass",
-    [(QValue(1.5), math.nan), (QValue(1.5), math.inf), (math.inf, 1.0), (QValue(math.inf), 1.0), (math.nan, 1.0)],
+    "make_q, mass",
+    [
+        (lambda: QValue(1.5), math.nan),
+        (lambda: QValue(1.5), math.inf),
+        (lambda: math.inf, 1.0),
+        (lambda: QValue(math.inf), 1.0),
+        (lambda: math.nan, 1.0),
+    ],
     ids=["mass-nan", "mass-inf", "q-inf", "QValue-inf", "q-nan"],
 )
-def test_critical_rejects_non_finite_inputs(q, mass):
+def test_critical_rejects_non_finite_inputs(make_q, mass):
     for mode in ("onebody", "twobody"):
         with pytest.raises(ValueError):
-            critical_coupling(mode, PotentialLaw.yukawa(1.0, 1.0), 2, q, mass)
+            critical_coupling(mode, PotentialLaw.yukawa(1.0, 1.0), 2, make_q(), mass)
 
 
 def test_critical_bound_side_is_reported():
@@ -266,3 +273,15 @@ def test_critical_bound_side_is_reported():
     # envelope lies above the true level, so binding needs more depth than
     # the true threshold: the estimate is an upper bound on the coupling
     assert cc.bound is BoundKind.UPPER
+
+
+def test_critical_scale_on_a_grid_zero_is_that_point():
+    # w = 1 and w' = -2 make 2 w + y w' = 2 - 2y, exactly zero on the grid point y = 1
+    law = PotentialLaw.custom(
+        CustomProfile(
+            value=lambda y: -np.ones_like(np.asarray(y, dtype=float)),
+            derivative=lambda y: 2.0 * np.ones_like(np.asarray(y, dtype=float)),
+        ),
+        short_range=True,
+    )
+    assert critical_coupling("twobody", law, 2, QValue(1.5), 1.0).y0 == 1.0

@@ -166,6 +166,20 @@ def test_boson_star_params_validation():
         boson_star_mass(BosonStarParams(n=3, mass=1.0, alpha=0.1), 0.0)
 
 
+@pytest.mark.parametrize("q", [math.inf, math.nan])
+def test_boson_star_mass_rejects_non_finite_q(q):
+    with pytest.raises(ValueError):
+        boson_star_mass(BosonStarParams(n=3, mass=1.0, alpha=0.1), q)
+
+
+@pytest.mark.parametrize(
+    "mass, alpha", [(math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf)]
+)
+def test_boson_star_params_reject_non_finite(mass, alpha):
+    with pytest.raises(ValueError):
+        BosonStarParams(n=3, mass=mass, alpha=alpha)
+
+
 # --- harmonic system with a quartic kinetic deformation -------------------------
 
 
@@ -226,3 +240,19 @@ def test_minimal_length_validation():
         minimal_length_energy(2, 3, 1.0, -1.0, 0.0, 1.5)
     with pytest.raises(ValueError):
         minimal_length_energy(2, 3, 1.0, 1.0, -0.1, 1.5)
+
+
+@pytest.mark.parametrize(
+    "mass, spring, deformation, q",
+    [
+        (1.0, 1.0, 0.1, math.inf),
+        (1.0, 1.0, 0.1, math.nan),
+        (math.nan, 1.0, 0.1, 3.0),
+        (math.inf, 1.0, 0.1, 3.0),
+        (1.0, math.inf, 0.1, 3.0),
+        (1.0, 1.0, math.inf, 3.0),
+    ],
+)
+def test_minimal_length_rejects_non_finite(mass, spring, deformation, q):
+    with pytest.raises(ValueError):
+        minimal_length_energy(3, 3, mass, spring, deformation, q)

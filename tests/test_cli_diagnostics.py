@@ -1,0 +1,243 @@
+"""CLI diagnostics for every law family, pinned byte for byte, and non-finite inputs."""
+
+import io
+
+import pytest
+
+from envtheory.cli import run
+
+SYSTEM = "[system]\nn = 3\nd = 3\n\n"
+HARMONIC = "[twobody]\nfamily = powerlaw\namplitude = 1.0\nexponent = 2.0\n"
+KINETIC = "[kinetic]\nfamily = nonrelativistic\nmass = 1.0\n\n"
+
+
+def law_config(section, family, params):
+    """A solve config whose [section] holds ``family`` with ``params``; the other terms are fixed."""
+    head = f"[{section}]\n" + (f"family = {family}\n" if family is not None else "")
+    law = head + "".join(f"{key} = {value}\n" for key, value in params)
+    if section == "kinetic":
+        return SYSTEM + law + "\n" + HARMONIC
+    return SYSTEM + KINETIC + law
+
+
+def solve_stderr(tmp_path, capsys, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    code = run(["solve", "--config", str(path)], stdout=io.StringIO())
+    return code, capsys.readouterr().err
+
+
+# --- CLI diagnostics per family --------------------------------------------------
+
+# Each family's missing-key, unknown-key, type and out-of-range diagnostics, and
+# the order in which they win, exactly as the CLI printed them before the
+# family table existed.
+DIAGNOSTICS = [
+    ('nonrelativistic-unknown', 'kinetic', 'nonrelativistic', [('mass', '1.0'), ('color', 'blue')],
+     "config error: line 8: unknown key 'color' in [kinetic]\n"),
+    ('nonrelativistic-missing-mass', 'kinetic', 'nonrelativistic', [],
+     "config error: [kinetic] requires key 'mass'\n"),
+    ('nonrelativistic-range-mass', 'kinetic', 'nonrelativistic', [('mass', '0.0')],
+     'config error: line 6: [kinetic] nonrelativistic kinetic law needs mass > 0, got 0.0\n'),
+    ('nonrelativistic-type-mass', 'kinetic', 'nonrelativistic', [('mass', 'heavy')],
+     "config error: line 7: [kinetic] mass: expected a number, got 'heavy'\n"),
+    ('semirelativistic-unknown', 'kinetic', 'semirelativistic', [('mass', '1.0'), ('color', 'blue')],
+     "config error: line 8: unknown key 'color' in [kinetic]\n"),
+    ('semirelativistic-missing-mass', 'kinetic', 'semirelativistic', [],
+     "config error: [kinetic] requires key 'mass'\n"),
+    ('semirelativistic-range-mass', 'kinetic', 'semirelativistic', [('mass', '-1.0')],
+     'config error: line 6: [kinetic] semirelativistic kinetic law needs mass >= 0, got -1.0\n'),
+    ('semirelativistic-type-mass', 'kinetic', 'semirelativistic', [('mass', 'heavy')],
+     "config error: line 7: [kinetic] mass: expected a number, got 'heavy'\n"),
+    ('ultrarelativistic-unknown', 'kinetic', 'ultrarelativistic', [('color', 'blue')],
+     "config error: line 7: unknown key 'color' in [kinetic]\n"),
+    ('minimal-length-unknown', 'kinetic', 'minimal-length', [('mass', '1.0'), ('deformation', '0.1'), ('color', 'blue')],
+     "config error: line 9: unknown key 'color' in [kinetic]\n"),
+    ('minimal-length-missing-mass', 'kinetic', 'minimal-length', [('deformation', '0.1')],
+     "config error: [kinetic] requires key 'mass'\n"),
+    ('minimal-length-range-mass', 'kinetic', 'minimal-length', [('mass', '-2.5'), ('deformation', '0.1')],
+     'config error: line 6: [kinetic] minimal-length kinetic law needs mass > 0, got -2.5\n'),
+    ('minimal-length-type-mass', 'kinetic', 'minimal-length', [('mass', 'heavy'), ('deformation', '0.1')],
+     "config error: line 7: [kinetic] mass: expected a number, got 'heavy'\n"),
+    ('minimal-length-missing-deformation', 'kinetic', 'minimal-length', [('mass', '1.0')],
+     "config error: [kinetic] requires key 'deformation'\n"),
+    ('minimal-length-range-deformation', 'kinetic', 'minimal-length', [('mass', '1.0'), ('deformation', '-0.1')],
+     'config error: line 6: [kinetic] minimal-length kinetic law needs deformation >= 0, got -0.1\n'),
+    ('minimal-length-type-deformation', 'kinetic', 'minimal-length', [('mass', '1.0'), ('deformation', 'heavy')],
+     "config error: line 8: [kinetic] deformation: expected a number, got 'heavy'\n"),
+    ('minimal-length-missing-all', 'kinetic', 'minimal-length', [],
+     "config error: [kinetic] requires key 'mass'\n"),
+    ('minimal-length-unknown-before-missing', 'kinetic', 'minimal-length', [('color', 'blue'), ('deformation', '0.1')],
+     "config error: line 7: unknown key 'color' in [kinetic]\n"),
+    ('minimal-length-type-before-range', 'kinetic', 'minimal-length', [('mass', '-2.5'), ('deformation', 'heavy')],
+     "config error: line 8: [kinetic] deformation: expected a number, got 'heavy'\n"),
+    ('minimal-length-range-order', 'kinetic', 'minimal-length', [('mass', '-2.5'), ('deformation', '-0.1')],
+     'config error: line 6: [kinetic] minimal-length kinetic law needs mass > 0, got -2.5\n'),
+    ('exponential-quadratic-unknown', 'kinetic', 'exponential-quadratic', [('stiffness', '0.5'), ('color', 'blue')],
+     "config error: line 8: unknown key 'color' in [kinetic]\n"),
+    ('exponential-quadratic-missing-stiffness', 'kinetic', 'exponential-quadratic', [],
+     "config error: [kinetic] requires key 'stiffness'\n"),
+    ('exponential-quadratic-range-stiffness', 'kinetic', 'exponential-quadratic', [('stiffness', '0')],
+     'config error: line 6: [kinetic] exponential-quadratic kinetic law needs stiffness > 0, got 0.0\n'),
+    ('exponential-quadratic-type-stiffness', 'kinetic', 'exponential-quadratic', [('stiffness', 'heavy')],
+     "config error: line 7: [kinetic] stiffness: expected a number, got 'heavy'\n"),
+    ('powerlaw-unknown', 'twobody', 'powerlaw', [('amplitude', '1.0'), ('exponent', '1.0'), ('color', 'blue')],
+     "config error: line 13: unknown key 'color' in [twobody]\n"),
+    ('powerlaw-missing-amplitude', 'twobody', 'powerlaw', [('exponent', '1.0')],
+     "config error: [twobody] requires key 'amplitude'\n"),
+    ('powerlaw-range-amplitude', 'twobody', 'powerlaw', [('amplitude', '0'), ('exponent', '1.0')],
+     'config error: line 10: [twobody] power-law potential needs a nonzero amplitude\n'),
+    ('powerlaw-type-amplitude', 'twobody', 'powerlaw', [('amplitude', 'heavy'), ('exponent', '1.0')],
+     "config error: line 11: [twobody] amplitude: expected a number, got 'heavy'\n"),
+    ('powerlaw-missing-exponent', 'twobody', 'powerlaw', [('amplitude', '1.0')],
+     "config error: [twobody] requires key 'exponent'\n"),
+    ('powerlaw-range-exponent', 'twobody', 'powerlaw', [('amplitude', '1.0'), ('exponent', '-2.0')],
+     'config error: line 10: [twobody] power-law potential needs exponent > -2, got -2.0\n'),
+    ('powerlaw-type-exponent', 'twobody', 'powerlaw', [('amplitude', '1.0'), ('exponent', 'heavy')],
+     "config error: line 12: [twobody] exponent: expected a number, got 'heavy'\n"),
+    ('powerlaw-missing-all', 'twobody', 'powerlaw', [],
+     "config error: [twobody] requires key 'amplitude'\n"),
+    ('powerlaw-unknown-before-missing', 'twobody', 'powerlaw', [('color', 'blue'), ('exponent', '1.0')],
+     "config error: line 11: unknown key 'color' in [twobody]\n"),
+    ('powerlaw-type-before-range', 'twobody', 'powerlaw', [('amplitude', '0'), ('exponent', 'heavy')],
+     "config error: line 12: [twobody] exponent: expected a number, got 'heavy'\n"),
+    ('powerlaw-range-order', 'twobody', 'powerlaw', [('amplitude', '0'), ('exponent', '-2.0')],
+     'config error: line 10: [twobody] power-law potential needs a nonzero amplitude\n'),
+    ('coulomb-unknown', 'twobody', 'coulomb', [('strength', '1.0'), ('color', 'blue')],
+     "config error: line 12: unknown key 'color' in [twobody]\n"),
+    ('coulomb-missing-strength', 'twobody', 'coulomb', [],
+     "config error: [twobody] requires key 'strength'\n"),
+    ('coulomb-range-strength', 'twobody', 'coulomb', [('strength', '-0.5')],
+     'config error: line 10: [twobody] coulomb potential needs strength > 0, got -0.5\n'),
+    ('coulomb-type-strength', 'twobody', 'coulomb', [('strength', 'heavy')],
+     "config error: line 11: [twobody] strength: expected a number, got 'heavy'\n"),
+    ('squareroot-unknown', 'twobody', 'squareroot', [('offset', '0.5'), ('scale', '1.0'), ('color', 'blue')],
+     "config error: line 13: unknown key 'color' in [twobody]\n"),
+    ('squareroot-range-offset', 'twobody', 'squareroot', [('offset', '-1.0'), ('scale', '1.0')],
+     'config error: line 10: [twobody] square-root potential needs offset >= 0, got -1.0\n'),
+    ('squareroot-type-offset', 'twobody', 'squareroot', [('offset', 'heavy'), ('scale', '1.0')],
+     "config error: line 11: [twobody] offset: expected a number, got 'heavy'\n"),
+    ('squareroot-range-scale', 'twobody', 'squareroot', [('offset', '0.5'), ('scale', '0.0')],
+     'config error: line 10: [twobody] square-root potential needs a nonzero scale\n'),
+    ('squareroot-type-scale', 'twobody', 'squareroot', [('offset', '0.5'), ('scale', 'heavy')],
+     "config error: line 12: [twobody] scale: expected a number, got 'heavy'\n"),
+    ('squareroot-unknown-before-missing', 'twobody', 'squareroot', [('color', 'blue')],
+     "config error: line 11: unknown key 'color' in [twobody]\n"),
+    ('squareroot-type-before-range', 'twobody', 'squareroot', [('offset', '-1.0'), ('scale', 'heavy')],
+     "config error: line 12: [twobody] scale: expected a number, got 'heavy'\n"),
+    ('squareroot-range-order', 'twobody', 'squareroot', [('offset', '-1.0'), ('scale', '0.0')],
+     'config error: line 10: [twobody] square-root potential needs offset >= 0, got -1.0\n'),
+    ('logarithmic-unknown', 'twobody', 'logarithmic', [('scale', '1.0'), ('color', 'blue')],
+     "config error: line 12: unknown key 'color' in [twobody]\n"),
+    ('logarithmic-range-scale', 'twobody', 'logarithmic', [('scale', '0')],
+     'config error: line 10: [twobody] logarithmic potential needs a nonzero scale\n'),
+    ('logarithmic-type-scale', 'twobody', 'logarithmic', [('scale', 'heavy')],
+     "config error: line 11: [twobody] scale: expected a number, got 'heavy'\n"),
+    ('yukawa-unknown', 'twobody', 'yukawa', [('coupling', '2.0'), ('screening', '1.0'), ('color', 'blue')],
+     "config error: line 13: unknown key 'color' in [twobody]\n"),
+    ('yukawa-missing-coupling', 'twobody', 'yukawa', [('screening', '1.0')],
+     "config error: [twobody] requires key 'coupling'\n"),
+    ('yukawa-range-coupling', 'twobody', 'yukawa', [('coupling', '0.0'), ('screening', '1.0')],
+     'config error: line 10: [twobody] yukawa potential needs coupling > 0, got 0.0\n'),
+    ('yukawa-type-coupling', 'twobody', 'yukawa', [('coupling', 'heavy'), ('screening', '1.0')],
+     "config error: line 11: [twobody] coupling: expected a number, got 'heavy'\n"),
+    ('yukawa-range-screening', 'twobody', 'yukawa', [('coupling', '2.0'), ('screening', '-1.0')],
+     'config error: line 10: [twobody] yukawa potential needs screening > 0, got -1.0\n'),
+    ('yukawa-type-screening', 'twobody', 'yukawa', [('coupling', '2.0'), ('screening', 'heavy')],
+     "config error: line 12: [twobody] screening: expected a number, got 'heavy'\n"),
+    ('yukawa-unknown-before-missing', 'twobody', 'yukawa', [('color', 'blue'), ('screening', '1.0')],
+     "config error: line 11: unknown key 'color' in [twobody]\n"),
+    ('yukawa-type-before-range', 'twobody', 'yukawa', [('coupling', '0.0'), ('screening', 'heavy')],
+     "config error: line 12: [twobody] screening: expected a number, got 'heavy'\n"),
+    ('yukawa-range-order', 'twobody', 'yukawa', [('coupling', '0.0'), ('screening', '-1.0')],
+     'config error: line 10: [twobody] yukawa potential needs coupling > 0, got 0.0\n'),
+    ('exponential-unknown', 'twobody', 'exponential', [('coupling', '2.0'), ('screening', '1.0'), ('color', 'blue')],
+     "config error: line 13: unknown key 'color' in [twobody]\n"),
+    ('exponential-missing-coupling', 'twobody', 'exponential', [('screening', '1.0')],
+     "config error: [twobody] requires key 'coupling'\n"),
+    ('exponential-range-coupling', 'twobody', 'exponential', [('coupling', '-3.0'), ('screening', '1.0')],
+     'config error: line 10: [twobody] exponential potential needs coupling > 0, got -3.0\n'),
+    ('exponential-type-coupling', 'twobody', 'exponential', [('coupling', 'heavy'), ('screening', '1.0')],
+     "config error: line 11: [twobody] coupling: expected a number, got 'heavy'\n"),
+    ('exponential-range-screening', 'twobody', 'exponential', [('coupling', '2.0'), ('screening', '0.0')],
+     'config error: line 10: [twobody] exponential potential needs screening > 0, got 0.0\n'),
+    ('exponential-type-screening', 'twobody', 'exponential', [('coupling', '2.0'), ('screening', 'heavy')],
+     "config error: line 12: [twobody] screening: expected a number, got 'heavy'\n"),
+    ('exponential-unknown-before-missing', 'twobody', 'exponential', [('color', 'blue'), ('screening', '1.0')],
+     "config error: line 11: unknown key 'color' in [twobody]\n"),
+    ('exponential-type-before-range', 'twobody', 'exponential', [('coupling', '-3.0'), ('screening', 'heavy')],
+     "config error: line 12: [twobody] screening: expected a number, got 'heavy'\n"),
+    ('exponential-range-order', 'twobody', 'exponential', [('coupling', '-3.0'), ('screening', '0.0')],
+     'config error: line 10: [twobody] exponential potential needs coupling > 0, got -3.0\n'),
+    ('gaussian-unknown', 'twobody', 'gaussian', [('coupling', '2.0'), ('screening', '1.0'), ('color', 'blue')],
+     "config error: line 13: unknown key 'color' in [twobody]\n"),
+    ('gaussian-missing-coupling', 'twobody', 'gaussian', [('screening', '1.0')],
+     "config error: [twobody] requires key 'coupling'\n"),
+    ('gaussian-range-coupling', 'twobody', 'gaussian', [('coupling', '0'), ('screening', '1.0')],
+     'config error: line 10: [twobody] gaussian potential needs coupling > 0, got 0.0\n'),
+    ('gaussian-type-coupling', 'twobody', 'gaussian', [('coupling', 'heavy'), ('screening', '1.0')],
+     "config error: line 11: [twobody] coupling: expected a number, got 'heavy'\n"),
+    ('gaussian-range-screening', 'twobody', 'gaussian', [('coupling', '2.0'), ('screening', '-0.25')],
+     'config error: line 10: [twobody] gaussian potential needs screening > 0, got -0.25\n'),
+    ('gaussian-type-screening', 'twobody', 'gaussian', [('coupling', '2.0'), ('screening', 'heavy')],
+     "config error: line 12: [twobody] screening: expected a number, got 'heavy'\n"),
+    ('gaussian-unknown-before-missing', 'twobody', 'gaussian', [('color', 'blue'), ('screening', '1.0')],
+     "config error: line 11: unknown key 'color' in [twobody]\n"),
+    ('gaussian-type-before-range', 'twobody', 'gaussian', [('coupling', '0'), ('screening', 'heavy')],
+     "config error: line 12: [twobody] screening: expected a number, got 'heavy'\n"),
+    ('gaussian-range-order', 'twobody', 'gaussian', [('coupling', '0'), ('screening', '-0.25')],
+     'config error: line 10: [twobody] gaussian potential needs coupling > 0, got 0.0\n'),
+    ('kinetic-unknown-family', 'kinetic', 'relativistic', [('mass', '1.0')],
+     "config error: line 6: [kinetic] family must be one of ['exponential-quadratic', 'minimal-length', 'nonrelativistic', 'semirelativistic', 'ultrarelativistic'], got 'relativistic'\n"),
+    ('twobody-unknown-family', 'twobody', 'harmonic', [('amplitude', '1.0')],
+     "config error: line 10: [twobody] family must be one of ['coulomb', 'exponential', 'gaussian', 'logarithmic', 'powerlaw', 'squareroot', 'yukawa'], got 'harmonic'\n"),
+    ('onebody-range-coulomb', 'onebody', 'coulomb', [('strength', '0')],
+     'config error: line 10: [onebody] coulomb potential needs strength > 0, got 0.0\n'),
+    ('onebody-missing-family', 'onebody', None, [('strength', '1.0')],
+     "config error: [onebody] requires key 'family'\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, family, params, expected", [c[1:] for c in DIAGNOSTICS], ids=[c[0] for c in DIAGNOSTICS]
+)
+def test_family_diagnostics_are_pinned(tmp_path, capsys, section, family, params, expected):
+    assert solve_stderr(tmp_path, capsys, law_config(section, family, params)) == (1, expected)
+
+
+# --- non-finite inputs -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "section, family, params, expected",
+    [
+        ("kinetic", "nonrelativistic", [("mass", "nan")],
+         "line 6: [kinetic] nonrelativistic kinetic law mass must be finite, got nan"),
+        ("kinetic", "minimal-length", [("mass", "1.0"), ("deformation", "inf")],
+         "line 6: [kinetic] minimal-length kinetic law deformation must be finite, got inf"),
+        ("twobody", "powerlaw", [("amplitude", "1.0"), ("exponent", "inf")],
+         "line 10: [twobody] power-law potential exponent must be finite, got inf"),
+        ("onebody", "yukawa", [("coupling", "-inf")],
+         "line 10: [onebody] yukawa potential coupling must be finite, got -inf"),
+    ],
+)
+def test_non_finite_parameter_is_a_config_error(tmp_path, capsys, section, family, params, expected):
+    text = law_config(section, family, params)
+    assert solve_stderr(tmp_path, capsys, text) == (1, f"config error: {expected}\n")
+
+
+STATE_BASE = SYSTEM + KINETIC + HARMONIC + "\n[state]\n"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("inf", "config error: line 15: [state] q must be finite, got inf\n"),
+        ("1e400", "config error: line 15: [state] q must be finite, got inf\n"),
+        ("nan", "config error: line 15: [state] q must be positive, got nan\n"),
+        ("0", "config error: line 15: [state] q must be positive, got 0.0\n"),
+        ("-inf", "config error: line 15: [state] q must be positive, got -inf\n"),
+    ],
+)
+def test_state_q_must_be_finite(tmp_path, capsys, text, expected):
+    assert solve_stderr(tmp_path, capsys, STATE_BASE + f"q = {text}\n") == (1, expected)

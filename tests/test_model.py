@@ -9,7 +9,6 @@ from envtheory import (
     Convexity,
     ConvexityVerdict,
     CustomProfile,
-    EvalMode,
     KineticFamily,
     KineticLaw,
     PotentialFamily,
@@ -17,8 +16,6 @@ from envtheory import (
     StateSpec,
     Statistics,
     SystemSpec,
-    b_second_derivative,
-    eval_term,
 )
 from envtheory.errors import EvaluationDomainError, NonPositiveArgument
 
@@ -108,10 +105,10 @@ def test_potential_derivatives_match_finite_difference():
             assert float(law.derivative(x)) == pytest.approx(fd, rel=2e-8), law.family
 
 
-def test_eval_term_dispatch():
+def test_value_and_derivative_dispatch():
     law = PotentialLaw.coulomb(1.0)
-    assert eval_term(law, 2.0) == pytest.approx(-0.5)
-    assert eval_term(law, 2.0, EvalMode.FIRST_DERIVATIVE) == pytest.approx(0.25)
+    assert law.value(2.0) == pytest.approx(-0.5)
+    assert law.derivative(2.0) == pytest.approx(0.25)
 
 
 def test_short_range_flags():
@@ -140,6 +137,11 @@ def test_nonpositive_arguments_rejected():
         PotentialLaw.logarithmic(1.0).value(-1.0)
     with pytest.raises(NonPositiveArgument):
         PotentialLaw.power_law(1.0, -0.5).value(0.0)
+    # the chart curvature checks its argument too, also where a closed form needs none
+    with pytest.raises(NonPositiveArgument):
+        KineticLaw.nonrelativistic(1.0).chart_second_derivative(0.0)
+    with pytest.raises(NonPositiveArgument):
+        PotentialLaw.power_law(1.0, 1.0).chart_second_derivative(-1.0)
 
 
 # --- the squared-argument chart that decides bound direction ---------------
@@ -148,11 +150,11 @@ def test_nonpositive_arguments_rejected():
 def test_chart_second_derivative_powerlaw_sign():
     # q < 2 concave, q = 2 flat, q > 2 convex under the s = x^2 chart
     s = 1.7
-    assert b_second_derivative(PotentialLaw.power_law(1.0, 1.0), s) < 0.0
-    assert b_second_derivative(PotentialLaw.power_law(1.0, 2.0), s) == 0.0
-    assert b_second_derivative(PotentialLaw.power_law(1.0, 3.0), s) > 0.0
+    assert PotentialLaw.power_law(1.0, 1.0).chart_second_derivative(s) < 0.0
+    assert PotentialLaw.power_law(1.0, 2.0).chart_second_derivative(s) == 0.0
+    assert PotentialLaw.power_law(1.0, 3.0).chart_second_derivative(s) > 0.0
     # negative amplitude flips the sign
-    assert b_second_derivative(PotentialLaw.power_law(-1.0, 3.0), s) < 0.0
+    assert PotentialLaw.power_law(-1.0, 3.0).chart_second_derivative(s) < 0.0
 
 
 def test_chart_second_derivative_matches_finite_difference():
@@ -166,7 +168,7 @@ def test_chart_second_derivative_matches_finite_difference():
     for law in laws:
         for _ in range(8):
             s = rng.uniform(0.5, 3.0)
-            got = b_second_derivative(law, s)
+            got = law.chart_second_derivative(s)
             # direct second difference of b(s) = V(sqrt(s))
             h = 1e-4 * s
             b = lambda t: float(law.value(math.sqrt(t)))
@@ -178,28 +180,27 @@ def test_chart_supports_negative_aux_exponent():
     # with lam = -1 the chart is b(s) = V(1/s); for Coulomb that is linear
     law = PotentialLaw.coulomb(1.0)
     for s in (0.3, 1.0, 2.5):
-        assert b_second_derivative(law, s, aux_exponent=-1.0) == pytest.approx(
+        assert law.chart_second_derivative(s, aux_exponent=-1.0) == pytest.approx(
             0.0, abs=1e-12
         )
 
 
 def test_chart_rejects_kinetic_with_aux_exponent():
     with pytest.raises(EvaluationDomainError):
-        b_second_derivative(KineticLaw.nonrelativistic(1.0), 1.0, aux_exponent=1.0)
+        KineticLaw.nonrelativistic(1.0).chart_second_derivative(1.0, aux_exponent=1.0)
 
 
 def test_kinetic_chart_values():
-    assert b_second_derivative(KineticLaw.nonrelativistic(1.0), 2.0) == 0.0
-    assert b_second_derivative(
-        KineticLaw.minimal_length_quartic(2.0, 0.3), 2.0
-    ) == pytest.approx(0.3)  # 2 beta / m
+    assert KineticLaw.nonrelativistic(1.0).chart_second_derivative(2.0) == 0.0
+    minimal = KineticLaw.minimal_length_quartic(2.0, 0.3)
+    assert minimal.chart_second_derivative(2.0) == pytest.approx(0.3)  # 2 beta / m
     k = KineticLaw.exponential_quadratic(0.5)
     s = 1.2
-    assert b_second_derivative(k, s) == pytest.approx(
+    assert k.chart_second_derivative(s) == pytest.approx(
         0.25 * math.exp(0.5 * s), rel=1e-12
     )
     semi = KineticLaw.semirelativistic(1.0)
-    assert b_second_derivative(semi, 1.0) < 0.0
+    assert semi.chart_second_derivative(1.0) < 0.0
 
 
 def test_convexity_tags():
@@ -278,6 +279,18 @@ def test_system_spec_validation():
     spec = SystemSpec(n=5, d=3, kinetic=kin, twobody=pot)
     assert spec.pair_count == 10.0
     assert spec.statistics is Statistics.UNSPECIFIED
+
+
+@pytest.mark.parametrize(
+    "counts", [{"n": 2.5}, {"n": 3.0}, {"d": 3.0}, {"degeneracy": 1.5}, {"n": "3"}]
+)
+def test_system_spec_counts_must_be_integers(counts):
+    kin = KineticLaw.nonrelativistic(1.0)
+    pot = PotentialLaw.power_law(1.0, 2.0)
+    with pytest.raises(ValueError, match="must be an integer"):
+        SystemSpec(**{"n": 3, "d": 3, **counts}, kinetic=kin, twobody=pot)
+    spec = SystemSpec(n=np.int64(4), d=np.int32(3), degeneracy=np.int64(2), kinetic=kin, twobody=pot)
+    assert spec.pair_count == 6
 
 
 def test_state_spec():

@@ -102,6 +102,12 @@ def test_qvalue_positivity():
     assert float(QValue(2.5)) == 2.5
 
 
+@pytest.mark.parametrize("value", [math.inf, 1e400, math.nan])
+def test_qvalue_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        QValue(value)
+
+
 def test_airy_zeros_against_frozen_table():
     for i, want in enumerate(AIRY_ZEROS):
         assert airy_zero(i) == pytest.approx(want, rel=1e-14, abs=1e-14)

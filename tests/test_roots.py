@@ -4,7 +4,7 @@ import pytest
 from scipy.optimize import brentq as scipy_brentq
 
 from envtheory import KineticLaw, PotentialLaw, QValue, two_body_residual
-from envtheory.roots import brentq
+from envtheory.roots import brentq, sign_change_brackets
 
 EPS = 2.220446049250313e-16
 
@@ -72,3 +72,12 @@ def test_error_paths_match_scipy(f, a, b, kwargs, error):
         scipy_brentq(f, a, b, **kwargs)
     with pytest.raises(error):
         brentq(f, a, b, **kwargs)
+
+
+def test_sign_change_brackets_in_grid_order():
+    grid = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    values = [1.0, -1.0, 0.0, 2.0, math.nan, -3.0, math.inf, -1.0]
+    # a zero sample is its own bracket; NaN and inf break the run
+    assert sign_change_brackets(grid, values) == ([(1.0, 2.0), (3.0, 3.0)], 0)
+    assert sign_change_brackets(grid[:2], [2.0, math.inf]) == ([], 1)
+    assert sign_change_brackets(grid[:3], [-2.0, -math.inf, math.nan]) == ([], -1)

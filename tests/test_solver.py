@@ -318,11 +318,14 @@ def test_tight_tolerance_is_honored():
 # --- non-finite quantum numbers ---------------------------------------------
 
 
-@pytest.mark.parametrize("q", [math.inf, QValue(math.inf), math.nan], ids=["inf", "QValue-inf", "nan"])
-def test_non_finite_q_is_rejected(q):
+# Each case builds its Q inside pytest.raises, because QValue(inf) itself raises.
+@pytest.mark.parametrize(
+    "make_q", [lambda: math.inf, lambda: QValue(math.inf), lambda: math.nan], ids=["inf", "QValue-inf", "nan"]
+)
+def test_non_finite_q_is_rejected(make_q):
     with pytest.raises(ValueError):
-        solve_nbody(harmonic_spec(3, 3, 1.0, 1.0), q)
+        solve_nbody(harmonic_spec(3, 3, 1.0, 1.0), make_q())
     with pytest.raises(ValueError):
-        solve_two_body(KineticLaw.nonrelativistic(0.5), PotentialLaw.power_law(1.0, 1.0), 2.0, q)
+        solve_two_body(KineticLaw.nonrelativistic(0.5), PotentialLaw.power_law(1.0, 1.0), 2.0, make_q())
     with pytest.raises(ValueError):
-        auxiliary_energy(1.0, 1.0, 2.0, q)
+        auxiliary_energy(1.0, 1.0, 2.0, make_q())
