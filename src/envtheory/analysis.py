@@ -138,6 +138,9 @@ class PerturbationSpec:
     def __post_init__(self) -> None:
         if self.kinetic is None and self.onebody is None and self.twobody is None:
             raise ValueError("a perturbation needs at least one coefficient/shape pair")
+        for name, pair in (("tau", self.kinetic), ("eta", self.onebody), ("epsilon", self.twobody)):
+            if pair is not None:
+                checked(pair[0], name)
 
 
 def perturbed_energy(

@@ -33,6 +33,8 @@ class BaryonParams:
 
     def __post_init__(self) -> None:
         require_counts(n=self.n, d=self.d)
+        for name in ("a1", "a2", "b"):
+            checked(getattr(self, name), name)
         if self.a1 < 0.0 or self.a2 < 0.0:
             raise ValueError("confinement strengths a1, a2 must be non-negative")
         if self.a1 + self.a2 <= 0.0:

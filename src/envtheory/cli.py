@@ -8,7 +8,6 @@ with 17 significant digits so every row re-parses to the exact value.
 from __future__ import annotations
 
 import argparse
-import copy
 import sys
 from dataclasses import dataclass
 
@@ -374,6 +373,12 @@ def config_from_sections(sections: Sections) -> RunConfig:
                 raise ConstraintViolation(
                     f"line {_line_of('perturbation', data, exp_key)}: [perturbation] {exc}"
                 ) from None
+            try:
+                checked(coeff, coeff_key)
+            except ValueError as exc:
+                raise ConstraintViolation(
+                    f"line {_line_of('perturbation', data, coeff_key)}: [perturbation] {exc}"
+                ) from None
             pairs[slot] = (coeff, shape)
         if not pairs:
             raise ConstraintViolation("[perturbation] needs at least one coefficient")
@@ -484,7 +489,10 @@ def _cmd_perturb(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
 
 
 def _cmd_baryon(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
-    params = apps.BaryonParams(n=cfg.n, d=cfg.d, a1=args.a1, a2=args.a2, b=args.b)
+    try:
+        params = apps.BaryonParams(n=cfg.n, d=cfg.d, a1=args.a1, a2=args.a2, b=args.b)
+    except ValueError as exc:
+        raise ConstraintViolation(str(exc)) from None
     e_upper, e_lower = apps.baryon_bounds(params)
     row = [
         str(cfg.n),
@@ -584,7 +592,7 @@ def _cmd_sweep(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
     header = ["param", "value", "N", "D", "Q", "E", "r0", "p0", "bound", "n_roots"]
     rows = []
     for value in _sweep_values(args):
-        sections = copy.deepcopy(cfg.sections)
+        sections = {name: dict(data) for name, data in cfg.sections.items()}
         if param in ("n", "d"):
             sections["system"][param] = (0, str(int(value)))
         else:

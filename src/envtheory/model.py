@@ -120,8 +120,12 @@ def require_counts(n: int | None = None, d: int | None = None) -> None:
 
 
 def _require_positive(x, what: str = "argument") -> None:
-    arr = np.asarray(x, dtype=float)
-    if arr.size == 0 or not np.all(arr > 0.0):
+    if isinstance(x, float):  # a scalar (np.float64 too) skips building an array
+        ok = x > 0.0
+    else:
+        arr = np.asarray(x, dtype=float)
+        ok = arr.size > 0 and np.all(arr > 0.0)
+    if not ok:
         raise NonPositiveArgument(f"{what} must be strictly positive, got {x!r}")
 
 

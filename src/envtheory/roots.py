@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 import sys
 
+import numpy as np
+
 _RTOL_MIN = 4.0 * sys.float_info.epsilon
 
 
@@ -82,25 +84,21 @@ def sign_change_brackets(grid, values) -> tuple[list[tuple[float, float]], int]:
 
     A sample that is exactly zero is its own zero-width bracket; a NaN or
     infinite sample breaks the run, so no bracket spans it.  Returns
-    (brackets, overall_sign); overall_sign summarizes the scan when no
-    bracket exists (+1 all positive, -1 all negative, 0 otherwise).
+    (brackets, overall_sign) with float endpoints; overall_sign summarizes the
+    scan when no bracket exists (+1 all positive, -1 all negative, 0
+    otherwise), counting ±inf samples and ignoring NaN ones.
     """
-    brackets: list[tuple[float, float]] = []
-    prev_x = prev_v = None
-    saw_pos = saw_neg = False
-    for x, v in zip(grid, values):
-        if not math.isfinite(v):
-            if math.isinf(v):
-                saw_pos, saw_neg = saw_pos or v > 0, saw_neg or v < 0
-            prev_x = prev_v = None
-            continue
-        if v == 0.0:
-            brackets.append((x, x))
-            prev_x = prev_v = None
-            continue
-        saw_pos, saw_neg = saw_pos or v > 0, saw_neg or v < 0
-        if prev_v is not None and (v < 0.0) != (prev_v < 0.0):
-            brackets.append((prev_x, x))
-        prev_x, prev_v = x, v
+    x = np.asarray(grid, dtype=float)
+    v = np.asarray(values, dtype=float)
+    neg = v < 0.0
+    zero = v == 0.0
+    live = np.isfinite(v) & ~zero
+    # pair[i]: samples i-1 and i are both live and differ in sign; that bracket starts at i-1
+    pair = np.zeros(v.shape, dtype=bool)
+    pair[1:] = live[1:] & live[:-1] & (neg[1:] != neg[:-1])
+    hi = np.flatnonzero(pair | zero)
+    lo = hi - pair[hi]
+    brackets = list(zip(x[lo].tolist(), x[hi].tolist()))
+    saw_pos, saw_neg = bool(np.any(v > 0.0)), bool(np.any(neg))
     sign = 0 if saw_pos == saw_neg else (1 if saw_pos else -1)
     return brackets, sign

@@ -54,6 +54,8 @@ class SolverConfig:
     decades: float = 8.0
 
     def __post_init__(self) -> None:
+        for name in ("tolerance", "bracket_expansion", "decades"):
+            checked(getattr(self, name), name)
         if not (0.0 < self.tolerance <= 1e-6):
             raise ValueError(f"tolerance must lie in (0, 1e-6], got {self.tolerance}")
         if self.max_iterations < 10:

@@ -176,6 +176,14 @@ def test_perturbation_spec_needs_a_term():
         PerturbationSpec()
 
 
+@pytest.mark.parametrize("slot, name", [("kinetic", "tau"), ("onebody", "eta"), ("twobody", "epsilon")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_perturbation_spec_rejects_non_finite_coefficients(slot, name, value):
+    shape = PotentialLaw.power_law(1.0, 2.0)
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        PerturbationSpec(**{slot: (value, shape)})
+
+
 # --- critical couplings -------------------------------------------------------
 
 

@@ -104,6 +104,20 @@ def test_baryon_params_validation():
         BaryonParams(n=3, d=3, a2=0.1, b=-0.2)
 
 
+@pytest.mark.parametrize(
+    "fields, expected",
+    [
+        ({"a1": math.inf}, "a1 must be finite, got inf"),
+        ({"a1": 1.0, "a2": math.nan}, "a2 must be finite, got nan"),
+        ({"a1": 1.0, "b": math.nan}, "b must be finite, got nan"),
+        ({"a2": 0.2, "b": -math.inf}, "b must be finite, got -inf"),
+    ],
+)
+def test_baryon_params_reject_non_finite(fields, expected):
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        BaryonParams(n=3, d=3, **fields)
+
+
 # --- self-gravitating boson stars ----------------------------------------------
 
 

@@ -241,3 +241,60 @@ STATE_BASE = SYSTEM + KINETIC + HARMONIC + "\n[state]\n"
 )
 def test_state_q_must_be_finite(tmp_path, capsys, text, expected):
     assert solve_stderr(tmp_path, capsys, STATE_BASE + f"q = {text}\n") == (1, expected)
+
+
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("decades", "inf", "config error: [solver] decades must be finite, got inf\n"),
+        ("decades", "nan", "config error: [solver] decades must be finite, got nan\n"),
+        ("bracket_expansion", "nan", "config error: [solver] bracket_expansion must be finite, got nan\n"),
+        ("tolerance", "inf", "config error: [solver] tolerance must be finite, got inf\n"),
+        ("decades", "-1", "config error: [solver] decades must be positive\n"),
+    ],
+)
+def test_solver_values_must_be_finite(tmp_path, capsys, key, value, expected):
+    text = SYSTEM + KINETIC + HARMONIC + f"\n[solver]\n{key} = {value}\n"
+    assert solve_stderr(tmp_path, capsys, text) == (1, expected)
+
+
+PERTURB_BASE = SYSTEM + KINETIC + HARMONIC + "\n[perturbation]\n"
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        ("tau = nan\ntau_exponent = 2.0\n", "line 15: [perturbation] tau must be finite, got nan"),
+        ("eta_exponent = 1.0\neta = inf\n", "line 16: [perturbation] eta must be finite, got inf"),
+        ("epsilon = -inf\nepsilon_exponent = 2.0\n", "line 15: [perturbation] epsilon must be finite, got -inf"),
+        ("tau = nan\n", "[perturbation] requires key 'tau_exponent'"),
+    ],
+)
+def test_perturbation_coefficients_must_be_finite(tmp_path, capsys, body, expected):
+    path = tmp_path / "run.cfg"
+    path.write_text(PERTURB_BASE + body)
+    out = io.StringIO()
+    code = run(["perturb", "--config", str(path)], stdout=out)
+    assert (code, capsys.readouterr().err, out.getvalue()) == (1, f"config error: {expected}\n", "")
+
+
+BARYON = "[system]\nn = 3\nd = 3\n\n[kinetic]\nfamily = ultrarelativistic\n"
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (["--a1", "inf"], "a1 must be finite, got inf"),
+        (["--a1", "1", "--b", "nan"], "b must be finite, got nan"),
+        (["--a2", "nan"], "a2 must be finite, got nan"),
+        ([], "at least one confinement strength must be positive"),
+        (["--a1", "-1", "--a2", "1"], "confinement strengths a1, a2 must be non-negative"),
+    ],
+    ids=["a1-inf", "b-nan", "a2-nan", "no-confinement", "negative-strength"],
+)
+def test_baryon_bad_flags_are_config_errors(tmp_path, capsys, flags, expected):
+    path = tmp_path / "run.cfg"
+    path.write_text(BARYON)
+    out = io.StringIO()
+    code = run(["baryon", "--config", str(path), *flags], stdout=out)
+    assert (code, capsys.readouterr().err, out.getvalue()) == (1, f"config error: {expected}\n", "")

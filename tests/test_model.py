@@ -18,6 +18,7 @@ from envtheory import (
     SystemSpec,
 )
 from envtheory.errors import EvaluationDomainError, NonPositiveArgument
+from envtheory.model import _require_positive
 
 
 def test_nonrelativistic_values_and_derivative():
@@ -142,6 +143,46 @@ def test_nonpositive_arguments_rejected():
         KineticLaw.nonrelativistic(1.0).chart_second_derivative(0.0)
     with pytest.raises(NonPositiveArgument):
         PotentialLaw.power_law(1.0, 1.0).chart_second_derivative(-1.0)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [1.5, np.float64(2.0), math.inf, 5e-324, 3, [1.0, 2.0], np.array([1.0, 2.0])],
+    ids=["float", "float64", "inf", "subnormal", "int", "list", "ndarray"],
+)
+def test_require_positive_accepts(x):
+    _require_positive(x, "separation")
+
+
+# Exception type and message pinned as the array-only check produced them,
+# so the scalar fast path changes neither.
+@pytest.mark.parametrize(
+    "x, shown",
+    [
+        (math.nan, "nan"),
+        (np.float64("nan"), "np.float64(nan)"),
+        (0.0, "0.0"),
+        (-0.0, "-0.0"),
+        (-1.0, "-1.0"),
+        (-math.inf, "-inf"),
+        (np.float64(-3.0), "np.float64(-3.0)"),
+        (0, "0"),
+        (np.array([1.0, 0.0, 2.0]), "array([1., 0., 2.])"),
+        (np.array([1.0, math.nan]), "array([ 1., nan])"),
+        (np.array([]), "array([], dtype=float64)"),
+    ],
+    ids=[
+        "nan", "float64-nan", "zero", "negative-zero", "negative", "negative-inf",
+        "float64-negative", "int-zero", "ndarray-one-bad", "ndarray-nan", "empty",
+    ],
+)
+def test_require_positive_rejects_with_pinned_message(x, shown):
+    with pytest.raises(NonPositiveArgument) as info:
+        _require_positive(x, "separation")
+    assert type(info.value) is NonPositiveArgument
+    assert str(info.value) == f"separation must be strictly positive, got {shown}"
+    with pytest.raises(NonPositiveArgument, match="^argument must be strictly positive"):
+        _require_positive(x)
 
 
 # --- the squared-argument chart that decides bound direction ---------------

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
 
@@ -81,3 +83,50 @@ def test_sign_change_brackets_in_grid_order():
     assert sign_change_brackets(grid, values) == ([(1.0, 2.0), (3.0, 3.0)], 0)
     assert sign_change_brackets(grid[:2], [2.0, math.inf]) == ([], 1)
     assert sign_change_brackets(grid[:3], [-2.0, -math.inf, math.nan]) == ([], -1)
+
+
+def _reference_brackets(grid, values):
+    """The per-sample loop the vectorized finder replaced, kept as its reference."""
+    brackets = []
+    prev_x = prev_v = None
+    saw_pos = saw_neg = False
+    for x, v in zip(grid, values):
+        if not math.isfinite(v):
+            if math.isinf(v):
+                saw_pos, saw_neg = saw_pos or v > 0, saw_neg or v < 0
+            prev_x = prev_v = None
+            continue
+        if v == 0.0:
+            brackets.append((x, x))
+            prev_x = prev_v = None
+            continue
+        saw_pos, saw_neg = saw_pos or v > 0, saw_neg or v < 0
+        if prev_v is not None and (v < 0.0) != (prev_v < 0.0):
+            brackets.append((prev_x, x))
+        prev_x, prev_v = x, v
+    sign = 0 if saw_pos == saw_neg else (1 if saw_pos else -1)
+    return brackets, sign
+
+
+_SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, -1e-310)
+
+
+def _pattern(rng: random.Random) -> tuple[list[float], list[float]]:
+    size = rng.choice((0, 1, rng.randint(2, 40)))
+    grid = sorted(rng.uniform(1e-3, 1e3) for _ in range(size))
+    values = [
+        rng.choice(_SPECIAL) if rng.random() < 0.3 else rng.gauss(0.0, 1.0) * 10.0 ** rng.randint(-5, 5)
+        for _ in range(size)
+    ]
+    return grid, values
+
+
+def test_sign_change_brackets_match_the_reference_loop():
+    rng = random.Random(20240607)
+    for _ in range(20_000):
+        grid, values = _pattern(rng)
+        expected = _reference_brackets(grid, values)
+        for args in ((grid, values), (np.array(grid), np.array(values))):
+            brackets, sign = sign_change_brackets(*args)
+            assert (brackets, sign) == expected, (grid, values)
+            assert all(type(x) is float for pair in brackets for x in pair)

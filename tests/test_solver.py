@@ -308,6 +308,22 @@ def test_solver_config_validation():
         SolverConfig(points_per_decade=4)
 
 
+@pytest.mark.parametrize("field", ["tolerance", "bracket_expansion", "decades"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_solver_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        SolverConfig(**{field: value})
+
+
+def test_solver_config_finite_messages_unchanged():
+    with pytest.raises(ValueError, match=r"^tolerance must lie in \(0, 1e-6\], got 0.001$"):
+        SolverConfig(tolerance=1e-3)
+    with pytest.raises(ValueError, match="^bracket_expansion must exceed 1$"):
+        SolverConfig(bracket_expansion=1.0)
+    with pytest.raises(ValueError, match="^decades must be positive$"):
+        SolverConfig(decades=-1.0)
+
+
 def test_tight_tolerance_is_honored():
     spec = harmonic_spec(3, 3, 1.0, 1.0)
     sol = solve_nbody(spec, q_boson_ground(3, 3), SolverConfig(tolerance=1e-12))
