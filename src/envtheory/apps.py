@@ -111,39 +111,26 @@ def boson_star_max_mass(
     """Maximum of the ground-state mass bound over the particle number.
 
     For the bosonic ground state Q = (N-1) D / 2, so the bound reduces to
-    N m sqrt(1 - N (N-1) alpha^2 / (2 D^2)); the integer argmax and maximum
-    are returned.  Ranges up to a few million are scanned outright; larger
-    ones get a golden-section pass on the continuous relaxation first.
+    N m sqrt(1 - N (N-1) c) with c = alpha^2 / (2 D^2).  Its real maximizer
+    is the positive root N* = (3c + sqrt(9c^2 + 32c)) / (8c) of
+    4c N^2 - 3c N - 2 = 0; the integer argmax is one of the integers next to
+    N*, clamped to [2, n_max], and ties go to the smaller N.
     """
     require_counts(d=d)
     if mass <= 0.0 or alpha <= 0.0:
         raise ValueError("mass and alpha must be positive")
+    checked(mass, "mass")
+    checked(alpha, "alpha")
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     coeff = alpha * alpha / (2.0 * d * d)
-
-    def bound(n_arr):
-        arg = 1.0 - n_arr * (n_arr - 1.0) * coeff
-        return n_arr * mass * np.sqrt(np.clip(arg, 0.0, None))
-
-    if n_max <= 2_000_000:
-        ns = np.arange(2, n_max + 1, dtype=float)
-        masses = bound(ns)
-        idx = int(np.argmax(masses))
-        return int(ns[idx]), float(masses[idx])
-
-    lo, hi = 2.0, float(n_max)
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(200):
-        a = hi - phi * (hi - lo)
-        b = lo + phi * (hi - lo)
-        if bound(np.asarray(a)) < bound(np.asarray(b)):
-            lo = a
-        else:
-            hi = b
-    center = int(round((lo + hi) / 2.0))
-    ns = np.arange(max(2, center - 5), min(n_max, center + 5) + 1, dtype=float)
-    masses = bound(ns)
+    if coeff > 0.0:
+        peak = (3.0 * coeff + math.sqrt(9.0 * coeff * coeff + 32.0 * coeff)) / (8.0 * coeff)
+    else:  # alpha^2 underflows: the bound grows with N
+        peak = math.inf
+    near = math.floor(min(peak, n_max))
+    ns = np.clip(np.arange(near - 1, near + 3, dtype=float), 2.0, float(n_max))
+    masses = ns * mass * np.sqrt(np.clip(1.0 - ns * (ns - 1.0) * coeff, 0.0, None))
     idx = int(np.argmax(masses))
     return int(ns[idx]), float(masses[idx])
 

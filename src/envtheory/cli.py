@@ -8,6 +8,8 @@ with 17 significant digits so every row re-parses to the exact value.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from dataclasses import dataclass
 
@@ -418,7 +420,10 @@ def parse_config(text: str) -> RunConfig:
 def _solve_row(cfg: RunConfig) -> list[str]:
     system = cfg.system()
     q = cfg.resolve_q()
-    sol = solver.solve_nbody(system, q, cfg.solver)
+    return _level_row(cfg, q, solver.solve_nbody(system, q, cfg.solver))
+
+
+def _level_row(cfg: RunConfig, q: QValue, sol) -> list[str]:
     return [
         str(cfg.n),
         str(cfg.d),
@@ -558,6 +563,9 @@ def _cmd_minlength(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
 
 def _sweep_values(args) -> list[float]:
     param = args.param.lower()
+    for flag, bound in (("--from", args.start), ("--to", args.stop)):
+        if not math.isfinite(bound):
+            raise ConstraintViolation(f"{flag} must be finite, got {bound}")
     if args.stop < args.start:
         raise ConstraintViolation("--to must not be smaller than --from")
     if param in ("n", "d"):
@@ -590,16 +598,30 @@ def _cmd_sweep(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
         if section not in cfg.sections:
             raise MissingSection(f"a [{section}] section is required to sweep {param}")
     header = ["param", "value", "N", "D", "Q", "E", "r0", "p0", "bound", "n_roots"]
-    rows = []
-    for value in _sweep_values(args):
-        sections = {name: dict(data) for name, data in cfg.sections.items()}
-        if param in ("n", "d"):
-            sections["system"][param] = (0, str(int(value)))
-        else:
-            section, _, key = param.partition(".")
-            sections[section][key] = (0, repr(float(value)))
-        point = config_from_sections(sections)
-        rows.append([param, _fmt(value)] + _solve_row(point))
+    values, points, systems, qs = _sweep_values(args), [], [], []
+    try:
+        for value in values:
+            sections = {name: dict(data) for name, data in cfg.sections.items()}
+            if param in ("n", "d"):
+                sections["system"][param] = (0, str(int(value)))
+            else:
+                section, _, key = param.partition(".")
+                sections[section][key] = (0, repr(float(value)))
+            point = config_from_sections(sections)
+            system = point.system()
+            q = point.resolve_q()
+            points.append(point)
+            systems.append(system)
+            qs.append(q)
+    except Exception:
+        # the points before the bad one are solved first: an error there wins
+        solver.solve_nbody_many(systems, qs, cfg.solver)
+        raise
+    solutions = solver.solve_nbody_many(systems, qs, cfg.solver)
+    rows = [
+        [param, _fmt(value)] + _level_row(point, q, sol)
+        for value, point, q, sol in zip(values, points, qs, solutions)
+    ]
     return header, rows
 
 
@@ -656,7 +678,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by every later ``run``."""
     parser = _Parser(prog="envtheory", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

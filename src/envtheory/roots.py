@@ -1,12 +1,13 @@
 """Bracketed scalar root finding without scipy.
 
 ``sign_change_brackets`` finds the sign changes of a function sampled on a
-grid; the solver's stationarity scan and the critical-coupling profile scan
-both use it.  ``brentq`` is a step-for-step port of the Brent routine behind
-``scipy.optimize.brentq`` (inverse quadratic interpolation, secant and
-bisection steps on a sign-change bracket).  It takes the same steps, returns
-the same float and raises the same errors, so the solve path needs numpy
-only and skips the cost of importing ``scipy.optimize``.
+grid, or on one grid per row; the solver's stationarity scans and the
+critical-coupling profile scan all use it.  ``brentq`` is a step-for-step
+port of the Brent routine behind ``scipy.optimize.brentq`` (inverse
+quadratic interpolation, secant and bisection steps on a sign-change
+bracket).  It takes the same steps, returns the same float and raises the
+same errors, so the solve path needs numpy only and skips the cost of
+importing ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -79,26 +80,33 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL_MIN, 
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def sign_change_brackets(grid, values) -> tuple[list[tuple[float, float]], int]:
+def sign_change_brackets(grid, values):
     """Consecutive-point brackets of a sampled function with opposite signs, in grid order.
 
     A sample that is exactly zero is its own zero-width bracket; a NaN or
     infinite sample breaks the run, so no bracket spans it.  Returns
     (brackets, overall_sign) with float endpoints; overall_sign summarizes the
     scan when no bracket exists (+1 all positive, -1 all negative, 0
-    otherwise), counting ±inf samples and ignoring NaN ones.
+    otherwise), counting ±inf samples and ignoring NaN ones.  2-D input is one
+    scan per row: the result is then a list of bracket lists and a list of
+    signs, one per row.
     """
     x = np.asarray(grid, dtype=float)
     v = np.asarray(values, dtype=float)
     neg = v < 0.0
     zero = v == 0.0
     live = np.isfinite(v) & ~zero
-    # pair[i]: samples i-1 and i are both live and differ in sign; that bracket starts at i-1
+    # pair[..., i]: samples i-1 and i are both live and differ in sign; that bracket starts at i-1
     pair = np.zeros(v.shape, dtype=bool)
-    pair[1:] = live[1:] & live[:-1] & (neg[1:] != neg[:-1])
-    hi = np.flatnonzero(pair | zero)
-    lo = hi - pair[hi]
-    brackets = list(zip(x[lo].tolist(), x[hi].tolist()))
-    saw_pos, saw_neg = bool(np.any(v > 0.0)), bool(np.any(neg))
-    sign = 0 if saw_pos == saw_neg else (1 if saw_pos else -1)
-    return brackets, sign
+    pair[..., 1:] = live[..., 1:] & live[..., :-1] & (neg[..., 1:] != neg[..., :-1])
+    hit = pair | zero
+    end = np.nonzero(hit)  # one index array per axis, in row-major order
+    start = end[:-1] + (end[-1] - pair[end],)
+    brackets = list(zip(x[start].tolist(), x[end].tolist()))
+    # +1 all positive, -1 all negative, 0 for both signs or none
+    saw_pos, saw_neg = (v > 0.0).any(axis=-1), neg.any(axis=-1)
+    if v.ndim == 1:
+        return brackets, int(saw_pos) - int(saw_neg)
+    stops = np.cumsum(np.count_nonzero(hit, axis=-1)).tolist()
+    rows = [brackets[lo:hi] for lo, hi in zip([0] + stops[:-1], stops)]
+    return rows, np.subtract(saw_pos, saw_neg, dtype=int).tolist()

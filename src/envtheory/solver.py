@@ -18,20 +18,28 @@ bisection/secant method.  All roots are reported; the lowest-energy one is
 the physical envelope level.  A residual with one sign across the whole scan
 means there is nothing stationary: attraction wins at every scale (collapse)
 or kinetic pressure does (unbound).
+
+``solve_nbody_many`` solves a sequence of N-body points, a sweep, in blocks:
+one 2-D scan finds the brackets on every point's first grid, and each point's
+polish starts from them, with its floats unchanged from ``solve_nbody``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis
-from .errors import InvalidAuxiliaryExponent, NoStationaryPoint, ScanExhausted
+from .errors import EnvelopeError, InvalidAuxiliaryExponent, NoStationaryPoint, ScanExhausted
 from .model import (
+    FAMILIES,
     ConvexityVerdict,
     EnvelopeSolution,
+    KineticFamily,
     KineticLaw,
+    PotentialFamily,
     PotentialLaw,
     StationaryRoot,
     SystemSpec,
@@ -41,6 +49,9 @@ from .qnum import QValue
 from .roots import brentq, sign_change_brackets
 
 _EPS = float(np.finfo(float).eps)
+# Grid samples in one block scan of ``solve_nbody_many``; it bounds the memory
+# a block holds (31 points at the default 513-sample grid).
+_BLOCK_SAMPLES = 2**14
 
 
 @dataclass(frozen=True)
@@ -118,21 +129,31 @@ def nbody_energy(spec: SystemSpec, r0, p0):
 def stationary_residual(spec: SystemSpec, q: QValue | float, r0):
     """Stationarity defect at trial scale r0 (vectorized over r0)."""
     qv = checked(q, "quantum number", positive=True)
-    p0 = qv / r0
-    c = float(spec.pair_count)
-    res = spec.n * p0 * spec.kinetic.derivative(p0)
-    if spec.onebody is not None:
-        res = res - r0 * spec.onebody.derivative(r0 / spec.n)
-    if spec.twobody is not None:
+    return _nbody_residual(
+        spec.n, float(spec.pair_count), spec.kinetic, spec.onebody, spec.twobody, qv, r0
+    )
+
+
+def _nbody_residual(n, c, kinetic, onebody, twobody, q, r0):
+    """F(r0) for n particles in c pairs; the numbers may be arrays that broadcast against r0."""
+    p0 = q / r0
+    res = n * p0 * kinetic.derivative(p0)
+    if onebody is not None:
+        res = res - r0 * onebody.derivative(r0 / n)
+    if twobody is not None:
         root_c = np.sqrt(c)
-        res = res - root_c * r0 * spec.twobody.derivative(r0 / root_c)
+        res = res - root_c * r0 * twobody.derivative(r0 / root_c)
     return res
 
 
 def solve_nbody(
-    spec: SystemSpec, q: QValue | float, config: SolverConfig | None = None
+    spec: SystemSpec, q: QValue | float, config: SolverConfig | None = None, *, _brackets=None
 ) -> EnvelopeSolution:
-    """Envelope level of the N-body system at global quantum number Q."""
+    """Envelope level of the N-body system at global quantum number Q.
+
+    ``_brackets`` is internal to ``solve_nbody_many``: the brackets its block
+    scan found on this point's first grid, so the polish starts from them.
+    """
     cfg = config or _DEFAULT_CONFIG
     qv = checked(q, "quantum number", positive=True)
 
@@ -142,7 +163,41 @@ def solve_nbody(
     def energy(r0, p0):
         return nbody_energy(spec, r0, p0)
 
-    return _solve(residual, energy, qv, cfg, _nbody_verdict(spec))
+    return _solve(residual, energy, qv, cfg, _nbody_verdict(spec), _brackets)
+
+
+def solve_nbody_many(
+    specs: list[SystemSpec], qs: list[QValue | float], config: SolverConfig | None = None
+) -> list[EnvelopeSolution]:
+    """``[solve_nbody(spec, q, config) for spec, q in zip(specs, qs)]``, solved in blocks.
+
+    Consecutive points whose laws belong to the same families form a block
+    of at most ``_BLOCK_SAMPLES`` grid samples.  A block takes one 2-D
+    stationarity scan, one row per point, and each row sees the floats its
+    single-point scan sees; every point is then solved by ``solve_nbody``
+    from the brackets of its row.  A point with a custom law or an invalid
+    Q, a point whose row has no bracket and every point of a block whose
+    scan raises take the full single-point scan.  Each result, and the error
+    of the first point that fails, are therefore those of the loop above.
+    """
+    cfg = config or _DEFAULT_CONFIG
+    size = max(1, _BLOCK_SAMPLES // _unit_grid(cfg.decades, cfg.points_per_decade).size)
+    solutions: list[EnvelopeSolution] = []
+    block: list = []
+    block_key = None
+    for spec, q in zip(specs, qs, strict=True):
+        key = _block_key(spec, q)
+        if block and (key != block_key or len(block) == size):
+            solutions += _solve_block(block, cfg)
+            block = []
+        if key is None:
+            solutions.append(solve_nbody(spec, q, cfg))
+        else:
+            block.append((spec, q))
+            block_key = key
+    if block:
+        solutions += _solve_block(block, cfg)
+    return solutions
 
 
 def _nbody_verdict(spec: SystemSpec):
@@ -216,8 +271,8 @@ def solve_two_body(
 # ---------------------------------------------------------------------------
 
 
-def _solve(residual, energy, qv: float, cfg: SolverConfig, verdict) -> EnvelopeSolution:
-    roots = _scan_and_polish(residual, qv, cfg)
+def _solve(residual, energy, qv: float, cfg: SolverConfig, verdict, brackets=None) -> EnvelopeSolution:
+    roots = _polish_all(residual, brackets, cfg) if brackets else _scan_and_polish(residual, qv, cfg)
     stationary = []
     for r0 in roots:
         p0 = qv / r0
@@ -270,10 +325,18 @@ def _scan_and_polish(residual, guess: float, cfg: SolverConfig) -> list[float]:
     )
 
 
-def _log_grid(guess: float, decades: float, per_decade: int) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def _unit_grid(decades: float, per_decade: int) -> np.ndarray:
+    """The scan grid around a guess of 1, read-only; every scan with these settings scales it."""
     half = decades / 2.0
     count = int(round(per_decade * decades)) + 1
-    return guess * np.logspace(-half, half, count)
+    unit = np.logspace(-half, half, count)
+    unit.flags.writeable = False
+    return unit
+
+
+def _log_grid(guess: float, decades: float, per_decade: int) -> np.ndarray:
+    return guess * _unit_grid(decades, per_decade)
 
 
 def _polish_all(residual, brackets, cfg: SolverConfig) -> list[float]:
@@ -293,3 +356,78 @@ def _polish_all(residual, brackets, cfg: SolverConfig) -> list[float]:
         )
         roots.append(float(root))
     return roots
+
+
+# ---------------------------------------------------------------------------
+# Block solve
+# ---------------------------------------------------------------------------
+
+
+def _block_key(spec: SystemSpec, q):
+    """What a point shares with its block, or None for a point solved alone.
+
+    That is its law families and its power-law exponents: ``np.power`` takes
+    a fast path for some scalar exponents (2, 0.5, -1, ...) that a column of
+    exponents does not, so a block passes its exponent as the points' own
+    float.
+    """
+    laws = (spec.kinetic, spec.onebody, spec.twobody)
+    families = tuple(None if law is None else law.family for law in laws)
+    if KineticFamily.CUSTOM in families or PotentialFamily.CUSTOM in families:
+        return None
+    try:
+        checked(q, "quantum number", positive=True)
+    except (TypeError, ValueError):
+        return None
+    exponents = tuple(
+        repr(law.exponent) for law in laws if law is not None and law.family is PotentialFamily.POWER_LAW
+    )
+    return families + exponents
+
+
+def _block_residual(specs: list[SystemSpec], qs: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """F at r0[k, :] for point specs[k], for every k, in one evaluation.
+
+    Each law is rebuilt with its parameters as (points, 1) columns, so the
+    formulas of ``FAMILIES`` and ``_nbody_residual`` broadcast over the
+    points unchanged.  A number every point shares stays the points' own
+    scalar, which keeps ``np.power``'s scalar-exponent path.
+    """
+
+    def column(values):
+        if len(set(map(repr, values))) == 1:
+            return values[0]
+        return np.array(values, dtype=float)[:, None]
+
+    laws = {}
+    for slot in ("kinetic", "onebody", "twobody"):
+        law = getattr(specs[0], slot)
+        if law is not None:
+            params = {
+                param.name: column([getattr(getattr(spec, slot), param.name) for spec in specs])
+                for param in FAMILIES[law.family].params
+            }
+            laws[slot] = type(law)(law.family, **params)
+    return _nbody_residual(
+        column([spec.n for spec in specs]),
+        column([float(spec.pair_count) for spec in specs]),
+        laws["kinetic"],
+        laws.get("onebody"),
+        laws.get("twobody"),
+        column(qs.tolist()),
+        r0,
+    )
+
+
+def _solve_block(block: list, cfg: SolverConfig) -> list[EnvelopeSolution]:
+    specs = [spec for spec, _ in block]
+    qs = np.array([float(q) for _, q in block])
+    try:
+        with np.errstate(all="ignore"):
+            grid = qs[:, None] * _unit_grid(cfg.decades, cfg.points_per_decade)
+            values = _block_residual(specs, qs, grid)
+        brackets, _ = sign_change_brackets(grid, values)
+    except (ArithmeticError, ValueError, EnvelopeError):
+        # the single-point scans raise it again, from the point it belongs to
+        brackets = [[]] * len(block)
+    return [solve_nbody(spec, q, cfg, _brackets=pairs) for (spec, q), pairs in zip(block, brackets)]

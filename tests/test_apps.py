@@ -162,6 +162,68 @@ def test_boson_star_max_mass_golden_section_branch():
     assert abs(m_max * alpha / m - boson_star_limit(d)) < 5e-5
 
 
+def _scanned_max_mass(d, mass, alpha, n_max):
+    """The scan the closed form replaced (golden section past 2M points), kept as its reference."""
+    coeff = alpha * alpha / (2.0 * d * d)
+
+    def bound(n_arr):
+        arg = 1.0 - n_arr * (n_arr - 1.0) * coeff
+        return n_arr * mass * np.sqrt(np.clip(arg, 0.0, None))
+
+    if n_max <= 2_000_000:
+        ns = np.arange(2, n_max + 1, dtype=float)
+    else:
+        lo, hi = 2.0, float(n_max)
+        phi = (math.sqrt(5.0) - 1.0) / 2.0
+        for _ in range(200):
+            a = hi - phi * (hi - lo)
+            b = lo + phi * (hi - lo)
+            if bound(np.asarray(a)) < bound(np.asarray(b)):
+                lo = a
+            else:
+                hi = b
+        center = int(round((lo + hi) / 2.0))
+        ns = np.arange(max(2, center - 5), min(n_max, center + 5) + 1, dtype=float)
+    masses = bound(ns)
+    idx = int(np.argmax(masses))
+    return int(ns[idx]), float(masses[idx])
+
+
+def test_boson_star_max_mass_closed_form_matches_the_scan():
+    # 5 dimensions x 40 couplings x 5 ranges = 1000 cells, argmax and mass bit for bit
+    for d in (2, 3, 4, 6, 10):
+        for alpha in np.geomspace(1e-3, 1.5, 40).tolist():
+            for n_max in (2, 3, 10, 10**3, 10**5):
+                assert boson_star_max_mass(d, 0.7, alpha, n_max) == _scanned_max_mass(
+                    d, 0.7, alpha, n_max
+                ), (d, alpha, n_max)
+    # past 2M points the scan was a golden-section search
+    for d in (2, 3, 6):
+        for alpha in (1e-6, 3e-6, 1e-5, 1e-4, 1e-3):
+            for n_max in (3 * 10**6, 10**7):
+                assert boson_star_max_mass(d, 1.0, alpha, n_max) == _scanned_max_mass(
+                    d, 1.0, alpha, n_max
+                ), (d, alpha, n_max)
+    # a coupling whose square underflows leaves a bound that grows with N
+    assert boson_star_max_mass(3, 1.0, 1e-200, 50) == _scanned_max_mass(3, 1.0, 1e-200, 50)
+
+
+@pytest.mark.parametrize(
+    "mass, alpha, message",
+    [
+        (math.nan, 1e-3, "mass must be finite, got nan"),
+        (math.inf, 1e-3, "mass must be finite, got inf"),
+        (1.0, math.nan, "alpha must be finite, got nan"),
+        (1.0, math.inf, "alpha must be finite, got inf"),
+        (0.0, 1e-3, "mass and alpha must be positive"),
+    ],
+)
+def test_boson_star_max_mass_rejects_bad_input(mass, alpha, message):
+    with pytest.raises(ValueError) as err:
+        boson_star_max_mass(3, mass, alpha)
+    assert str(err.value) == message
+
+
 def test_boson_star_limit_values():
     assert boson_star_limit(3) == pytest.approx(3.0 / math.sqrt(2.0), rel=1e-15)
     assert boson_star_limit(2) == pytest.approx(math.sqrt(2.0), rel=1e-15)

@@ -298,3 +298,41 @@ def test_baryon_bad_flags_are_config_errors(tmp_path, capsys, flags, expected):
     out = io.StringIO()
     code = run(["baryon", "--config", str(path), *flags], stdout=out)
     assert (code, capsys.readouterr().err, out.getvalue()) == (1, f"config error: {expected}\n", "")
+
+
+SWEEP = SYSTEM + KINETIC + HARMONIC
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (["--param", "n", "--from", "2", "--to", "inf"], "--to must be finite, got inf"),
+        (["--param", "n", "--from", "2", "--to", "nan"], "--to must be finite, got nan"),
+        (["--param", "twobody.exponent", "--from", "1", "--to", "inf", "--steps", "3"], "--to must be finite, got inf"),
+        (["--param", "twobody.exponent", "--from=-inf", "--to", "1", "--steps", "3"], "--from must be finite, got -inf"),
+    ],
+    ids=["n-to-inf", "n-to-nan", "exponent-to-inf", "exponent-from-minus-inf"],
+)
+def test_sweep_bounds_must_be_finite(tmp_path, capsys, flags, expected):
+    path = tmp_path / "run.cfg"
+    path.write_text(SWEEP)
+    out = io.StringIO()
+    code = run(["sweep", "--config", str(path), *flags], stdout=out)
+    assert (code, capsys.readouterr().err, out.getvalue()) == (1, f"config error: {expected}\n", "")
+
+
+def test_usage_errors_keep_their_text_on_a_reused_parser(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(SWEEP)
+    unknown = (
+        "usage error: argument command: invalid choice: 'transmogrify' (choose from 'solve', "
+        "'bounds', 'critical', 'perturb', 'baryon', 'bosonstar', 'minlength', 'sweep', 'oracle')\n"
+    )
+    for _ in range(2):
+        assert run(["transmogrify", "--config", str(path)], stdout=io.StringIO()) == 1
+        assert capsys.readouterr().err == unknown
+        assert run(["critical", "--config", str(path)], stdout=io.StringIO()) == 1
+        assert capsys.readouterr().err == "usage error: the following arguments are required: --mode\n"
+        out = io.StringIO()
+        assert run(["solve", "--config", str(path)], stdout=out) == 0
+        assert out.getvalue().startswith("N,D,Q,E,r0,p0,bound,n_roots\n3,3,")

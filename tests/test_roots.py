@@ -130,3 +130,15 @@ def test_sign_change_brackets_match_the_reference_loop():
             brackets, sign = sign_change_brackets(*args)
             assert (brackets, sign) == expected, (grid, values)
             assert all(type(x) is float for pair in brackets for x in pair)
+
+
+def test_sign_change_brackets_rows_match_the_one_row_scan():
+    rng = random.Random(7)
+    for _ in range(300):
+        rows, size = rng.randint(1, 6), rng.randint(0, 30)
+        grid = np.sort([[rng.uniform(1e-3, 1e3) for _ in range(size)] for _ in range(rows)])
+        values = np.array(
+            [[rng.choice(_SPECIAL) if rng.random() < 0.3 else rng.gauss(0.0, 1.0) for _ in range(size)] for _ in range(rows)]
+        ).reshape(rows, size)
+        one_by_one = [sign_change_brackets(g, v) for g, v in zip(grid, values)]
+        assert sign_change_brackets(grid, values) == ([b for b, _ in one_by_one], [s for _, s in one_by_one])

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from envtheory import (
@@ -23,6 +24,7 @@ from envtheory.errors import (
     InvalidAuxiliaryExponent,
     NoStationaryPoint,
 )
+from envtheory.solver import _log_grid
 
 
 def harmonic_spec(n, d, m, k):
@@ -345,3 +347,14 @@ def test_non_finite_q_is_rejected(make_q):
         solve_two_body(KineticLaw.nonrelativistic(0.5), PotentialLaw.power_law(1.0, 1.0), 2.0, make_q())
     with pytest.raises(ValueError):
         auxiliary_energy(1.0, 1.0, 2.0, make_q())
+
+
+def test_log_grid_equals_the_logspace_expression_bit_for_bit():
+    for guess in (1.0, 0.37, 4.5, 1234.5678, 3e-7):
+        for decades, per_decade in ((8.0, 64), (16.0, 64), (32.0, 64), (3.3, 9), (12.5, 100)):
+            half = decades / 2.0
+            count = int(round(per_decade * decades)) + 1
+            want = guess * np.logspace(-half, half, count)
+            got = _log_grid(guess, decades, per_decade)
+            assert got.tobytes() == want.tobytes()
+            assert _log_grid(guess, decades, per_decade).tobytes() == want.tobytes()  # cached unit grid
