@@ -11,7 +11,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import analysis, apps, oracle, solver
 from .errors import (
@@ -599,17 +599,22 @@ def _cmd_sweep(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
             raise MissingSection(f"a [{section}] section is required to sweep {param}")
     header = ["param", "value", "N", "D", "Q", "E", "r0", "p0", "bound", "n_roots"]
     values, points, systems, qs = _sweep_values(args), [], [], []
+    q = None
     try:
         for value in values:
-            sections = {name: dict(data) for name, data in cfg.sections.items()}
             if param in ("n", "d"):
+                sections = {name: dict(data) for name, data in cfg.sections.items()}
                 sections["system"][param] = (0, str(int(value)))
+                point = config_from_sections(sections)
+                q = None  # Q follows n and d
             else:
-                section, _, key = param.partition(".")
-                sections[section][key] = (0, repr(float(value)))
-            point = config_from_sections(sections)
+                # every other section parsed with cfg, so only the swept law can fail
+                data = dict(cfg.sections[section])
+                data[key] = (0, repr(float(value)))
+                point = replace(cfg, **{section: _build_law({section: data}, section)})
             system = point.system()
-            q = point.resolve_q()
+            if q is None:
+                q = point.resolve_q()
             points.append(point)
             systems.append(system)
             qs.append(q)

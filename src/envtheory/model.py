@@ -20,6 +20,7 @@ arguments and are pure functions of the law's parameters.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -418,6 +419,10 @@ class KineticLaw:
     def derivative(self, p):
         return FAMILIES[self.family].derivative(self, p)
 
+    def derivative_function(self) -> Callable:
+        """``derivative`` as a function of p alone, its family formula looked up once."""
+        return functools.partial(FAMILIES[self.family].derivative, self)
+
     # -- composition chart ---------------------------------------------------
 
     def chart_value(self, s, aux_exponent: float | None = None):
@@ -502,6 +507,16 @@ class PotentialLaw:
     def derivative(self, x):
         _require_positive(x, "separation")
         return FAMILIES[self.family].derivative(self, x)
+
+    def derivative_function(self) -> Callable:
+        """``derivative`` as a function of x alone, its family formula looked up once."""
+        formula = FAMILIES[self.family].derivative
+
+        def derivative(x):
+            _require_positive(x, "separation")
+            return formula(self, x)
+
+        return derivative
 
     # -- short-range well profile -------------------------------------------
 

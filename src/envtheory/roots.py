@@ -61,12 +61,16 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL_MIN, 
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate (secant)
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate (inverse quadratic)
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:  # interpolate (secant)
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate (inverse quadratic)
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C divides to inf or nan here, which fails the step test: a bisection
+                stry = math.inf
             limit = 3.0 * abs(sbis) - delta
             if 2.0 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
                 spre, scur = scur, stry  # good short step

@@ -126,24 +126,48 @@ def nbody_energy(spec: SystemSpec, r0, p0):
     return total
 
 
+# The residual bound to the last system evaluated, as (spec, F(q, r0)).  A
+# solve evaluates one system many times in a row, so this one entry binds each
+# system's numbers and law formulas once.  Holding the spec keeps its id from
+# passing to another spec, and the pair is read and replaced as one tuple, so
+# threads racing here at worst bind a system twice.
+_bound = (None, None)
+
+
 def stationary_residual(spec: SystemSpec, q: QValue | float, r0):
     """Stationarity defect at trial scale r0 (vectorized over r0)."""
+    global _bound
     qv = checked(q, "quantum number", positive=True)
-    return _nbody_residual(
-        spec.n, float(spec.pair_count), spec.kinetic, spec.onebody, spec.twobody, qv, r0
-    )
+    bound_spec, residual = _bound
+    if bound_spec is not spec:
+        residual = _residual_of(
+            spec.n,
+            float(spec.pair_count),
+            spec.kinetic.derivative_function(),
+            None if spec.onebody is None else spec.onebody.derivative_function(),
+            None if spec.twobody is None else spec.twobody.derivative_function(),
+        )
+        _bound = (spec, residual)
+    return residual(qv, r0)
 
 
-def _nbody_residual(n, c, kinetic, onebody, twobody, q, r0):
-    """F(r0) for n particles in c pairs; the numbers may be arrays that broadcast against r0."""
-    p0 = q / r0
-    res = n * p0 * kinetic.derivative(p0)
-    if onebody is not None:
-        res = res - r0 * onebody.derivative(r0 / n)
-    if twobody is not None:
-        root_c = np.sqrt(c)
-        res = res - root_c * r0 * twobody.derivative(r0 / root_c)
-    return res
+def _residual_of(n, c, kinetic, onebody, twobody):
+    """F(q, r0) for n particles in c pairs, from each term's derivative function (None if absent).
+
+    The numbers may be arrays that broadcast against r0.
+    """
+    root_c = np.sqrt(c)
+
+    def residual(q, r0):
+        p0 = q / r0
+        res = n * p0 * kinetic(p0)
+        if onebody is not None:
+            res = res - r0 * onebody(r0 / n)
+        if twobody is not None:
+            res = res - root_c * r0 * twobody(r0 / root_c)
+        return res
+
+    return residual
 
 
 def solve_nbody(
@@ -172,7 +196,8 @@ def solve_nbody_many(
     """``[solve_nbody(spec, q, config) for spec, q in zip(specs, qs)]``, solved in blocks.
 
     Consecutive points whose laws belong to the same families form a block
-    of at most ``_BLOCK_SAMPLES`` grid samples.  A block takes one 2-D
+    of at most ``_BLOCK_SAMPLES`` grid samples, whatever their parameters,
+    so a sweep of a power-law exponent is blocked too.  A block takes one 2-D
     stationarity scan, one row per point, and each row sees the floats its
     single-point scan sees; every point is then solved by ``solve_nbody``
     from the brackets of its row.  A point with a custom law or an invalid
@@ -347,7 +372,7 @@ def _polish_all(residual, brackets, cfg: SolverConfig) -> list[float]:
             roots.append(float(lo))
             continue
         root = brentq(
-            lambda x: float(residual(x)),
+            residual,
             lo,
             hi,
             xtol=1e-300,
@@ -366,10 +391,8 @@ def _polish_all(residual, brackets, cfg: SolverConfig) -> list[float]:
 def _block_key(spec: SystemSpec, q):
     """What a point shares with its block, or None for a point solved alone.
 
-    That is its law families and its power-law exponents: ``np.power`` takes
-    a fast path for some scalar exponents (2, 0.5, -1, ...) that a column of
-    exponents does not, so a block passes its exponent as the points' own
-    float.
+    That is its law families alone: a block may mix every parameter,
+    power-law exponents included (see ``_block_residual``).
     """
     laws = (spec.kinetic, spec.onebody, spec.twobody)
     families = tuple(None if law is None else law.family for law in laws)
@@ -379,44 +402,49 @@ def _block_key(spec: SystemSpec, q):
         checked(q, "quantum number", positive=True)
     except (TypeError, ValueError):
         return None
-    exponents = tuple(
-        repr(law.exponent) for law in laws if law is not None and law.family is PotentialFamily.POWER_LAW
-    )
-    return families + exponents
+    return families
 
 
 def _block_residual(specs: list[SystemSpec], qs: np.ndarray, r0: np.ndarray) -> np.ndarray:
     """F at r0[k, :] for point specs[k], for every k, in one evaluation.
 
     Each law is rebuilt with its parameters as (points, 1) columns, so the
-    formulas of ``FAMILIES`` and ``_nbody_residual`` broadcast over the
-    points unchanged.  A number every point shares stays the points' own
-    scalar, which keeps ``np.power``'s scalar-exponent path.
+    formulas of ``FAMILIES`` broadcast over the points unchanged.  A number
+    every point shares stays the points' own scalar.  ``np.power`` takes a
+    fast path for some scalar exponents (2, 0.5, -1, ...) that a column of
+    exponents does not, so a power law whose exponent differs between rows
+    is evaluated row by row, one ``np.power`` call per row with that point's
+    own exponent.
     """
 
-    def column(values):
-        if len(set(map(repr, values))) == 1:
-            return values[0]
-        return np.array(values, dtype=float)[:, None]
+    def shared(values) -> bool:
+        return len(set(map(repr, values))) == 1
 
-    laws = {}
+    def column(values):
+        return values[0] if shared(values) else np.array(values, dtype=float)[:, None]
+
+    def row_by_row(laws):
+        functions = [law.derivative_function() for law in laws]
+        return lambda x: np.stack([f(row) for f, row in zip(functions, x)])
+
+    terms = []
     for slot in ("kinetic", "onebody", "twobody"):
-        law = getattr(specs[0], slot)
-        if law is not None:
+        laws = [getattr(spec, slot) for spec in specs]
+        law = laws[0]
+        if law is None:
+            terms.append(None)
+        elif law.family is PotentialFamily.POWER_LAW and not shared([each.exponent for each in laws]):
+            terms.append(row_by_row(laws))
+        else:
             params = {
-                param.name: column([getattr(getattr(spec, slot), param.name) for spec in specs])
+                param.name: column([getattr(each, param.name) for each in laws])
                 for param in FAMILIES[law.family].params
             }
-            laws[slot] = type(law)(law.family, **params)
-    return _nbody_residual(
-        column([spec.n for spec in specs]),
-        column([float(spec.pair_count) for spec in specs]),
-        laws["kinetic"],
-        laws.get("onebody"),
-        laws.get("twobody"),
-        column(qs.tolist()),
-        r0,
+            terms.append(type(law)(law.family, **params).derivative_function())
+    residual = _residual_of(
+        column([spec.n for spec in specs]), column([float(spec.pair_count) for spec in specs]), *terms
     )
+    return residual(column(qs.tolist()), r0)
 
 
 def _solve_block(block: list, cfg: SolverConfig) -> list[EnvelopeSolution]:

@@ -1,10 +1,12 @@
 """Block solve of sweeps: ``solve_nbody_many`` against one ``solve_nbody`` per point."""
 
 import contextlib
+import dataclasses
 import gzip
 import io
 import itertools
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from envtheory import (
 )
 from envtheory.cli import run
 from envtheory.errors import NonPositiveArgument, NoStationaryPoint
+from envtheory.model import FAMILIES, KineticFamily, PotentialFamily
 
 CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
 
@@ -72,6 +75,124 @@ def test_every_committed_sweep_prints_its_golden_csv():
         with contextlib.redirect_stderr(io.StringIO()):
             code = run(argv, stdout=out)
         assert (code, out.getvalue()) == (entry["exit"], entry["stdout"]), entry["id"]
+
+
+# --- the residual bound once per system -------------------------------------------
+
+
+def _reference_residual(spec, q, r0):
+    """F(r0) written out from the law methods, with nothing bound or cached."""
+    n, c = spec.n, float(spec.pair_count)
+    p0 = q / r0
+    res = n * p0 * spec.kinetic.derivative(p0)
+    if spec.onebody is not None:
+        res = res - r0 * spec.onebody.derivative(r0 / n)
+    if spec.twobody is not None:
+        root_c = np.sqrt(c)
+        res = res - root_c * r0 * spec.twobody.derivative(r0 / root_c)
+    return res
+
+
+def _family_laws(law_cls, families, first, step):
+    """One law of every non-custom family, its parameters first, first + step, ..."""
+    return [
+        law_cls.of(f, *(first + step * k for k in range(len(FAMILIES[f].params))))
+        for f in families
+        if f.value != "custom"
+    ]
+
+
+_KINETICS = _family_laws(KineticLaw, KineticFamily, 0.4, 0.3)
+_KINETICS += [
+    KineticLaw.custom(CustomProfile(lambda p: p**3, lambda p: 3.0 * p * p)),
+    KineticLaw.custom(CustomProfile(lambda p: np.cosh(p))),  # derivative by differences
+]
+_POTENTIALS = _family_laws(PotentialLaw, PotentialFamily, 0.7, 0.6)
+_POTENTIALS += [PotentialLaw.power_law(0.8, e) for e in (3.0, 1.5, 2.0, 0.0, 1.0, -0.0, -1.0)]
+_POTENTIALS += [
+    PotentialLaw.custom(CustomProfile(lambda x: x**1.3, lambda x: 1.3 * x**0.3)),
+    PotentialLaw.custom(CustomProfile(lambda x: -np.exp(-x) / x), short_range=True),
+]
+
+
+def _specs_with_every_law():
+    specs = [SystemSpec(3, 3, kinetic, twobody=PotentialLaw.power_law(1.0, 2.0)) for kinetic in _KINETICS]
+    for k, potential in enumerate(_POTENTIALS):
+        other = _POTENTIALS[(k + 5) % len(_POTENTIALS)]
+        kinetic = _KINETICS[k % len(_KINETICS)]
+        specs += [
+            SystemSpec(2 + k % 5, 3, kinetic, onebody=potential),
+            SystemSpec(2 + k % 5, 3, kinetic, twobody=potential),
+            SystemSpec(np.int64(4), 3, kinetic, onebody=potential, twobody=other),
+        ]
+    return specs
+
+
+def _assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+_ARGUMENTS = [0.37, np.float64(2.5), 11.0, np.geomspace(1e-3, 1e3, 37), np.geomspace(0.1, 10.0, 12).reshape(3, 4)]
+
+
+def _spec_id(spec):
+    laws = (spec.kinetic, spec.onebody, spec.twobody)
+    return "-".join([str(spec.n)] + ["none" if law is None else law.family.value for law in laws])
+
+
+@pytest.mark.parametrize("spec", _specs_with_every_law(), ids=_spec_id)
+def test_bound_residual_equals_the_law_formula(spec):
+    with np.errstate(all="ignore"):
+        for q in (2.5, QValue(4.0)):
+            for r0 in _ARGUMENTS:
+                _assert_same_bits(stationary_residual(spec, q, r0), _reference_residual(spec, float(q), r0))
+    assert solver._bound[0] is spec
+
+
+def test_the_binding_follows_the_spec_in_alternation():
+    first = SystemSpec(3, 3, KineticLaw.nonrelativistic(1.0), twobody=PotentialLaw.power_law(1.0, 2.0))
+    second = SystemSpec(
+        5, 2, KineticLaw.semirelativistic(0.5), onebody=PotentialLaw.coulomb(0.7), twobody=PotentialLaw.yukawa(2.0, 0.5)
+    )
+    equal = SystemSpec(3, 3, KineticLaw.nonrelativistic(1.0), twobody=PotentialLaw.power_law(1.0, 2.0))
+    for spec in (first, second, first, equal, second, second, first):
+        for r0 in _ARGUMENTS:
+            _assert_same_bits(stationary_residual(spec, 3.0, r0), _reference_residual(spec, 3.0, r0))
+        assert solver._bound[0] is spec
+
+
+@pytest.mark.parametrize(
+    "r0, error",
+    [(0.0, ZeroDivisionError), (-1.0, NonPositiveArgument), (np.array([1.0, -2.0]), NonPositiveArgument)],
+    ids=["zero", "negative", "array"],
+)
+def test_the_bound_residual_keeps_its_checks(r0, error):
+    spec = SystemSpec(3, 3, KineticLaw.nonrelativistic(1.0), onebody=PotentialLaw.power_law(1.0, 2.0))
+    outcome = _outcome(lambda: stationary_residual(spec, 2.0, r0))
+    assert outcome == _outcome(lambda: _reference_residual(spec, 2.0, r0))
+    assert outcome[0] is error
+    for q in (0.0, -1.0, float("nan"), float("inf")):
+        assert _outcome(lambda: stationary_residual(spec, q, 1.0))[0] is ValueError
+
+
+def test_laws_and_specs_carry_nothing_after_a_solve():
+    specs = [
+        SystemSpec(3, 3, KineticLaw.nonrelativistic(1.0), twobody=PotentialLaw.power_law(1.0, 2.0)),
+        SystemSpec(
+            4, 2, KineticLaw.semirelativistic(0.5), onebody=PotentialLaw.power_law(0.3, 1.0), twobody=PotentialLaw.yukawa(0.5, 2.0)
+        ),
+    ]
+    before = [(pickle.dumps(spec), hash(spec)) for spec in specs]
+    for spec in specs:
+        solve_nbody(spec, 3.0)  # binds this spec's residual
+    for spec, (pickled, hashed) in zip(specs, before):
+        assert (pickle.dumps(spec), hash(spec)) == (pickled, hashed)
+        copy = pickle.loads(pickled)
+        assert copy == spec and hash(copy) == hashed
+        for record in filter(None, (spec, spec.kinetic, spec.onebody, spec.twobody)):
+            assert list(vars(record)) == [f.name for f in dataclasses.fields(record)]
 
 
 # --- the block scan sees each point's own floats -------------------------------------
@@ -167,6 +288,26 @@ def test_law_parameter_sweeps(monkeypatch, kinetic, potential, lo, hi):
     calls = _count_full_scans(monkeypatch)
     assert _blocked(specs, qs) == want
     assert calls == []  # every point solves, and in a block
+
+
+def test_power_law_exponent_sweep_is_one_block(monkeypatch):
+    # exponent - 1 in {2, 0.5, 1, -1, 0} takes np.power's scalar fast paths, so
+    # the block evaluates the power per row; a harmonic one-body term keeps a
+    # stationary point at every exponent, exponent 0 and -0.0 included
+    exponents = [3.0, 1.5, 2.0, 0.0, 1.0, 2.5, -0.0, 3.0, 0.7, 1.5, -1.0, 2.0, 0.0, 1.0, 3.0]
+    specs = [
+        SystemSpec(
+            4, 3, KineticLaw.nonrelativistic(1.1), onebody=PotentialLaw.power_law(0.6, 2.0), twobody=PotentialLaw.power_law(0.8, e)
+        )
+        for e in exponents
+    ]
+    qs = [4.5] * len(specs)
+    assert len({solver._block_key(spec, q) for spec, q in zip(specs, qs)}) == 1
+    _assert_block_scans_match(specs, qs)
+    want = _each(specs, qs)
+    calls = _count_full_scans(monkeypatch)
+    assert _blocked(specs, qs) == want
+    assert calls == []  # one block, and no point scanned alone
 
 
 def test_kinetic_parameter_sweep_with_a_onebody_term():
@@ -281,3 +422,38 @@ def test_config_error_after_a_solved_point(tmp_path):
     code, out, err = _sweep(tmp_path, text, "--param", "n", "--from", "4", "--to", "40")
     assert (code, out) == (1, "")
     assert err == "config error: [state] quanta lists 3 pairs but n=5 needs 4\n"
+
+
+# --- a law sweep rebuilds only its law, with every diagnostic kept ----------------
+
+THREE_TERMS = (
+    "[system]\nn = 3\nd = 3\n\n[kinetic]\nfamily = nonrelativistic\nmass = 1.0\n\n"
+    "[onebody]\nfamily = powerlaw\namplitude = 1.0\nexponent = 2.0\n\n"
+    "[twobody]\nfamily = powerlaw\namplitude = 0.2\nexponent = 2.0\n"
+)
+NO_KINETIC = "[system]\nn = 3\nd = 3\n\n[twobody]\nfamily = powerlaw\namplitude = 1.0\nexponent = 2.0\n"
+SHORT_QUANTA = THREE_TERMS + "\n[state]\nquanta = 0,0\n"
+
+
+@pytest.mark.parametrize(
+    "text, extra, err",
+    [
+        (THREE_TERMS, "twobody.foo 1 2", "config error: line 0: unknown key 'foo' in [twobody]\n"),
+        (
+            THREE_TERMS,
+            "onebody.family 1 2",
+            "config error: line 0: [onebody] family must be one of ['coulomb', 'exponential', 'gaussian', "
+            "'logarithmic', 'powerlaw', 'squareroot', 'yukawa'], got '1.0'\n",
+        ),
+        (NO_KINETIC, "twobody.amplitude 1 2", "config error: a [kinetic] section is required for this command\n"),
+        (NO_KINETIC, "twobody.amplitude 0 2", "config error: line 6: [twobody] power-law potential needs a nonzero amplitude\n"),
+        # -0.2 solves, 0 is invalid: the config error ends the sweep after the solved point
+        (THREE_TERMS, "twobody.amplitude -0.2 0.2", "config error: line 15: [twobody] power-law potential needs a nonzero amplitude\n"),
+        (SHORT_QUANTA, "kinetic.mass 1 2", "config error: [state] quanta lists 1 pairs but n=3 needs 2\n"),
+        (SHORT_QUANTA, "kinetic.mass -1 2", "config error: line 6: [kinetic] nonrelativistic kinetic law needs mass > 0, got -1.0\n"),
+    ],
+    ids=["unknown-key", "family-value", "no-kinetic", "no-kinetic-bad-first", "invalid-middle", "bad-state", "bad-state-bad-first"],
+)
+def test_law_sweep_diagnostics(tmp_path, text, extra, err):
+    param, start, stop = extra.split()
+    assert _sweep(tmp_path, text, "--param", param, "--from", start, "--to", stop, "--steps", "3") == (1, "", err)

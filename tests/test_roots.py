@@ -41,6 +41,14 @@ def test_same_float_and_steps_as_scipy(f, a, b, kwargs):
     assert our_xs == ref_xs
 
 
+def test_underflowing_interpolation_bisects_as_scipy_does():
+    # below ~1e-110 the inverse-quadratic denominator underflows to 0.0; scipy's
+    # C routine divides to inf there, fails its step test and bisects
+    (ours, our_xs), (ref, ref_xs) = _both(lambda x: 1e-120 * (x**3 - 2.0), 0.0, 3.0)
+    assert ours == ref == 1.2599210498948694
+    assert our_xs == ref_xs
+
+
 def test_two_body_residual_root_matches_scipy():
     kinetic = KineticLaw.semirelativistic(1.0)
     potential = PotentialLaw.power_law(1.0, 1.0)
