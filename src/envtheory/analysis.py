@@ -247,7 +247,7 @@ def _profile_stationary_scale(shape: PotentialLaw) -> float:
         raise NoCriticalPoint(
             "the well profile admits no stationary scale: 2 w(y) + y w'(y) never crosses zero"
         )
-    lo, hi = brackets[0]
+    lo, hi, f_lo, f_hi = brackets[0]
     if lo == hi:
-        return float(lo)
-    return float(brentq(lambda t: float(residual(t)), lo, hi, xtol=1e-300, rtol=4.0 * _EPS))
+        return lo
+    return brentq(lambda t: float(residual(t)), lo, hi, xtol=1e-300, rtol=4.0 * _EPS, fa=f_lo, fb=f_hi)[0]

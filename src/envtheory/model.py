@@ -60,6 +60,10 @@ class Statistics(Enum):
 
 
 class KineticFamily(Enum):
+    # Enum hashes a member by its name in Python code; an identity hash agrees
+    # with Enum's identity equality and keeps ``FAMILIES[law.family]`` in C.
+    __hash__ = object.__hash__
+
     NONRELATIVISTIC = "nonrelativistic"
     SEMIRELATIVISTIC = "semirelativistic"
     ULTRARELATIVISTIC = "ultrarelativistic"
@@ -69,6 +73,8 @@ class KineticFamily(Enum):
 
 
 class PotentialFamily(Enum):
+    __hash__ = object.__hash__  # see KineticFamily
+
     POWER_LAW = "powerlaw"
     COULOMB = "coulomb"
     SQUARE_ROOT = "squareroot"
@@ -85,7 +91,12 @@ class CustomProfile:
 
     ``value`` must accept positive floats and numpy arrays.  When
     ``derivative`` is omitted it is replaced by a central finite difference
-    of ``value``.
+    of ``value``.  A root polish starts from the array samples of the
+    solver's scan, so a profile should give a float the same number it gives
+    that float inside an array: numpy ufuncs such as ``np.power`` do, while
+    Python's ``**`` on a float can differ from them in the last bit.  A root
+    of such a profile still converges, but can land a few solver tolerances
+    away from one polished from scalar end values.
     """
 
     value: Callable[..., object]
@@ -138,9 +149,10 @@ def _central_difference(f: Callable, x):
 def _richardson_second(b: Callable, s):
     """Second derivative of ``b`` at ``s`` by Richardson-refined differences."""
     h = _FD_REL_STEP * np.asarray(s, dtype=float)
+    twice_center = 2.0 * b(s)  # both steps share it
 
     def d2(step):
-        return (b(s + step) - 2.0 * b(s) + b(s - step)) / (step * step)
+        return (b(s + step) - twice_center + b(s - step)) / (step * step)
 
     return (4.0 * d2(0.5 * h) - d2(h)) / 3.0
 
@@ -587,6 +599,12 @@ class SystemSpec:
         for count in ("n", "d", "degeneracy"):
             checked(getattr(self, count), count, integer=True)
         require_counts(n=self.n, d=self.d)
+        if not isinstance(self.kinetic, KineticLaw):
+            raise TypeError(f"kinetic must be a KineticLaw, got {self.kinetic!r}")
+        for slot in ("onebody", "twobody"):
+            law = getattr(self, slot)
+            if law is not None and not isinstance(law, PotentialLaw):
+                raise TypeError(f"{slot} must be a PotentialLaw or None, got {law!r}")
         if self.onebody is None and self.twobody is None:
             raise ValueError("at least one of onebody/twobody must be present")
         if self.degeneracy < 1:

@@ -1,13 +1,16 @@
 """Bracketed scalar root finding without scipy.
 
 ``sign_change_brackets`` finds the sign changes of a function sampled on a
-grid, or on one grid per row; the solver's stationarity scans and the
+grid, or on one grid per row, and hands back each bracket with the two
+samples at its ends; the solver's stationarity scans and the
 critical-coupling profile scan all use it.  ``brentq`` is a step-for-step
 port of the Brent routine behind ``scipy.optimize.brentq`` (inverse
 quadratic interpolation, secant and bisection steps on a sign-change
 bracket).  It takes the same steps, returns the same float and raises the
 same errors, so the solve path needs numpy only and skips the cost of
-importing ``scipy.optimize``.
+importing ``scipy.optimize``.  It also takes the endpoint values a scan
+already holds and hands back the value at its root with the root, so a
+level polished from a scan evaluates no point twice.
 """
 
 from __future__ import annotations
@@ -20,12 +23,28 @@ import numpy as np
 _RTOL_MIN = 4.0 * sys.float_info.epsilon
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL_MIN, maxiter: int = 100) -> float:
-    """A root of ``f`` in [a, b], where f(a) and f(b) differ in sign.
+def brentq(
+    f,
+    a: float,
+    b: float,
+    xtol: float = 2e-12,
+    rtol: float = _RTOL_MIN,
+    maxiter: int = 100,
+    *,
+    fa: float | None = None,
+    fb: float | None = None,
+) -> tuple[float, float]:
+    """(root, f(root)) for a root of ``f`` in [a, b], where f(a) and f(b) differ in sign.
 
     Converged when half the bracket is below (xtol + rtol |x|) / 2.  Raises
     ValueError for endpoints of the same sign, bad tolerances or a NaN value
     of ``f``, and RuntimeError when ``maxiter`` iterations do not converge.
+
+    ``fa`` and ``fb`` are f(a) and f(b) when the caller already holds them:
+    ``f`` is then not called at that endpoint, and the value passes the same
+    NaN and sign checks an evaluated one does.  f(root) is the value ``f``
+    gave (or ``fa``/``fb`` held) at the returned root, so a caller that
+    needs it does not evaluate the root again.
     """
     if maxiter < 0:
         raise ValueError(f"maxiter must be >= 0, got {maxiter}")
@@ -34,18 +53,18 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL_MIN, 
     if rtol < _RTOL_MIN:
         raise ValueError(f"rtol too small ({rtol:g} < {_RTOL_MIN:g})")
 
-    def fx(x: float) -> float:
-        value = float(f(x))
+    def fx(x: float, known: float | None = None) -> float:
+        value = float(f(x) if known is None else known)
         if math.isnan(value):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return value
 
     xpre, xcur = float(a), float(b)
-    fpre, fcur = fx(xpre), fx(xcur)
+    fpre, fcur = fx(xpre, fa), fx(xcur, fb)
     if fpre == 0.0:
-        return xpre
+        xcur, fcur = xpre, fpre
     if fcur == 0.0:
-        return xcur
+        return xcur, fcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
@@ -59,7 +78,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL_MIN, 
         delta = (xtol + rtol * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+            return xcur, fcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:
                 if xpre == xblk:  # interpolate (secant)
@@ -87,30 +106,51 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL_MIN, 
 def sign_change_brackets(grid, values):
     """Consecutive-point brackets of a sampled function with opposite signs, in grid order.
 
-    A sample that is exactly zero is its own zero-width bracket; a NaN or
-    infinite sample breaks the run, so no bracket spans it.  Returns
-    (brackets, overall_sign) with float endpoints; overall_sign summarizes the
-    scan when no bracket exists (+1 all positive, -1 all negative, 0
-    otherwise), counting ±inf samples and ignoring NaN ones.  2-D input is one
-    scan per row: the result is then a list of bracket lists and a list of
-    signs, one per row.
+    Each bracket is (lo, hi, f_lo, f_hi): its two grid points and the
+    function's samples there, so a polish can start from values the scan
+    already holds.  A sample that is exactly zero is its own zero-width
+    bracket; a NaN or infinite sample breaks the run, so no bracket spans it.
+    Returns (brackets, overall_sign) with float entries; overall_sign
+    summarizes the scan when no bracket exists (+1 all positive, -1 all
+    negative, 0 otherwise), counting ±inf samples and ignoring NaN ones.  2-D
+    input is one scan per row: the result is then a list of bracket lists and
+    a list of signs, one per row.
     """
     x = np.asarray(grid, dtype=float)
     v = np.asarray(values, dtype=float)
-    neg = v < 0.0
-    zero = v == 0.0
-    live = np.isfinite(v) & ~zero
-    # pair[..., i]: samples i-1 and i are both live and differ in sign; that bracket starts at i-1
-    pair = np.zeros(v.shape, dtype=bool)
-    pair[..., 1:] = live[..., 1:] & live[..., :-1] & (neg[..., 1:] != neg[..., :-1])
-    hit = pair | zero
-    end = np.nonzero(hit)  # one index array per axis, in row-major order
-    start = end[:-1] + (end[-1] - pair[end],)
-    brackets = list(zip(x[start].tolist(), x[end].tolist()))
-    # +1 all positive, -1 all negative, 0 for both signs or none
-    saw_pos, saw_neg = (v > 0.0).any(axis=-1), neg.any(axis=-1)
+    magnitude = np.abs(v)
+    fast = v.size > 0 and magnitude.min() > 0.0 and magnitude.max() < math.inf
+    if fast:
+        # every sample finite and nonzero: a bracket is a flip of the sign bit,
+        # and a row without one has its first sample's sign throughout
+        neg = np.signbit(v)
+        hit = neg[..., 1:] != neg[..., :-1]
+        start = hit.ravel().nonzero()[0]
+        if v.ndim > 1:
+            start += start // max(v.shape[-1] - 1, 1)  # hit has one column fewer per row than v
+        end = start + 1
+    else:
+        neg = v < 0.0
+        zero = v == 0.0
+        live = np.isfinite(v) & ~zero
+        # pair[..., i]: samples i-1 and i are both live and differ in sign; that bracket starts at i-1
+        pair = np.zeros(v.shape, dtype=bool)
+        pair[..., 1:] = live[..., 1:] & live[..., :-1] & (neg[..., 1:] != neg[..., :-1])
+        hit = pair | zero
+        end = hit.ravel().nonzero()[0]  # row-major order
+        start = end - pair.reshape(-1)[end]
+    xs, vs = x.reshape(-1), v.reshape(-1)
+    brackets = list(zip(xs[start].tolist(), xs[end].tolist(), vs[start].tolist(), vs[end].tolist()))
+    # the sign: +1 all positive, -1 all negative, 0 for both signs or none
     if v.ndim == 1:
-        return brackets, int(saw_pos) - int(saw_neg)
-    stops = np.cumsum(np.count_nonzero(hit, axis=-1)).tolist()
+        if fast:
+            return brackets, 0 if brackets else (-1 if neg[0] else 1)
+        return brackets, int((v > 0.0).any()) - int(neg.any())
+    counts = np.count_nonzero(hit, axis=-1)
+    if fast:
+        signs = np.where(counts > 0, 0, np.where(neg[:, 0], -1, 1))
+    else:
+        signs = np.subtract((v > 0.0).any(axis=-1), neg.any(axis=-1), dtype=int)
+    stops = np.cumsum(counts).tolist()
     rows = [brackets[lo:hi] for lo, hi in zip([0] + stops[:-1], stops)]
-    return rows, np.subtract(saw_pos, saw_neg, dtype=int).tolist()
+    return rows, signs.tolist()

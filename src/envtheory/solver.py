@@ -14,7 +14,9 @@ with E = T(p0) + V(r0) and F = p0 T'(p0) - r0 V'(r0).
 
 Roots are located by scanning a logarithmic grid around the natural guess
 r0 ~ Q for sign changes and polishing each bracket with a safeguarded
-bisection/secant method.  All roots are reported; the lowest-energy one is
+bisection/secant method (``roots.brentq``), which starts from the scan's own
+samples at the bracket's ends and hands back F at the root, so a level
+evaluates no point twice.  All roots are reported; the lowest-energy one is
 the physical envelope level.  A residual with one sign across the whole scan
 means there is nothing stationary: attraction wins at every scale (collapse)
 or kinetic pressure does (unbound).
@@ -176,7 +178,8 @@ def solve_nbody(
     """Envelope level of the N-body system at global quantum number Q.
 
     ``_brackets`` is internal to ``solve_nbody_many``: the brackets its block
-    scan found on this point's first grid, so the polish starts from them.
+    scan found on this point's first grid, with their samples, so the polish
+    starts from them.
     """
     cfg = config or _DEFAULT_CONFIG
     qv = checked(q, "quantum number", positive=True)
@@ -299,16 +302,9 @@ def solve_two_body(
 def _solve(residual, energy, qv: float, cfg: SolverConfig, verdict, brackets=None) -> EnvelopeSolution:
     roots = _polish_all(residual, brackets, cfg) if brackets else _scan_and_polish(residual, qv, cfg)
     stationary = []
-    for r0 in roots:
+    for r0, value in roots:
         p0 = qv / r0
-        stationary.append(
-            StationaryRoot(
-                r0=r0,
-                p0=p0,
-                energy=float(energy(r0, p0)),
-                residual=float(residual(r0)),
-            )
-        )
+        stationary.append(StationaryRoot(r0=r0, p0=p0, energy=float(energy(r0, p0)), residual=value))
     stationary.sort(key=lambda root: root.energy)
     primary = stationary[0]
     return EnvelopeSolution(
@@ -321,20 +317,20 @@ def _solve(residual, energy, qv: float, cfg: SolverConfig, verdict, brackets=Non
     )
 
 
-def _scan_and_polish(residual, guess: float, cfg: SolverConfig) -> list[float]:
+def _scan_and_polish(residual, guess: float, cfg: SolverConfig) -> list[tuple[float, float]]:
     decades = cfg.decades
     last_sign = 0
     for _expansion in range(3):
         grid = _log_grid(guess, decades, cfg.points_per_decade)
         with np.errstate(all="ignore"):
             values = np.asarray(residual(grid), dtype=float)
-        if np.all(np.isnan(values)):
-            raise ScanExhausted(
-                "stationarity residual could not be evaluated anywhere on the scan grid"
-            )
         brackets, signs = sign_change_brackets(grid, values)
         if brackets:
             return _polish_all(residual, brackets, cfg)
+        if np.isnan(values).all():
+            raise ScanExhausted(
+                "stationarity residual could not be evaluated anywhere on the scan grid"
+            )
         last_sign = signs
         decades *= cfg.bracket_expansion
     if last_sign < 0:
@@ -364,22 +360,31 @@ def _log_grid(guess: float, decades: float, per_decade: int) -> np.ndarray:
     return guess * _unit_grid(decades, per_decade)
 
 
-def _polish_all(residual, brackets, cfg: SolverConfig) -> list[float]:
-    roots: list[float] = []
+def _polish_all(residual, brackets, cfg: SolverConfig) -> list[tuple[float, float]]:
+    """(r0, F(r0)) for each bracket's root, polished from the bracket's own samples.
+
+    ``brentq`` starts from the scan's values at the ends and hands back F
+    at the root it returns, so no point is evaluated twice; a zero-width
+    bracket is a sampled zero and keeps its sample.
+    """
+    roots: list[tuple[float, float]] = []
     rtol = max(cfg.tolerance, 4.0 * _EPS)
-    for lo, hi in brackets:
+    for lo, hi, f_lo, f_hi in brackets:
         if lo == hi:
-            roots.append(float(lo))
+            roots.append((lo, f_lo))
             continue
-        root = brentq(
-            residual,
-            lo,
-            hi,
-            xtol=1e-300,
-            rtol=rtol,
-            maxiter=cfg.max_iterations,
+        roots.append(
+            brentq(
+                residual,
+                lo,
+                hi,
+                xtol=1e-300,
+                rtol=rtol,
+                maxiter=cfg.max_iterations,
+                fa=f_lo,
+                fb=f_hi,
+            )
         )
-        roots.append(float(root))
     return roots
 
 

@@ -26,6 +26,9 @@ from envtheory.errors import (
     NotShortRange,
     PerturbationSizeWarning,
 )
+from envtheory.roots import brentq, sign_change_brackets
+
+EPS = 2.220446049250313e-16
 
 
 # --- convexity classification ------------------------------------------------
@@ -293,3 +296,40 @@ def test_critical_scale_on_a_grid_zero_is_that_point():
         short_range=True,
     )
     assert critical_coupling("twobody", law, 2, QValue(1.5), 1.0).y0 == 1.0
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        PotentialLaw.yukawa(1.0, 1.3),
+        PotentialLaw.exponential(2.0, 0.7),
+        PotentialLaw.gaussian(1.0, 2.0),
+        PotentialLaw.custom(CustomProfile(lambda x: -np.exp(-np.power(x, 1.5))), short_range=True),
+    ],
+    ids=["yukawa", "exponential", "gaussian", "custom"],
+)
+def test_critical_scale_polishes_from_its_scan(shape):
+    # the polish starts from the scan's samples and lands where a polish that
+    # evaluates its own bracket ends does
+    def residual(y):
+        return 2.0 * shape.well_profile(y) + y * shape.well_profile_derivative(y)
+
+    center = shape.screening if shape.screening > 0.0 else 1.0
+    grid = center * np.logspace(-8.0, 8.0, 1025)
+    with np.errstate(all="ignore"):
+        (lo, hi, _, _), *_ = sign_change_brackets(grid, residual(grid))[0]
+    want = brentq(lambda t: float(residual(t)), lo, hi, xtol=1e-300, rtol=4.0 * EPS)[0]
+    assert critical_coupling("twobody", shape, 2, QValue(1.5), 1.0).y0 == want
+
+
+def test_critical_scale_evaluates_no_scanned_point_again():
+    scalars = []
+
+    def well(x):
+        if np.ndim(x) == 0:
+            scalars.append(float(x))
+        return -np.exp(-np.power(x, 1.5))
+
+    y0 = critical_coupling("twobody", PotentialLaw.custom(CustomProfile(well), short_range=True), 2, 1.5, 1.0).y0
+    assert y0 in scalars
+    assert not set(scalars) & set(np.logspace(-8.0, 8.0, 1025).tolist())

@@ -6,7 +6,10 @@ import gzip
 import io
 import itertools
 import json
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,7 @@ from envtheory import (
     solve_nbody_many,
     solver,
     stationary_residual,
+    two_body_residual,
 )
 from envtheory.cli import run
 from envtheory.errors import NonPositiveArgument, NoStationaryPoint
@@ -77,6 +81,33 @@ def test_every_committed_sweep_prints_its_golden_csv():
         assert (code, out.getvalue()) == (entry["exit"], entry["stdout"]), entry["id"]
 
 
+_SWEEP_PROBE = """
+import contextlib, gzip, io, json, sys
+from pathlib import Path
+from envtheory.cli import run
+
+corpus = Path(sys.argv[1])
+outputs = []
+for entry in json.loads(gzip.decompress((corpus / "sweep.json.gz").read_bytes())):
+    out = io.StringIO()
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = run(["sweep", "--config", str(corpus / "sweep" / (entry["id"] + ".ini")), *entry["extra"]], stdout=out)
+    outputs.append([code, out.getvalue()])
+print(json.dumps(outputs))
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "4242"])
+def test_committed_sweeps_do_not_depend_on_hash_order(seed):
+    # a family hashes by identity and a str by PYTHONHASHSEED; neither may reach the output
+    golden = json.loads(gzip.decompress((CORPUS / "sweep.json.gz").read_bytes()))
+    env = dict(os.environ, PYTHONPATH=str(CORPUS.parents[1] / "src"), PYTHONHASHSEED=seed)
+    done = subprocess.run(
+        [sys.executable, "-c", _SWEEP_PROBE, str(CORPUS)], env=env, capture_output=True, text=True, timeout=300, check=True
+    )
+    assert json.loads(done.stdout) == [[entry["exit"], entry["stdout"]] for entry in golden]
+
+
 # --- the residual bound once per system -------------------------------------------
 
 
@@ -115,11 +146,24 @@ _POTENTIALS += [
 ]
 
 
-def _specs_with_every_law():
-    specs = [SystemSpec(3, 3, kinetic, twobody=PotentialLaw.power_law(1.0, 2.0)) for kinetic in _KINETICS]
-    for k, potential in enumerate(_POTENTIALS):
-        other = _POTENTIALS[(k + 5) % len(_POTENTIALS)]
-        kinetic = _KINETICS[k % len(_KINETICS)]
+# The same custom laws written with numpy ufuncs only, so a float gets the bits
+# of the array sample at that point.  Python's ** on a float is libm's pow, not
+# np.power's loop, and differs from it in the last bit for some inputs.
+_ELEMENTWISE_KINETICS = _KINETICS[:-2] + [
+    KineticLaw.custom(CustomProfile(lambda p: np.power(p, 3.0), lambda p: 3.0 * p * p)),
+    _KINETICS[-1],
+]
+_ELEMENTWISE_POTENTIALS = _POTENTIALS[:-2] + [
+    PotentialLaw.custom(CustomProfile(lambda x: np.power(x, 1.3), lambda x: 1.3 * np.power(x, 0.3))),
+    _POTENTIALS[-1],
+]
+
+
+def _specs_with_every_law(kinetics=_KINETICS, potentials=_POTENTIALS):
+    specs = [SystemSpec(3, 3, kinetic, twobody=PotentialLaw.power_law(1.0, 2.0)) for kinetic in kinetics]
+    for k, potential in enumerate(potentials):
+        other = potentials[(k + 5) % len(potentials)]
+        kinetic = kinetics[k % len(kinetics)]
         specs += [
             SystemSpec(2 + k % 5, 3, kinetic, onebody=potential),
             SystemSpec(2 + k % 5, 3, kinetic, twobody=potential),
@@ -149,6 +193,45 @@ def test_bound_residual_equals_the_law_formula(spec):
             for r0 in _ARGUMENTS:
                 _assert_same_bits(stationary_residual(spec, q, r0), _reference_residual(spec, float(q), r0))
     assert solver._bound[0] is spec
+
+
+def _scalar_samples(spec, q, grid):
+    """F at each grid point, one scalar ``stationary_residual`` call per point."""
+    with np.errstate(all="ignore"):
+        return np.array([float(stationary_residual(spec, q, r0)) for r0 in grid.tolist()])
+
+
+def _neighbour(spec):
+    """``spec`` with n and every law parameter moved, so a block of both has a column per parameter."""
+
+    def moved(law):
+        if law is None:
+            return None
+        return type(law).of(law.family, *(1.25 * getattr(law, param.name) for param in FAMILIES[law.family].params))
+
+    return SystemSpec(spec.n + 1, spec.d, moved(spec.kinetic), onebody=moved(spec.onebody), twobody=moved(spec.twobody))
+
+
+@pytest.mark.parametrize("spec", _specs_with_every_law(_ELEMENTWISE_KINETICS, _ELEMENTWISE_POTENTIALS), ids=_spec_id)
+def test_scalar_residual_equals_the_scan_samples(spec):
+    # the polish starts from the scan's samples, so F at one point must be the
+    # sample the 1-D scan, and the block scan's row, hold there
+    cfg = SolverConfig()
+    grid = 2.5 * solver._unit_grid(cfg.decades, cfg.points_per_decade)
+    with np.errstate(all="ignore"):
+        assert _scalar_samples(spec, 2.5, grid).tobytes() == stationary_residual(spec, 2.5, grid).tobytes()
+    if solver._block_key(spec, 2.5) is not None:
+        # a block row's parameters are columns unless every row shares them
+        _assert_block_scans_match([spec, _neighbour(spec), spec], [2.5, 4.0, 4.0])
+
+
+@pytest.mark.parametrize("kinetic", _ELEMENTWISE_KINETICS, ids=lambda law: law.family.value)
+def test_two_body_scalar_residual_equals_the_scan_samples(kinetic):
+    grid = 2.5 * solver._unit_grid(SolverConfig().decades, SolverConfig().points_per_decade)
+    with np.errstate(all="ignore"):
+        for potential in _ELEMENTWISE_POTENTIALS:
+            scalar = np.array([float(two_body_residual(kinetic, potential, 2.5, r0)) for r0 in grid.tolist()])
+            assert scalar.tobytes() == two_body_residual(kinetic, potential, 2.5, grid).tobytes()
 
 
 def test_the_binding_follows_the_spec_in_alternation():
@@ -215,7 +298,7 @@ _FAMILY_SWEEPS = [
 
 
 def _assert_block_scans_match(specs, qs):
-    """Each block's 2-D scan equals the single-point scans of its points, bit for bit."""
+    """Each block's 2-D scan equals the single-point scans of its points, and their scalar F, bit for bit."""
     cfg = SolverConfig()
     points = list(zip(specs, qs))
     for _, block in itertools.groupby(points, key=lambda point: solver._block_key(*point)):
@@ -226,6 +309,9 @@ def _assert_block_scans_match(specs, qs):
             stacked = solver._block_residual(list(block_specs), np.array(block_qs), np.array(grids))
         np.testing.assert_array_equal(stacked, each)
         assert np.array_equal(np.signbit(stacked), np.signbit(each))
+        # the polish starts from a row's samples: each is the point's own scalar F
+        for spec, q, grid, row in zip(block_specs, block_qs, grids, stacked):
+            assert _scalar_samples(spec, q, grid).tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("kinetic, twobody, onebody, lo, hi", _FAMILY_SWEEPS)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import numpy as np
@@ -332,6 +333,81 @@ def test_system_spec_counts_must_be_integers(counts):
         SystemSpec(**{"n": 3, "d": 3, **counts}, kinetic=kin, twobody=pot)
     spec = SystemSpec(n=np.int64(4), d=np.int32(3), degeneracy=np.int64(2), kinetic=kin, twobody=pot)
     assert spec.pair_count == 6
+
+
+_KIN = KineticLaw.nonrelativistic(1.0)
+_POT = PotentialLaw.power_law(1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "laws, message",
+    [
+        ({"kinetic": None, "twobody": _POT}, "kinetic must be a KineticLaw, got None"),
+        ({"kinetic": "x", "twobody": _POT}, "kinetic must be a KineticLaw, got 'x'"),
+        ({"kinetic": _POT, "twobody": _POT}, "kinetic must be a KineticLaw, got PotentialLaw("),
+        ({"kinetic": _KIN, "twobody": "x"}, "twobody must be a PotentialLaw or None, got 'x'"),
+        ({"kinetic": _KIN, "onebody": _KIN}, "onebody must be a PotentialLaw or None, got KineticLaw("),
+    ],
+    ids=["kinetic-none", "kinetic-str", "kinetic-potential", "twobody-str", "onebody-kinetic"],
+)
+def test_system_spec_laws_are_type_checked(laws, message):
+    with pytest.raises(TypeError) as raised:
+        SystemSpec(3, 3, **laws)
+    assert str(raised.value).startswith(message)
+
+
+def test_families_hash_by_identity_and_laws_still_pickle_compare_and_hash():
+    for family in [*KineticFamily, *PotentialFamily]:
+        # the C-level identity hash: a FAMILIES lookup runs no Python frame
+        assert type(family).__hash__ is object.__hash__
+        assert pickle.loads(pickle.dumps(family)) is family
+        assert type(family)(family.value) is family
+    laws = [
+        KineticLaw.semirelativistic(0.5),
+        KineticLaw.minimal_length_quartic(1.0, 0.3),
+        PotentialLaw.power_law(1.0, 2.0),
+        PotentialLaw.yukawa(2.0, 0.5),
+        SystemSpec(3, 3, _KIN, onebody=PotentialLaw.coulomb(0.4), twobody=_POT),
+    ]
+    for law in laws:
+        copy = pickle.loads(pickle.dumps(law))
+        assert copy == law and hash(copy) == hash(law)
+        assert {law: "found"}[copy] == "found"
+    assert PotentialLaw.power_law(1.0, 2.0) != PotentialLaw.power_law(1.0, 3.0)
+
+
+def _richardson_two_calls(b, s):
+    """The curvature formula before b(s) was shared: each step evaluates it again."""
+    h = 1e-4 * np.asarray(s, dtype=float)
+
+    def d2(step):
+        return (b(s + step) - 2.0 * b(s) + b(s - step)) / (step * step)
+
+    return (4.0 * d2(0.5 * h) - d2(h)) / 3.0
+
+
+@pytest.mark.parametrize(
+    "law, aux",
+    [
+        (KineticLaw.semirelativistic(0.7), None),
+        (KineticLaw.custom(CustomProfile(lambda p: np.sqrt(p * p + 1.0) + 0.2 * p**4)), None),
+        (PotentialLaw.yukawa(1.5, 0.8), None),
+        (PotentialLaw.square_root(0.3, -2.0), 1.0),
+        (PotentialLaw.logarithmic(1.2), -1.0),
+        (PotentialLaw.custom(CustomProfile(lambda x: x**1.3 - np.exp(-x))), 0.5),
+    ],
+    ids=["semirel", "custom-kinetic", "yukawa", "sqrt-aux", "log-aux", "custom-aux"],
+)
+def test_sampled_curvature_is_the_two_call_formula_bit_for_bit(law, aux):
+    s = np.geomspace(1e-3, 1e3, 41)
+    if isinstance(law, KineticLaw):
+        b = lambda u: law.value(np.sqrt(u))  # noqa: E731
+    else:
+        b = lambda u: law.value(np.power(u, 1.0 / (2.0 if aux is None else aux)))  # noqa: E731
+    with np.errstate(all="ignore"):
+        for point in (s, 0.37, np.float64(12.5)):
+            got = np.asarray(law.chart_second_derivative(point, aux))
+            assert got.tobytes() == np.asarray(_richardson_two_calls(b, point)).tobytes()
 
 
 def test_state_spec():

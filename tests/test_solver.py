@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from envtheory import (
     BoundKind,
+    CustomProfile,
     KineticLaw,
     PotentialLaw,
     QValue,
@@ -16,15 +18,21 @@ from envtheory import (
     q_boson_ground,
     q_two_body_auxiliary,
     solve_nbody,
+    solve_nbody_many,
     solve_two_body,
+    solver,
     stationary_residual,
     two_body_energy,
+    two_body_residual,
 )
 from envtheory.errors import (
     InvalidAuxiliaryExponent,
     NoStationaryPoint,
 )
+from envtheory.roots import brentq, sign_change_brackets
 from envtheory.solver import _log_grid
+
+EPS = 2.220446049250313e-16
 
 
 def harmonic_spec(n, d, m, k):
@@ -358,3 +366,112 @@ def test_log_grid_equals_the_logspace_expression_bit_for_bit():
             got = _log_grid(guess, decades, per_decade)
             assert got.tobytes() == want.tobytes()
             assert _log_grid(guess, decades, per_decade).tobytes() == want.tobytes()  # cached unit grid
+
+
+# --- a level polishes from its scan's samples ------------------------------------
+
+
+_NBODY_LEVELS = [
+    harmonic_spec(4, 3, 1.0, 1.0),
+    SystemSpec(2, 3, KineticLaw.nonrelativistic(1.0), twobody=PotentialLaw.yukawa(8.0, 1.0)),  # two roots
+    SystemSpec(3, 3, KineticLaw.semirelativistic(0.5), onebody=PotentialLaw.power_law(0.7, 1.0)),
+    SystemSpec(5, 2, KineticLaw.minimal_length_quartic(1.0, 0.2), twobody=PotentialLaw.logarithmic(1.1)),
+    SystemSpec(
+        3,
+        3,
+        KineticLaw.custom(CustomProfile(lambda p: np.sqrt(p * p + 1.0) + 0.2 * p * p)),
+        twobody=PotentialLaw.custom(CustomProfile(lambda x: np.power(x, 1.4) - np.exp(-x))),
+    ),
+]
+
+
+def _scalar_points(monkeypatch, name):
+    """The scalar r0 of every call the solver makes to its residual function ``name``."""
+    points = []
+    original = getattr(solver, name)
+
+    def recorded(*args):
+        if np.ndim(args[-1]) == 0:
+            points.append(float(args[-1]))
+        return original(*args)
+
+    monkeypatch.setattr(solver, name, recorded)
+    return points
+
+
+def _reference_roots(f, grid):
+    """The roots as a polish that evaluates its own bracket ends finds them."""
+    with np.errstate(all="ignore"):
+        brackets, _ = sign_change_brackets(grid, f(grid))
+    rtol = max(SolverConfig().tolerance, 4.0 * EPS)
+    return sorted(
+        lo if lo == hi else brentq(lambda r: float(f(r)), lo, hi, xtol=1e-300, rtol=rtol, maxiter=200)[0]
+        for lo, hi, _, _ in brackets
+    )
+
+
+def _assert_polished_from_the_scan(solution, points, f, q):
+    grid = _log_grid(q, 8.0, 64)
+    # no point evaluated twice, and no scanned point evaluated again
+    assert len(points) == len(set(points))
+    assert not set(points) & set(grid.tolist())
+    assert sorted(root.r0 for root in solution.roots) == _reference_roots(f, grid)
+    for root in solution.roots:
+        assert root.residual.hex() == float(f(root.r0)).hex()
+
+
+@pytest.mark.parametrize("spec", _NBODY_LEVELS, ids=lambda spec: spec.kinetic.family.value)
+def test_nbody_level_polishes_from_its_scan(monkeypatch, spec):
+    q = 1.5
+    f = lambda r0: stationary_residual(spec, q, r0)  # noqa: E731
+    points = _scalar_points(monkeypatch, "stationary_residual")
+    solution = solve_nbody(spec, q)
+    _assert_polished_from_the_scan(solution, points, f, q)
+    # the block path hands each row's samples to the same polish, with n,
+    # pair_count and q differing between rows
+    other = dataclasses.replace(spec, n=spec.n + 1)
+    alone = list(points)
+    points.clear()
+    other_solution = solve_nbody(other, 2.0)
+    other_points = list(points)
+    points.clear()
+    blocked = solve_nbody_many([spec, other, spec], [q, 2.0, q])
+    assert blocked == [solution, other_solution, solution]
+    assert sorted(points) == sorted(2 * alone + other_points)
+
+
+@pytest.mark.parametrize(
+    "kinetic, potential, lam",
+    [
+        (KineticLaw.semirelativistic(1.0), PotentialLaw.power_law(1.0, 1.0), 1.0),
+        (KineticLaw.nonrelativistic(1.0), PotentialLaw.coulomb(1.0), -1.0),
+        (KineticLaw.nonrelativistic(1.0), PotentialLaw.yukawa(8.0, 1.0), 2.0),
+        (KineticLaw.ultrarelativistic(), PotentialLaw.square_root(0.3, 1.0), 2.0),
+    ],
+    ids=["semirel-linear", "coulomb", "yukawa", "ultrarel-sqrt"],
+)
+def test_two_body_level_polishes_from_its_scan(monkeypatch, kinetic, potential, lam):
+    q = 2.5
+    f = lambda r0: two_body_residual(kinetic, potential, q, r0)  # noqa: E731
+    points = _scalar_points(monkeypatch, "two_body_residual")
+    _assert_polished_from_the_scan(solve_two_body(kinetic, potential, lam, q), points, f, q)
+
+
+def test_a_float_power_profile_polishes_within_the_tolerance():
+    # Python's ** on a float is libm's pow and can differ in the last bit from
+    # np.power's array sample, so this profile's polish starts from end values
+    # an ulp off the scalar ones: it still converges, and lands within a few
+    # tolerances of a polish that evaluates its own ends
+    spec = SystemSpec(
+        3,
+        3,
+        KineticLaw.custom(CustomProfile(lambda p: p**3, lambda p: 3.0 * p * p)),
+        twobody=PotentialLaw.custom(CustomProfile(lambda x: x**1.3, lambda x: 1.3 * x**0.3)),
+    )
+    tolerance = SolverConfig().tolerance
+    for q in np.linspace(0.5, 20.0, 400).tolist():
+        got = sorted(root.r0 for root in solve_nbody(spec, q).roots)
+        want = _reference_roots(lambda r0: stationary_residual(spec, q, r0), _log_grid(q, 8.0, 64))
+        assert len(got) == len(want)
+        for r0, reference in zip(got, want):
+            assert abs(r0 - reference) <= 10.0 * tolerance * reference
