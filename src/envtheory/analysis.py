@@ -24,6 +24,7 @@ from .model import (
     KineticLaw,
     PotentialLaw,
     SystemSpec,
+    chart_exponent,
     checked,
     require_counts,
 )
@@ -60,7 +61,7 @@ def term_convexity(
         return tag
     lo, hi = _check_interval(domain)
     xs = np.logspace(np.log10(lo), np.log10(hi), samples)
-    lam = 2.0 if aux_exponent is None else float(aux_exponent)
+    lam = chart_exponent(aux_exponent)
     ss = np.power(xs, lam)  # image of the radial interval under the substitution
     with np.errstate(all="ignore"):
         curv = np.asarray(law.chart_second_derivative(ss, aux_exponent), dtype=float)

@@ -11,7 +11,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import analysis, apps, oracle, solver
 from .errors import (
@@ -163,6 +163,13 @@ def _line_of(name: str, data: dict, key: str) -> int:
     return data[key][0] if key in data else 0
 
 
+def _check_count(key: str, value: int, least: int, lineno: int) -> int:
+    """``value`` of [system] ``key``, which must be at least ``least``; ``lineno`` 0 for a sweep point."""
+    if value < least:
+        raise ConstraintViolation(f"line {lineno}: [system] {key} must be >= {least}, got {value}")
+    return value
+
+
 def _build_law(sections: Sections, name: str):
     """The law of section [name], or None; its keys, defaults and ranges come from ``FAMILIES``."""
     if name not in sections:
@@ -275,25 +282,15 @@ def config_from_sections(sections: Sections) -> RunConfig:
     _require("system", system, "d")
     n = _get_int("system", system, "n")
     d = _get_int("system", system, "d")
-    if n < 2:
-        raise ConstraintViolation(
-            f"line {_line_of('system', system, 'n')}: [system] n must be >= 2, got {n}"
-        )
-    if d < 2:
-        raise ConstraintViolation(
-            f"line {_line_of('system', system, 'd')}: [system] d must be >= 2, got {d}"
-        )
+    for key, value in (("n", n), ("d", d)):
+        _check_count(key, value, 2, _line_of("system", system, key))
     statistics = Statistics(
         _get_choice(
             "system", system, "statistics", {s.value for s in Statistics}, "unspecified"
         )
     )
     degeneracy = _get_int("system", system, "degeneracy", 1)
-    if degeneracy < 1:
-        raise ConstraintViolation(
-            f"line {_line_of('system', system, 'degeneracy')}: [system] degeneracy "
-            f"must be >= 1, got {degeneracy}"
-        )
+    _check_count("degeneracy", degeneracy, 1, _line_of("system", system, "degeneracy"))
 
     kinetic = _build_law(sections, "kinetic")
     onebody = _build_law(sections, "onebody")
@@ -326,24 +323,18 @@ def config_from_sections(sections: Sections) -> RunConfig:
                     f"line {_line_of('state', data, 'q')}: [state] {exc}"
                 ) from None
 
-    solver_cfg = solver.SolverConfig()
-    if "solver" in sections:
-        data = sections["solver"]
-        _reject_unknown(
-            "solver",
-            data,
-            {"tolerance", "max_iterations", "bracket_expansion", "points_per_decade", "decades"},
+    # [solver] keys are SolverConfig's fields, each parsed as its default's type
+    data = sections.get("solver", {})
+    settings = {
+        f.name: _get_int if isinstance(f.default, int) else _get_float for f in fields(solver.SolverConfig)
+    }
+    _reject_unknown("solver", data, set(settings))
+    try:
+        solver_cfg = solver.SolverConfig(
+            **{key: get("solver", data, key) for key, get in settings.items() if key in data}
         )
-        try:
-            solver_cfg = solver.SolverConfig(
-                tolerance=_get_float("solver", data, "tolerance", 1e-12),
-                max_iterations=_get_int("solver", data, "max_iterations", 200),
-                bracket_expansion=_get_float("solver", data, "bracket_expansion", 2.0),
-                points_per_decade=_get_int("solver", data, "points_per_decade", 64),
-                decades=_get_float("solver", data, "decades", 8.0),
-            )
-        except ValueError as exc:
-            raise ConstraintViolation(f"[solver] {exc}") from None
+    except ValueError as exc:
+        raise ConstraintViolation(f"[solver] {exc}") from None
 
     perturbation = None
     if "perturbation" in sections:
@@ -603,9 +594,7 @@ def _cmd_sweep(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
     try:
         for value in values:
             if param in ("n", "d"):
-                sections = {name: dict(data) for name, data in cfg.sections.items()}
-                sections["system"][param] = (0, str(int(value)))
-                point = config_from_sections(sections)
+                point = replace(cfg, **{param: _check_count(param, int(value), 2, 0)})
                 q = None  # Q follows n and d
             else:
                 # every other section parsed with cfg, so only the swept law can fail

@@ -21,8 +21,8 @@ class UnsupportedAuxiliary(EnvelopeError):
     """No closed-form quantum-number tower is known for this auxiliary exponent."""
 
 
-class InvalidAuxiliaryExponent(EnvelopeError):
-    """Auxiliary power-law exponents must be nonzero and larger than -2."""
+class InvalidAuxiliaryExponent(EvaluationDomainError):
+    """Auxiliary power-law exponents must be finite, nonzero and larger than -2."""
 
 
 class NoStationaryPoint(EnvelopeError):

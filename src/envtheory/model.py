@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     EmptyState,
     EvaluationDomainError,
+    InvalidAuxiliaryExponent,
     NonPositiveArgument,
     NotShortRange,
 )
@@ -107,9 +108,10 @@ def checked(value, what: str, positive: bool = False, integer: bool = False):
     """``value`` as a finite float, positive when ``positive`` is set; a count unchanged.
 
     The one input check behind the law constructors, ``SystemSpec``,
-    ``QValue``, the solver's Q and the closed forms: NaN, ±inf, a value that
-    is not > 0 where ``positive`` asks for one and, for a count (``integer``),
-    anything but a Python or numpy integer raise ValueError naming ``what``.
+    ``SolverConfig``, ``QValue``, the solver's Q, the counts, the oracles and
+    the closed forms: NaN, ±inf, a value that is not > 0 where ``positive``
+    asks for one and, for a count (``integer``), anything but a Python or
+    numpy integer raise ValueError naming ``what``.
     """
     if integer:
         if not isinstance(value, (int, np.integer)):
@@ -124,7 +126,10 @@ def checked(value, what: str, positive: bool = False, integer: bool = False):
 
 
 def require_counts(n: int | None = None, d: int | None = None) -> None:
-    """Reject fewer than two particles or fewer than two dimensions."""
+    """Reject a count that is not an integer, fewer than two particles or fewer than two dimensions."""
+    for name, count in (("n", n), ("d", d)):
+        if count is not None:
+            checked(count, name, integer=True)
     if n is not None and n < 2:
         raise ValueError(f"need at least two particles, got n={n}")
     if d is not None and d < 2:
@@ -157,20 +162,22 @@ def _richardson_second(b: Callable, s):
     return (4.0 * d2(0.5 * h) - d2(h)) / 3.0
 
 
-def _chart_exponent(aux_exponent: float | None) -> float:
+def auxiliary_exponent(value) -> float:
+    """``value`` as an auxiliary exponent lam: the one check that lam is finite, nonzero and > -2."""
+    lam = float(value)
+    if lam > -2.0 and lam != 0.0 and math.isfinite(lam):
+        return lam
+    rule = "nonzero and > -2" if math.isfinite(lam) else "finite"
+    raise InvalidAuxiliaryExponent(f"auxiliary exponent must be {rule}, got {value}")
+
+
+def chart_exponent(aux_exponent: float | None) -> float:
     """Substitution exponent of the composition chart (2 for the x->x**2 rule)."""
-    if aux_exponent is None:
-        return 2.0
-    lam = float(aux_exponent)
-    if lam == 0.0 or lam <= -2.0:
-        raise EvaluationDomainError(
-            f"chart substitution needs a nonzero exponent > -2, got {lam}"
-        )
-    return lam
+    return 2.0 if aux_exponent is None else auxiliary_exponent(aux_exponent)
 
 
 def _kinetic_chart(aux_exponent: float | None) -> None:
-    if _chart_exponent(aux_exponent) != 2.0:
+    if chart_exponent(aux_exponent) != 2.0:
         raise EvaluationDomainError("kinetic charts use the x**2 substitution only")
 
 
@@ -550,7 +557,7 @@ class PotentialLaw:
     # -- composition chart ---------------------------------------------------
 
     def chart_value(self, s, aux_exponent: float | None = None):
-        lam = _chart_exponent(aux_exponent)
+        lam = chart_exponent(aux_exponent)
         return self.value(np.power(s, 1.0 / lam))
 
     def chart_second_derivative(self, s, aux_exponent: float | None = None):
@@ -561,7 +568,7 @@ class PotentialLaw:
         substituted variable.
         """
         _require_positive(s, "chart argument")
-        lam = _chart_exponent(aux_exponent)
+        lam = chart_exponent(aux_exponent)
         power = FAMILIES[self.family].power
         if power is None:
             return _richardson_second(lambda u: self.value(np.power(u, 1.0 / lam)), s)
@@ -571,7 +578,7 @@ class PotentialLaw:
 
     def convexity_tag(self, aux_exponent: float | None = None) -> Convexity | None:
         """Global sign of the chart curvature where it is provable a priori."""
-        lam = _chart_exponent(aux_exponent)
+        lam = chart_exponent(aux_exponent)
         record = FAMILIES[self.family]
         if record.power is not None:
             amp, q = record.power(self)
@@ -596,8 +603,7 @@ class SystemSpec:
     degeneracy: int = 1
 
     def __post_init__(self) -> None:
-        for count in ("n", "d", "degeneracy"):
-            checked(getattr(self, count), count, integer=True)
+        checked(self.degeneracy, "degeneracy", integer=True)
         require_counts(n=self.n, d=self.d)
         if not isinstance(self.kinetic, KineticLaw):
             raise TypeError(f"kinetic must be a KineticLaw, got {self.kinetic!r}")

@@ -20,7 +20,7 @@ from .errors import (
     UnboundedBelow,
     UnboundOscillator,
 )
-from .model import EnvelopeSolution, PotentialLaw, StateSpec, SystemSpec, require_counts
+from .model import EnvelopeSolution, PotentialLaw, StateSpec, SystemSpec, checked, require_counts
 from .qnum import q_from_quanta
 
 _RICHARDSON_REL_TOL = 1e-6
@@ -37,8 +37,9 @@ def harmonic_exact(
     omega = sqrt(2 (nu + N rho) / mu), so every level is omega * Q.
     """
     require_counts(n=n, d=d)
-    if mu <= 0.0:
-        raise ValueError(f"mass must be positive, got {mu}")
+    checked(mu, "mass", positive=True)
+    checked(nu, "nu")
+    checked(rho, "rho")
     if state.n_particles != n:
         raise ValueError(
             f"state carries {state.n_particles - 1} pairs but n={n} needs {n - 1}"
@@ -80,13 +81,11 @@ class RadialProblem:
     points: int = 4000
 
     def __post_init__(self) -> None:
-        if self.mu <= 0.0:
-            raise ValueError(f"mass must be positive, got {self.mu}")
+        checked(self.mu, "mass", positive=True)
         require_counts(d=self.d)
         if self.l < 0:
             raise ValueError(f"angular degree must be >= 0, got {self.l}")
-        if self.r_max <= 0.0:
-            raise ValueError(f"r_max must be positive, got {self.r_max}")
+        checked(self.r_max, "r_max", positive=True)
         if self.points < 200:
             raise ValueError(f"need at least 200 grid points, got {self.points}")
 
@@ -202,8 +201,7 @@ class SemiclassicalGeometry:
     @classmethod
     def for_system(cls, n: int, r0: float) -> "SemiclassicalGeometry":
         require_counts(n=n)
-        if r0 <= 0.0:
-            raise ValueError(f"r0 must be positive, got {r0}")
+        checked(r0, "r0", positive=True)
         c = n * (n - 1) / 2.0
         circle = (r0 / c) / math.tan(math.pi / (2.0 * n))
         return cls(

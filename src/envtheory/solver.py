@@ -29,12 +29,12 @@ polish starts from them, with its floats unchanged from ``solve_nbody``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import analysis
-from .errors import EnvelopeError, InvalidAuxiliaryExponent, NoStationaryPoint, ScanExhausted
+from .errors import EnvelopeError, NoStationaryPoint, ScanExhausted
 from .model import (
     FAMILIES,
     ConvexityVerdict,
@@ -45,6 +45,8 @@ from .model import (
     PotentialLaw,
     StationaryRoot,
     SystemSpec,
+    auxiliary_exponent,
+    chart_exponent,
     checked,
 )
 from .qnum import QValue
@@ -67,8 +69,8 @@ class SolverConfig:
     decades: float = 8.0
 
     def __post_init__(self) -> None:
-        for name in ("tolerance", "bracket_expansion", "decades"):
-            checked(getattr(self, name), name)
+        for each in fields(self):
+            checked(getattr(self, each.name), each.name)
         if not (0.0 < self.tolerance <= 1e-6):
             raise ValueError(f"tolerance must lie in (0, 1e-6], got {self.tolerance}")
         if self.max_iterations < 10:
@@ -94,15 +96,9 @@ def auxiliary_energy(mu: float, rho: float, aux_exponent: float, q: QValue | flo
 
     for rho > 0 and 0 != lam > -2.
     """
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    lam = float(aux_exponent)
-    if lam == 0.0 or lam <= -2.0:
-        raise InvalidAuxiliaryExponent(
-            f"auxiliary exponent must be nonzero and > -2, got {aux_exponent}"
-        )
+    checked(mu, "mu", positive=True)
+    checked(rho, "rho", positive=True)
+    lam = auxiliary_exponent(aux_exponent)
     qv = checked(q, "quantum number", positive=True)
     return (
         (lam + 2.0)
@@ -268,11 +264,7 @@ def solve_two_body(
     sgn(lam) x**lam substitution on this path).  ``None`` keeps the default
     quadratic chart.
     """
-    lam = 2.0 if aux_exponent is None else float(aux_exponent)
-    if lam == 0.0 or lam <= -2.0:
-        raise InvalidAuxiliaryExponent(
-            f"auxiliary exponent must be nonzero and > -2, got {aux_exponent}"
-        )
+    lam = chart_exponent(aux_exponent)
     cfg = config or _DEFAULT_CONFIG
     qv = checked(q, "quantum number", positive=True)
 

@@ -373,3 +373,16 @@ def test_exit_code_oracle_not_converged(tmp_path):
 def test_usage_error_unknown_command():
     code, _ = capture("transmogrify", "x.cfg")
     assert code == 1
+
+
+def test_readme_solve_example_matches_the_cli(tmp_path):
+    """The README's harmonic.cfg and its `envtheory solve` output, run through `run`."""
+    import pathlib
+    import re
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    config = re.search(r"```ini\n(# harmonic\.cfg\n.*?)```", readme, re.S).group(1)
+    shown = re.search(r"\$ envtheory solve --config harmonic\.cfg\n(.+\n.+\n)", readme).group(1)
+    out = io.StringIO()
+    assert run(["solve", "--config", write(tmp_path, config, "harmonic.cfg")], stdout=out) == 0
+    assert out.getvalue() == shown

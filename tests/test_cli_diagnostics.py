@@ -336,3 +336,73 @@ def test_usage_errors_keep_their_text_on_a_reused_parser(tmp_path, capsys):
         out = io.StringIO()
         assert run(["solve", "--config", str(path)], stdout=out) == 0
         assert out.getvalue().startswith("N,D,Q,E,r0,p0,bound,n_roots\n3,3,")
+
+
+# --- [system] counts, [solver] keys and n/d sweep points ---------------------------
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        ("n = 1\nd = 3\n", "line 2: [system] n must be >= 2, got 1"),
+        ("n = 3\nd = 1\n", "line 3: [system] d must be >= 2, got 1"),
+        ("n = 1\nd = 1\n", "line 2: [system] n must be >= 2, got 1"),
+        ("n = 3\nd = 3\ndegeneracy = 0\n", "line 4: [system] degeneracy must be >= 1, got 0"),
+        ("n = 3\nd = 3\ndegeneracy = two\n", "line 4: [system] degeneracy: expected an integer, got 'two'"),
+        ("n = 1\nd = three\n", "line 3: [system] d: expected an integer, got 'three'"),
+        ("n = 1.5\nd = 1\n", "line 2: [system] n: expected an integer, got '1.5'"),
+        (
+            "n = 3\nd = 3\nstatistics = anyon\ndegeneracy = 0\n",
+            "line 4: [system] statistics must be one of ['boson', 'fermion', 'unspecified'], got 'anyon'",
+        ),
+        (
+            "n = 1\nd = 3\nstatistics = anyon\n",
+            "line 2: [system] n must be >= 2, got 1",
+        ),
+        ("n = 3\nd = 3\ncolor = blue\n", "line 4: unknown key 'color' in [system]"),
+        ("d = 3\n", "[system] requires key 'n'"),
+    ],
+    ids=[
+        "n-range", "d-range", "n-before-d", "degeneracy-range", "degeneracy-type",
+        "d-type-before-n-range", "n-type-before-d-range", "statistics-before-degeneracy",
+        "n-range-before-statistics", "unknown-key", "missing-n",
+    ],
+)
+def test_system_diagnostics_and_their_order_are_pinned(tmp_path, capsys, body, expected):
+    text = "[system]\n" + body + "\n" + KINETIC + HARMONIC
+    assert solve_stderr(tmp_path, capsys, text) == (1, f"config error: {expected}\n")
+
+
+@pytest.mark.parametrize("param", ["n", "d"])
+def test_count_sweep_below_two_is_a_line_0_config_error(tmp_path, capsys, param):
+    path = tmp_path / "run.cfg"
+    path.write_text(SWEEP)
+    out = io.StringIO()
+    code = run(["sweep", "--config", str(path), "--param", param, "--from", "1", "--to", "3"], stdout=out)
+    expected = f"config error: line 0: [system] {param} must be >= 2, got 1\n"
+    assert (code, capsys.readouterr().err, out.getvalue()) == (1, expected, "")
+
+
+def test_empty_solver_section_is_the_default_config():
+    from envtheory.cli import parse_config
+    from envtheory.solver import SolverConfig
+
+    assert parse_config(SWEEP + "\n[solver]\n").solver == SolverConfig()
+    assert parse_config(SWEEP).solver == SolverConfig()
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        ("decades = 4\ncolour = blue\n", "line 16: unknown key 'colour' in [solver]"),
+        ("max_iterations = 2.5\n", "line 15: [solver] max_iterations: expected an integer, got '2.5'"),
+        ("tolerance = tight\n", "line 15: [solver] tolerance: expected a number, got 'tight'"),
+        ("max_iterations = 5\n", "[solver] max_iterations must be >= 10, got 5"),
+        ("points_per_decade = 4\n", "[solver] points_per_decade must be >= 8"),
+        ("decades = x\npoints_per_decade = y\n", "line 16: [solver] points_per_decade: expected an integer, got 'y'"),
+    ],
+    ids=["unknown-key", "int-type", "float-type", "iterations-range", "density-range", "field-order"],
+)
+def test_solver_diagnostics_are_pinned(tmp_path, capsys, body, expected):
+    text = SYSTEM + KINETIC + HARMONIC + "\n[solver]\n" + body
+    assert solve_stderr(tmp_path, capsys, text) == (1, f"config error: {expected}\n")

@@ -1,0 +1,140 @@
+"""Each input rule has one home, and bad input fails at construction with a typed error.
+
+The auxiliary exponent lam is checked by ``model.auxiliary_exponent``, finite
+and positive numbers by ``model.checked`` and particle and dimension counts by
+``model.require_counts``.  NaN, ±inf and non-integer counts never reach a
+result.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from envtheory.analysis import classify_two_body, critical_coupling
+from envtheory.errors import EvaluationDomainError, InvalidAuxiliaryExponent
+from envtheory.model import KineticLaw, PotentialLaw, StateSpec
+from envtheory.oracle import RadialProblem, SemiclassicalGeometry, harmonic_exact
+from envtheory.qnum import q_boson_ground, q_from_quanta
+from envtheory.solver import auxiliary_energy, solve_two_body
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+KINETIC = KineticLaw.nonrelativistic(1.0)
+LINEAR = PotentialLaw.power_law(1.0, 1.0)
+
+
+def test_invalid_auxiliary_exponent_is_an_evaluation_domain_error():
+    assert issubclass(InvalidAuxiliaryExponent, EvaluationDomainError)
+
+
+# --- the auxiliary exponent --------------------------------------------------------
+
+
+@pytest.mark.parametrize("lam", NON_FINITE)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lam: solve_two_body(KINETIC, LINEAR, lam, 1.5),
+        lambda lam: auxiliary_energy(1.0, 1.0, lam, 1.5),
+        lambda lam: classify_two_body(KINETIC, LINEAR, lam, (0.5, 2.0)),
+        lambda lam: LINEAR.chart_second_derivative(1.0, lam),
+        lambda lam: LINEAR.convexity_tag(lam),
+        lambda lam: PotentialLaw.yukawa(1.0).convexity_tag(lam),
+    ],
+    ids=["solve_two_body", "auxiliary_energy", "classify_two_body", "chart_curvature", "power_tag", "sampled_tag"],
+)
+def test_non_finite_auxiliary_exponent_is_rejected(call, lam):
+    with pytest.raises(InvalidAuxiliaryExponent, match=f"^auxiliary exponent must be finite, got {lam}$"):
+        call(lam)
+    with pytest.raises(EvaluationDomainError):
+        call(lam)
+
+
+@pytest.mark.parametrize("lam", [0, 0.0, -2.0, -3])
+def test_finite_auxiliary_exponent_messages_are_unchanged(lam):
+    expected = f"^auxiliary exponent must be nonzero and > -2, got {lam}$"
+    with pytest.raises(InvalidAuxiliaryExponent, match=expected):
+        solve_two_body(KINETIC, LINEAR, lam, 1.5)
+    with pytest.raises(InvalidAuxiliaryExponent, match=expected):
+        auxiliary_energy(1.0, 1.0, lam, 1.5)
+    # the chart's own wording gave way to the same rule's text
+    with pytest.raises(InvalidAuxiliaryExponent, match=expected):
+        LINEAR.convexity_tag(lam)
+
+
+def test_a_valid_auxiliary_exponent_still_solves():
+    sol = solve_two_body(KINETIC, LINEAR, 1.0, 1.5)
+    assert sol.bound.classification.value == "Exact"
+    assert auxiliary_energy(1.0, 1.0, 1.0, 1.5) == pytest.approx(sol.energy, rel=1e-10)
+
+
+# --- finite and positive numbers ---------------------------------------------------
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: auxiliary_energy(v, 1.0, 2.0, 1.5),
+        lambda v: auxiliary_energy(1.0, v, 2.0, 1.5),
+        lambda v: harmonic_exact(3, 3, v, 1.0, 0.0, StateSpec.ground(3)),
+        lambda v: harmonic_exact(3, 3, 1.0, v, 0.0, StateSpec.ground(3)),
+        lambda v: harmonic_exact(3, 3, 1.0, 1.0, v, StateSpec.ground(3)),
+        lambda v: RadialProblem(mu=v, potential=LINEAR, d=3, l=0, r_max=10.0),
+        lambda v: RadialProblem(mu=1.0, potential=LINEAR, d=3, l=0, r_max=v),
+        lambda v: SemiclassicalGeometry.for_system(3, v),
+    ],
+    ids=[
+        "auxiliary_energy-mu", "auxiliary_energy-rho", "harmonic_exact-mu", "harmonic_exact-nu",
+        "harmonic_exact-rho", "RadialProblem-mu", "RadialProblem-r_max", "geometry-r0",
+    ],
+)
+def test_non_finite_number_is_rejected(call, value):
+    with pytest.raises(ValueError, match=f"got {value}$"):
+        call(value)
+
+
+def test_finite_positivity_messages_are_unchanged():
+    with pytest.raises(ValueError, match="^mu must be positive, got -1.0$"):
+        auxiliary_energy(-1.0, 1.0, 2.0, 1.5)
+    with pytest.raises(ValueError, match="^rho must be positive, got 0.0$"):
+        auxiliary_energy(1.0, 0.0, 2.0, 1.5)
+    with pytest.raises(ValueError, match="^mass must be positive, got 0.0$"):
+        harmonic_exact(3, 3, 0.0, 1.0, 0.0, StateSpec.ground(3))
+    with pytest.raises(ValueError, match="^r_max must be positive, got -1.0$"):
+        RadialProblem(mu=1.0, potential=LINEAR, d=3, l=0, r_max=-1.0)
+    with pytest.raises(ValueError, match="^r0 must be positive, got 0.0$"):
+        SemiclassicalGeometry.for_system(3, 0.0)
+
+
+# --- counts ------------------------------------------------------------------------
+
+YUKAWA = PotentialLaw.yukawa(1.0)
+
+
+@pytest.mark.parametrize("count", [3.5, 3.0])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda k: q_from_quanta(StateSpec(((0, 0),)), k), "d"),
+        (lambda k: q_boson_ground(k, 3), "n"),
+        (lambda k: q_boson_ground(3, k), "d"),
+        (lambda k: harmonic_exact(k, 3, 1.0, 1.0, 0.0, StateSpec.ground(3)), "n"),
+        (lambda k: harmonic_exact(3, k, 1.0, 1.0, 0.0, StateSpec.ground(3)), "d"),
+        (lambda k: critical_coupling("twobody", YUKAWA, k, 3.0, 1.0), "n"),
+    ],
+    ids=["q_from_quanta-d", "q_boson_ground-n", "q_boson_ground-d", "harmonic_exact-n", "harmonic_exact-d",
+         "critical_coupling-n"],
+)
+def test_non_integer_count_is_rejected(call, name, count):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {count}$"):
+        call(count)
+
+
+def test_numpy_integer_counts_are_accepted():
+    three = np.int64(3)
+    assert q_from_quanta(StateSpec(((0, 0),)), three) == q_from_quanta(StateSpec(((0, 0),)), 3)
+    assert q_boson_ground(three, three) == q_boson_ground(3, 3)
+    ground = StateSpec.ground(3)
+    assert harmonic_exact(three, three, 1.0, 1.0, 0.0, ground) == harmonic_exact(3, 3, 1.0, 1.0, 0.0, ground)
+    assert critical_coupling("twobody", YUKAWA, three, 3.0, 1.0) == critical_coupling("twobody", YUKAWA, 3, 3.0, 1.0)

@@ -318,7 +318,9 @@ def test_solver_config_validation():
         SolverConfig(points_per_decade=4)
 
 
-@pytest.mark.parametrize("field", ["tolerance", "bracket_expansion", "decades"])
+@pytest.mark.parametrize(
+    "field", ["tolerance", "max_iterations", "bracket_expansion", "points_per_decade", "decades"]
+)
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_solver_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
