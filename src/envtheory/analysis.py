@@ -47,20 +47,20 @@ def term_convexity(
     law: KineticLaw | PotentialLaw,
     domain: tuple[float, float],
     aux_exponent: float | None = None,
-    samples: int = _SAMPLES,
 ) -> Convexity:
-    """Curvature classification of one term's chart over a radial interval.
+    """Curvature classification of one term's chart.
 
-    Families with a provable global curvature sign are tagged analytically;
-    anything else gets its chart curvature sampled on a log-spaced image of
-    ``domain`` under the substitution, with a relative sign tolerance so that
-    numerically flat terms count as linear.
+    A built-in family's verdict is its closed-form tag, which holds on all of
+    (0, inf) whatever ``domain`` is.  Only a custom profile gets its chart
+    curvature sampled, on a log-spaced image of ``domain`` under the
+    substitution, with a relative sign tolerance so that numerically flat
+    terms count as linear.
     """
     tag = law.convexity_tag() if isinstance(law, KineticLaw) else law.convexity_tag(aux_exponent)
     if tag is not None:
         return tag
     lo, hi = _check_interval(domain)
-    xs = np.logspace(np.log10(lo), np.log10(hi), samples)
+    xs = np.logspace(np.log10(lo), np.log10(hi), _SAMPLES)
     lam = chart_exponent(aux_exponent)
     ss = np.power(xs, lam)  # image of the radial interval under the substitution
     with np.errstate(all="ignore"):

@@ -632,14 +632,17 @@ def _cmd_oracle(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
     q = cfg.resolve_q()
     sol = solver.solve_nbody(system, q, cfg.solver)
     r_max = args.rmax if args.rmax is not None else 25.0 * sol.r0
-    problem = oracle.RadialProblem(
-        mu=cfg.kinetic.mass / 2.0,
-        potential=cfg.twobody,
-        d=cfg.d,
-        l=cfg.state_l(),
-        r_max=r_max,
-        points=args.points,
-    )
+    try:
+        problem = oracle.RadialProblem(
+            mu=cfg.kinetic.mass / 2.0,
+            potential=cfg.twobody,
+            d=cfg.d,
+            l=cfg.state_l(),
+            r_max=r_max,
+            points=args.points,
+        )
+    except ValueError as exc:
+        raise ConstraintViolation(str(exc)) from None
     levels = oracle.radial_eigenvalues(problem, args.levels)
     rows = [[str(i), _fmt(e)] for i, e in enumerate(levels)]
     return ["level", "E"], rows

@@ -4,14 +4,18 @@ Kinetic and potential terms are small immutable records that know how to
 evaluate themselves, their first derivative, and the curvature of their
 composition chart ``b`` — the function with ``T(x) = b(x**2)`` and
 ``W(x) = b(x**2)`` (many-body rule) or ``W(x) = b(sgn(lam) * x**lam)``
-(two-body auxiliary rule).  The sign of ``b''`` decides whether an envelope
-energy is an upper or a lower bound, so the curvature query uses analytic
-forms where the family permits and a Richardson-refined central difference
-otherwise.
+(two-body auxiliary rule).  The sign of ``b''`` on all of (0, inf) decides
+whether an envelope energy is an upper or a lower bound.  Since
+
+    b''(s) = x / (lam**2 s**2) * [x V''(x) - (lam - 1) V'(x)],   s = x**lam,
+
+that sign is algebra about the family: every built-in family states it in
+closed form for every chart exponent.  Only a custom profile has its chart
+curvature sampled, by a Richardson-refined central difference.
 
 Each family is one ``LawFamily`` record in ``FAMILIES``: its parameters with
 their ranges and config defaults, its value and derivative, its closed-form
-chart curvature if it has one, and its convexity rule.  The laws and the CLI
+chart curvature if it has one, and its curvature rule.  The laws and the CLI
 read every per-family fact from that table.
 
 All evaluation methods accept floats or numpy arrays of strictly positive
@@ -208,21 +212,23 @@ class Param:
 class LawFamily:
     """Everything that defines one kinetic or potential family.
 
-    ``value`` and ``derivative`` take (law, x).  ``tag`` gives the global sign
-    of the chart curvature under the x**2 chart where it is provable a priori,
-    else None, so the classifier samples it.  A kinetic family may give its
-    chart curvature b''(s) in closed form as ``curvature`` (law, s).  A
-    potential that is a pure power amplitude * x**exponent gives that pair as
-    ``power`` (law); its chart curvature and tag then follow in closed form
-    under every substitution exponent.  Without a closed form, the chart
-    curvature comes from Richardson differences of the value.
+    ``value`` and ``derivative`` take (law, x).  ``tag`` takes (law, lam) and
+    gives the sign of the chart curvature on all of s > 0 under the chart
+    exponent lam: the sign of x V'' - (lam - 1) V' for a potential, and the
+    x**2 chart's sign for a kinetic law.  ``MIXED`` means that sign flips
+    somewhere on (0, inf).  Only a custom family gives None, so the
+    classifier samples it.  A kinetic family may give its chart curvature
+    b''(s) in closed form as ``curvature`` (law, s).  A potential that is a
+    pure power amplitude * x**exponent gives that pair as ``power`` (law),
+    and its chart curvature follows in closed form.  Without a closed form,
+    the chart curvature comes from Richardson differences of the value.
     """
 
     label: str  # how constructor errors name the family
     params: tuple[Param, ...]
     value: Callable
     derivative: Callable
-    tag: Callable = lambda law: None
+    tag: Callable = lambda law, lam: None
     curvature: Callable | None = None
     power: Callable | None = None
     short_range: bool = False
@@ -244,11 +250,29 @@ class LawFamily:
 
 
 def _tagged(convexity: Convexity) -> Callable:
-    return lambda law: convexity
+    return lambda law, lam: convexity
 
 
-def _scale_sign(law) -> Convexity:
-    return Convexity.CONCAVE if law.scale > 0.0 else Convexity.CONVEX
+def _sign(*factors: float) -> Convexity:
+    """The class of a chart whose b'' has, everywhere, the sign of the product of ``factors``.
+
+    The signs are counted rather than the factors multiplied, so no product can underflow to 0.
+    """
+    negatives = 0
+    for factor in factors:
+        if factor == 0.0:
+            return Convexity.LINEAR
+        negatives += factor < 0.0
+    return Convexity.CONCAVE if negatives % 2 else Convexity.CONVEX
+
+
+def _square_root_tag(law, lam: float) -> Convexity:
+    """x V'' - (lam-1) V' has the sign of scale * [offset (2-lam) - (lam-1) x**2]."""
+    if law.offset == 0.0:
+        return _sign(law.scale, 1.0 - lam)
+    if 1.0 < lam < 2.0:
+        return Convexity.MIXED
+    return _sign(law.scale, 1.0 if lam <= 1.0 else -1.0)
 
 
 def _custom_family(kind: str) -> LawFamily:
@@ -273,12 +297,20 @@ def _custom_family(kind: str) -> LawFamily:
     return LawFamily(f"custom {kind} law", (), value, derivative)
 
 
-def _short_range_family(label: str, value: Callable, derivative: Callable) -> LawFamily:
-    """A well -coupling * w(x / screening) with a positive profile w vanishing at infinity."""
+def _short_range_family(
+    label: str, value: Callable, derivative: Callable, concave_from: float
+) -> LawFamily:
+    """A well -coupling * w(x / screening) with a positive profile w vanishing at infinity.
+
+    Its chart is concave for every lam >= ``concave_from``; below that,
+    x V'' - (lam-1) V' changes sign at a finite x, so the chart is mixed.
+    """
     params = (Param("coupling", ">"), Param("screening", ">", default=1.0))
-    return LawFamily(
-        label, params, value, derivative, tag=_tagged(Convexity.CONCAVE), short_range=True
-    )
+
+    def tag(law, lam):
+        return Convexity.CONCAVE if lam >= concave_from else Convexity.MIXED
+
+    return LawFamily(label, params, value, derivative, tag=tag, short_range=True)
 
 
 def _minimal_length_value(law, p):
@@ -332,7 +364,7 @@ FAMILIES: dict[KineticFamily | PotentialFamily, LawFamily] = {
         (Param("mass", ">"), Param("deformation", ">=")),
         value=_minimal_length_value,
         derivative=lambda law, p: p / law.mass + 4.0 * law.deformation * p * p * p / law.mass,
-        tag=lambda law: Convexity.CONVEX if law.deformation > 0.0 else Convexity.LINEAR,
+        tag=lambda law, lam: Convexity.CONVEX if law.deformation > 0.0 else Convexity.LINEAR,
         curvature=lambda law, s: 2.0 * law.deformation / law.mass + 0.0 * s,
     ),
     KineticFamily.EXPONENTIAL_QUADRATIC: LawFamily(
@@ -349,6 +381,7 @@ FAMILIES: dict[KineticFamily | PotentialFamily, LawFamily] = {
         (Param("amplitude", "!="), Param("exponent", ">", -2.0)),
         value=lambda law, x: law.amplitude * np.power(x, law.exponent),
         derivative=lambda law, x: law.amplitude * law.exponent * np.power(x, law.exponent - 1.0),
+        tag=lambda law, lam: _sign(law.amplitude, law.exponent, law.exponent - lam),
         power=lambda law: (law.amplitude, law.exponent),
     ),
     PotentialFamily.COULOMB: LawFamily(
@@ -356,6 +389,7 @@ FAMILIES: dict[KineticFamily | PotentialFamily, LawFamily] = {
         (Param("strength", ">"),),
         value=lambda law, x: -law.strength / x,
         derivative=lambda law, x: law.strength / (x * x),
+        tag=lambda law, lam: _sign(-law.strength, 1.0 + lam),
         power=lambda law: (-law.strength, -1.0),
     ),
     PotentialFamily.SQUARE_ROOT: LawFamily(
@@ -363,27 +397,29 @@ FAMILIES: dict[KineticFamily | PotentialFamily, LawFamily] = {
         (Param("offset", ">=", default=0.0), Param("scale", "!=", default=1.0)),
         value=lambda law, x: law.scale * np.sqrt(x * x + law.offset),
         derivative=lambda law, x: law.scale * x / np.sqrt(x * x + law.offset),
-        tag=_scale_sign,
+        tag=_square_root_tag,
     ),
     PotentialFamily.LOGARITHMIC: LawFamily(
         "logarithmic potential",
         (Param("scale", "!=", default=1.0),),
         value=lambda law, x: law.scale * np.log(x),
         derivative=lambda law, x: law.scale / x,
-        tag=_scale_sign,
+        tag=lambda law, lam: _sign(-lam, law.scale),
     ),
     PotentialFamily.YUKAWA: _short_range_family(
         "yukawa potential",
         lambda law, x: -law.coupling * np.exp(-x / law.screening) / x,
         _yukawa_derivative,
+        concave_from=-1.0,
     ),
     PotentialFamily.EXPONENTIAL: _short_range_family(
         "exponential potential",
         lambda law, x: -law.coupling * np.exp(-x / law.screening),
         lambda law, x: (law.coupling / law.screening) * np.exp(-x / law.screening),
+        concave_from=1.0,
     ),
     PotentialFamily.GAUSSIAN: _short_range_family(
-        "gaussian potential", _gaussian_value, _gaussian_derivative
+        "gaussian potential", _gaussian_value, _gaussian_derivative, concave_from=2.0
     ),
     PotentialFamily.CUSTOM: _custom_family("potential"),
 }
@@ -458,8 +494,8 @@ class KineticLaw:
         return _richardson_second(lambda u: self.value(np.sqrt(u)), s)
 
     def convexity_tag(self) -> Convexity | None:
-        """Global sign of the chart curvature where it is provable a priori."""
-        return FAMILIES[self.family].tag(self)
+        """Sign of the x**2 chart's curvature on all of s > 0; None for a custom profile."""
+        return FAMILIES[self.family].tag(self, 2.0)
 
 
 @dataclass(frozen=True)
@@ -577,17 +613,8 @@ class PotentialLaw:
         return amp * kappa * (kappa - 1.0) * np.power(s, kappa - 2.0)
 
     def convexity_tag(self, aux_exponent: float | None = None) -> Convexity | None:
-        """Global sign of the chart curvature where it is provable a priori."""
-        lam = chart_exponent(aux_exponent)
-        record = FAMILIES[self.family]
-        if record.power is not None:
-            amp, q = record.power(self)
-            sign = amp * (q / lam) * (q / lam - 1.0)
-            if sign == 0.0:
-                return Convexity.LINEAR
-            return Convexity.CONVEX if sign > 0.0 else Convexity.CONCAVE
-        # The other tags hold for every s > 0 under the x**2 chart only.
-        return record.tag(self) if lam == 2.0 else None
+        """Sign of the chart curvature on all of s > 0; None for a custom profile."""
+        return FAMILIES[self.family].tag(self, chart_exponent(aux_exponent))
 
 
 @dataclass(frozen=True)
@@ -632,6 +659,8 @@ class StateSpec:
             raise EmptyState("a state needs at least one (n, l) pair")
         for pair in self.quanta:
             n_i, l_i = pair
+            checked(n_i, "quantum number n", integer=True)
+            checked(l_i, "quantum number l", integer=True)
             if n_i < 0 or l_i < 0:
                 raise ValueError(f"quanta must be non-negative integers, got {pair}")
 

@@ -83,6 +83,7 @@ class RadialProblem:
     def __post_init__(self) -> None:
         checked(self.mu, "mass", positive=True)
         require_counts(d=self.d)
+        checked(self.l, "angular degree", integer=True)
         if self.l < 0:
             raise ValueError(f"angular degree must be >= 0, got {self.l}")
         checked(self.r_max, "r_max", positive=True)

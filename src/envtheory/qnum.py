@@ -73,6 +73,7 @@ def q_fermion_asymptotic(n: int, d: int, degeneracy: int = 1) -> QValue:
     the leading term only and is not a shell-exact count at small n.
     """
     require_counts(n=n, d=d)
+    checked(degeneracy, "degeneracy", integer=True)
     if degeneracy < 1:
         raise ValueError(f"degeneracy must be >= 1, got {degeneracy}")
     value = d / (d + 1.0) * (math.factorial(d) * float(n) ** (d + 1) / degeneracy) ** (1.0 / d)
@@ -87,6 +88,8 @@ def q_two_body_auxiliary(aux_exponent: float, n: int, l: int, d: int) -> QValue:
     d = 3, l = 0 only) maps the k-th Airy zero alpha_n onto
     Q = 2 (-alpha_n / 3)^(3/2).
     """
+    checked(n, "quantum number n", integer=True)
+    checked(l, "quantum number l", integer=True)
     if n < 0 or l < 0:
         raise ValueError(f"quantum numbers must be non-negative, got n={n}, l={l}")
     require_counts(d=d)

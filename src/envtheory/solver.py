@@ -71,6 +71,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         for each in fields(self):
             checked(getattr(self, each.name), each.name)
+        checked(self.max_iterations, "max_iterations", integer=True)
         if not (0.0 < self.tolerance <= 1e-6):
             raise ValueError(f"tolerance must lie in (0, 1e-6], got {self.tolerance}")
         if self.max_iterations < 10:

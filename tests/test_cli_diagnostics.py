@@ -406,3 +406,23 @@ def test_empty_solver_section_is_the_default_config():
 def test_solver_diagnostics_are_pinned(tmp_path, capsys, body, expected):
     text = SYSTEM + KINETIC + HARMONIC + "\n[solver]\n" + body
     assert solve_stderr(tmp_path, capsys, text) == (1, f"config error: {expected}\n")
+
+
+ORACLE = "[system]\nn = 2\nd = 3\n\n" + KINETIC + HARMONIC
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (["--points", "100"], "need at least 200 grid points, got 100"),
+        (["--rmax", "-1"], "r_max must be positive, got -1.0"),
+        (["--rmax", "nan"], "r_max must be positive, got nan"),
+    ],
+    ids=["points-100", "rmax-negative", "rmax-nan"],
+)
+def test_oracle_bad_grid_flags_are_config_errors(tmp_path, capsys, flags, expected):
+    path = tmp_path / "run.cfg"
+    path.write_text(ORACLE)
+    out = io.StringIO()
+    code = run(["oracle", "--config", str(path), *flags], stdout=out)
+    assert (code, capsys.readouterr().err, out.getvalue()) == (1, f"config error: {expected}\n", "")

@@ -15,8 +15,8 @@ from envtheory.analysis import classify_two_body, critical_coupling
 from envtheory.errors import EvaluationDomainError, InvalidAuxiliaryExponent
 from envtheory.model import KineticLaw, PotentialLaw, StateSpec
 from envtheory.oracle import RadialProblem, SemiclassicalGeometry, harmonic_exact
-from envtheory.qnum import q_boson_ground, q_from_quanta
-from envtheory.solver import auxiliary_energy, solve_two_body
+from envtheory.qnum import q_boson_ground, q_fermion_asymptotic, q_from_quanta, q_two_body_auxiliary
+from envtheory.solver import SolverConfig, auxiliary_energy, solve_two_body
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 KINETIC = KineticLaw.nonrelativistic(1.0)
@@ -138,3 +138,39 @@ def test_numpy_integer_counts_are_accepted():
     ground = StateSpec.ground(3)
     assert harmonic_exact(three, three, 1.0, 1.0, 0.0, ground) == harmonic_exact(3, 3, 1.0, 1.0, 0.0, ground)
     assert critical_coupling("twobody", YUKAWA, three, 3.0, 1.0) == critical_coupling("twobody", YUKAWA, 3, 3.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: StateSpec(((0.5, 0), (0, 0.25))), "quantum number n must be an integer, got 0.5"),
+        (lambda: StateSpec(((0, 0), (0, 0.25))), "quantum number l must be an integer, got 0.25"),
+        (lambda: q_two_body_auxiliary(2.0, 0.5, 0, 3), "quantum number n must be an integer, got 0.5"),
+        (lambda: q_two_body_auxiliary(2.0, 0, 1.0, 3), "quantum number l must be an integer, got 1.0"),
+        (lambda: RadialProblem(mu=1.0, potential=LINEAR, d=3, l=0.5, r_max=10.0), "angular degree must be an integer, got 0.5"),
+        (lambda: q_fermion_asymptotic(10, 3, 2.5), "degeneracy must be an integer, got 2.5"),
+    ],
+    ids=["StateSpec-n", "StateSpec-l", "q_two_body_auxiliary-n", "q_two_body_auxiliary-l", "RadialProblem-l",
+         "q_fermion_asymptotic-degeneracy"],
+)
+def test_non_integer_quantum_number_is_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_integer_quantum_number_range_messages_are_unchanged():
+    with pytest.raises(ValueError, match=r"^quanta must be non-negative integers, got \(0, -1\)$"):
+        StateSpec(((0, -1),))
+    with pytest.raises(ValueError, match="^quantum numbers must be non-negative, got n=-1, l=0$"):
+        q_two_body_auxiliary(2.0, -1, 0, 3)
+    with pytest.raises(ValueError, match="^angular degree must be >= 0, got -1$"):
+        RadialProblem(mu=1.0, potential=LINEAR, d=3, l=-1, r_max=10.0)
+    with pytest.raises(ValueError, match="^degeneracy must be >= 1, got 0$"):
+        q_fermion_asymptotic(10, 3, 0)
+    assert q_from_quanta(StateSpec(((np.int64(1), np.int64(2)),)), 3) == q_from_quanta(StateSpec(((1, 2),)), 3)
+
+
+@pytest.mark.parametrize("value", [200.5, 200.0])
+def test_non_integer_max_iterations_is_rejected_at_construction(value):
+    with pytest.raises(ValueError, match=f"^max_iterations must be an integer, got {value}$"):
+        SolverConfig(max_iterations=value)
