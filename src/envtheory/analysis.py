@@ -29,7 +29,7 @@ from .model import (
     require_counts,
 )
 from .qnum import QValue
-from .roots import brentq, sign_change_brackets
+from .roots import brentq, log_grid, sign_change_brackets
 
 _SAMPLES = 33
 _SIGN_REL_TOL = 1e-5
@@ -240,15 +240,13 @@ def _profile_stationary_scale(shape: PotentialLaw) -> float:
         return 2.0 * shape.well_profile(y) + y * shape.well_profile_derivative(y)
 
     center = shape.screening if shape.screening > 0.0 else 1.0
-    grid = center * np.logspace(-8.0, 8.0, 1025)
+    grid = center * log_grid(16.0, 64)
     with np.errstate(all="ignore"):
         values = np.asarray(residual(grid), dtype=float)
-    brackets, _ = sign_change_brackets(grid, values)
+    brackets = sign_change_brackets(grid, values)
     if not brackets:
         raise NoCriticalPoint(
             "the well profile admits no stationary scale: 2 w(y) + y w'(y) never crosses zero"
         )
     lo, hi, f_lo, f_hi = brackets[0]
-    if lo == hi:
-        return lo
-    return brentq(lambda t: float(residual(t)), lo, hi, xtol=1e-300, rtol=4.0 * _EPS, fa=f_lo, fb=f_hi)[0]
+    return brentq(residual, lo, hi, xtol=1e-300, rtol=4.0 * _EPS, fa=f_lo, fb=f_hi)[0]

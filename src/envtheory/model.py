@@ -666,6 +666,7 @@ class StateSpec:
 
     @classmethod
     def ground(cls, n_particles: int) -> "StateSpec":
+        checked(n_particles, "n_particles", integer=True)
         if n_particles < 2:
             raise ValueError("a ground state needs at least two particles")
         return cls(((0, 0),) * (n_particles - 1))

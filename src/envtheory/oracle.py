@@ -87,6 +87,7 @@ class RadialProblem:
         if self.l < 0:
             raise ValueError(f"angular degree must be >= 0, got {self.l}")
         checked(self.r_max, "r_max", positive=True)
+        checked(self.points, "grid points", integer=True)
         if self.points < 200:
             raise ValueError(f"need at least 200 grid points, got {self.points}")
 
@@ -103,6 +104,7 @@ def radial_eigenvalues(problem: RadialProblem, count: int) -> np.ndarray:
     grids agree to 1e-6 relative on every requested level, and the Richardson
     combination (4 E_fine - E_coarse) / 3 of the last pair is returned.
     """
+    checked(count, "level count", integer=True)
     if count < 1:
         raise ValueError(f"need at least one level, got {count}")
     coarse = _grid_eigenvalues(problem, problem.points, count)
@@ -122,6 +124,7 @@ def radial_eigenvalues(problem: RadialProblem, count: int) -> np.ndarray:
 
 def radial_eigenvalue(problem: RadialProblem, n: int) -> float:
     """The n-th radial level (0-based) in the problem's angular sector."""
+    checked(n, "level index", integer=True)
     if n < 0:
         raise ValueError(f"level index must be >= 0, got {n}")
     return float(radial_eigenvalues(problem, n + 1)[n])

@@ -125,6 +125,7 @@ def airy_ai(x: float) -> float:
 
 def airy_zero(index: int) -> float:
     """The index-th negative zero of Ai (0-based), from mpmath, cached."""
+    checked(index, "zero index", integer=True)
     if index < 0:
         raise ValueError(f"zero index must be >= 0, got {index}")
     with _airy_lock:

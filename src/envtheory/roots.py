@@ -1,9 +1,10 @@
 """Bracketed scalar root finding without scipy.
 
+``log_grid`` is the one scan grid: the solver's stationarity scans and the
+critical-coupling profile scan each scale it to their own centre.
 ``sign_change_brackets`` finds the sign changes of a function sampled on a
 grid, or on one grid per row, and hands back each bracket with the two
-samples at its ends; the solver's stationarity scans and the
-critical-coupling profile scan all use it.  ``brentq`` is a step-for-step
+samples at its ends.  ``brentq`` is a step-for-step
 port of the Brent routine behind ``scipy.optimize.brentq`` (inverse
 quadratic interpolation, secant and bisection steps on a sign-change
 bracket).  It takes the same steps, returns the same float and raises the
@@ -15,6 +16,7 @@ level polished from a scan evaluates no point twice.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -103,6 +105,18 @@ def brentq(
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
+@functools.lru_cache(maxsize=32)
+def log_grid(decades: float, per_decade: int) -> np.ndarray:
+    """``per_decade`` samples a decade over ``decades`` decades centred on 1, cached and read-only.
+
+    A scan around a centre c samples ``c * log_grid(decades, per_decade)``.
+    """
+    half = decades / 2.0
+    unit = np.logspace(-half, half, int(round(per_decade * decades)) + 1)
+    unit.flags.writeable = False
+    return unit
+
+
 def sign_change_brackets(grid, values):
     """Consecutive-point brackets of a sampled function with opposite signs, in grid order.
 
@@ -110,19 +124,15 @@ def sign_change_brackets(grid, values):
     function's samples there, so a polish can start from values the scan
     already holds.  A sample that is exactly zero is its own zero-width
     bracket; a NaN or infinite sample breaks the run, so no bracket spans it.
-    Returns (brackets, overall_sign) with float entries; overall_sign
-    summarizes the scan when no bracket exists (+1 all positive, -1 all
-    negative, 0 otherwise), counting ±inf samples and ignoring NaN ones.  2-D
-    input is one scan per row: the result is then a list of bracket lists and
-    a list of signs, one per row.
+    Returns the list of brackets, with float entries.  2-D input is one scan
+    per row: the result is then one bracket list per row.
     """
     x = np.asarray(grid, dtype=float)
     v = np.asarray(values, dtype=float)
     magnitude = np.abs(v)
     fast = v.size > 0 and magnitude.min() > 0.0 and magnitude.max() < math.inf
     if fast:
-        # every sample finite and nonzero: a bracket is a flip of the sign bit,
-        # and a row without one has its first sample's sign throughout
+        # every sample finite and nonzero: a bracket is a flip of the sign bit
         neg = np.signbit(v)
         hit = neg[..., 1:] != neg[..., :-1]
         start = hit.ravel().nonzero()[0]
@@ -141,16 +151,7 @@ def sign_change_brackets(grid, values):
         start = end - pair.reshape(-1)[end]
     xs, vs = x.reshape(-1), v.reshape(-1)
     brackets = list(zip(xs[start].tolist(), xs[end].tolist(), vs[start].tolist(), vs[end].tolist()))
-    # the sign: +1 all positive, -1 all negative, 0 for both signs or none
     if v.ndim == 1:
-        if fast:
-            return brackets, 0 if brackets else (-1 if neg[0] else 1)
-        return brackets, int((v > 0.0).any()) - int(neg.any())
-    counts = np.count_nonzero(hit, axis=-1)
-    if fast:
-        signs = np.where(counts > 0, 0, np.where(neg[:, 0], -1, 1))
-    else:
-        signs = np.subtract((v > 0.0).any(axis=-1), neg.any(axis=-1), dtype=int)
-    stops = np.cumsum(counts).tolist()
-    rows = [brackets[lo:hi] for lo, hi in zip([0] + stops[:-1], stops)]
-    return rows, signs.tolist()
+        return brackets
+    stops = np.cumsum(np.count_nonzero(hit, axis=-1)).tolist()
+    return [brackets[lo:hi] for lo, hi in zip([0] + stops[:-1], stops)]

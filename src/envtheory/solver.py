@@ -12,14 +12,14 @@ with C_N = N (N - 1) / 2 pairs and p0 = Q / r0.  A stationary scale is a root
 of F.  The two-body reduction (one relative coordinate) is the same structure
 with E = T(p0) + V(r0) and F = p0 T'(p0) - r0 V'(r0).
 
-Roots are located by scanning a logarithmic grid around the natural guess
-r0 ~ Q for sign changes and polishing each bracket with a safeguarded
+Roots are located by scanning ``roots.log_grid``, scaled to the natural
+guess r0 ~ Q, for sign changes and polishing each bracket with a safeguarded
 bisection/secant method (``roots.brentq``), which starts from the scan's own
 samples at the bracket's ends and hands back F at the root, so a level
 evaluates no point twice.  All roots are reported; the lowest-energy one is
-the physical envelope level.  A residual with one sign across the whole scan
-means there is nothing stationary: attraction wins at every scale (collapse)
-or kinetic pressure does (unbound).
+the physical envelope level.  A scan with no bracket gives its verdict from
+its own samples: no positive one means attraction wins at every scale
+(collapse), no negative one that kinetic pressure does (unbound).
 
 ``solve_nbody_many`` solves a sequence of N-body points, a sweep, in blocks:
 one 2-D scan finds the brackets on every point's first grid, and each point's
@@ -28,7 +28,6 @@ polish starts from them, with its floats unchanged from ``solve_nbody``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -50,7 +49,7 @@ from .model import (
     checked,
 )
 from .qnum import QValue
-from .roots import brentq, sign_change_brackets
+from .roots import brentq, log_grid, sign_change_brackets
 
 _EPS = float(np.finfo(float).eps)
 # Grid samples in one block scan of ``solve_nbody_many``; it bounds the memory
@@ -206,7 +205,7 @@ def solve_nbody_many(
     of the first point that fails, are therefore those of the loop above.
     """
     cfg = config or _DEFAULT_CONFIG
-    size = max(1, _BLOCK_SAMPLES // _unit_grid(cfg.decades, cfg.points_per_decade).size)
+    size = max(1, _BLOCK_SAMPLES // log_grid(cfg.decades, cfg.points_per_decade).size)
     solutions: list[EnvelopeSolution] = []
     block: list = []
     block_key = None
@@ -312,25 +311,24 @@ def _solve(residual, energy, qv: float, cfg: SolverConfig, verdict, brackets=Non
 
 def _scan_and_polish(residual, guess: float, cfg: SolverConfig) -> list[tuple[float, float]]:
     decades = cfg.decades
-    last_sign = 0
     for _expansion in range(3):
-        grid = _log_grid(guess, decades, cfg.points_per_decade)
+        grid = guess * log_grid(decades, cfg.points_per_decade)
         with np.errstate(all="ignore"):
             values = np.asarray(residual(grid), dtype=float)
-        brackets, signs = sign_change_brackets(grid, values)
+        brackets = sign_change_brackets(grid, values)
         if brackets:
             return _polish_all(residual, brackets, cfg)
         if np.isnan(values).all():
             raise ScanExhausted(
                 "stationarity residual could not be evaluated anywhere on the scan grid"
             )
-        last_sign = signs
         decades *= cfg.bracket_expansion
-    if last_sign < 0:
+    # the widest scan has no zero and no finite sign change; NaN samples carry no sign
+    if not (values > 0.0).any():
         raise NoStationaryPoint(
             "attraction dominates at every scanned scale (collapse regime)"
         )
-    if last_sign > 0:
+    if not (values < 0.0).any():
         raise NoStationaryPoint(
             "kinetic pressure dominates at every scanned scale (no bound stationary point)"
         )
@@ -339,46 +337,18 @@ def _scan_and_polish(residual, guess: float, cfg: SolverConfig) -> list[tuple[fl
     )
 
 
-@functools.lru_cache(maxsize=32)
-def _unit_grid(decades: float, per_decade: int) -> np.ndarray:
-    """The scan grid around a guess of 1, read-only; every scan with these settings scales it."""
-    half = decades / 2.0
-    count = int(round(per_decade * decades)) + 1
-    unit = np.logspace(-half, half, count)
-    unit.flags.writeable = False
-    return unit
-
-
-def _log_grid(guess: float, decades: float, per_decade: int) -> np.ndarray:
-    return guess * _unit_grid(decades, per_decade)
-
-
 def _polish_all(residual, brackets, cfg: SolverConfig) -> list[tuple[float, float]]:
     """(r0, F(r0)) for each bracket's root, polished from the bracket's own samples.
 
     ``brentq`` starts from the scan's values at the ends and hands back F
     at the root it returns, so no point is evaluated twice; a zero-width
-    bracket is a sampled zero and keeps its sample.
+    bracket is a sampled zero, which ``brentq`` returns with its sample.
     """
-    roots: list[tuple[float, float]] = []
     rtol = max(cfg.tolerance, 4.0 * _EPS)
-    for lo, hi, f_lo, f_hi in brackets:
-        if lo == hi:
-            roots.append((lo, f_lo))
-            continue
-        roots.append(
-            brentq(
-                residual,
-                lo,
-                hi,
-                xtol=1e-300,
-                rtol=rtol,
-                maxiter=cfg.max_iterations,
-                fa=f_lo,
-                fb=f_hi,
-            )
-        )
-    return roots
+    return [
+        brentq(residual, lo, hi, xtol=1e-300, rtol=rtol, maxiter=cfg.max_iterations, fa=f_lo, fb=f_hi)
+        for lo, hi, f_lo, f_hi in brackets
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +420,9 @@ def _solve_block(block: list, cfg: SolverConfig) -> list[EnvelopeSolution]:
     qs = np.array([float(q) for _, q in block])
     try:
         with np.errstate(all="ignore"):
-            grid = qs[:, None] * _unit_grid(cfg.decades, cfg.points_per_decade)
+            grid = qs[:, None] * log_grid(cfg.decades, cfg.points_per_decade)
             values = _block_residual(specs, qs, grid)
-        brackets, _ = sign_change_brackets(grid, values)
+        brackets = sign_change_brackets(grid, values)
     except (ArithmeticError, ValueError, EnvelopeError):
         # the single-point scans raise it again, from the point it belongs to
         brackets = [[]] * len(block)

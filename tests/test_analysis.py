@@ -317,7 +317,7 @@ def test_critical_scale_polishes_from_its_scan(shape):
     center = shape.screening if shape.screening > 0.0 else 1.0
     grid = center * np.logspace(-8.0, 8.0, 1025)
     with np.errstate(all="ignore"):
-        (lo, hi, _, _), *_ = sign_change_brackets(grid, residual(grid))[0]
+        (lo, hi, _, _), *_ = sign_change_brackets(grid, residual(grid))
     want = brentq(lambda t: float(residual(t)), lo, hi, xtol=1e-300, rtol=4.0 * EPS)[0]
     assert critical_coupling("twobody", shape, 2, QValue(1.5), 1.0).y0 == want
 

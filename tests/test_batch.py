@@ -32,6 +32,7 @@ from envtheory import (
 from envtheory.cli import run
 from envtheory.errors import NonPositiveArgument, NoStationaryPoint
 from envtheory.model import FAMILIES, KineticFamily, PotentialFamily
+from envtheory.roots import log_grid
 
 CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
 
@@ -217,7 +218,7 @@ def test_scalar_residual_equals_the_scan_samples(spec):
     # the polish starts from the scan's samples, so F at one point must be the
     # sample the 1-D scan, and the block scan's row, hold there
     cfg = SolverConfig()
-    grid = 2.5 * solver._unit_grid(cfg.decades, cfg.points_per_decade)
+    grid = 2.5 * log_grid(cfg.decades, cfg.points_per_decade)
     with np.errstate(all="ignore"):
         assert _scalar_samples(spec, 2.5, grid).tobytes() == stationary_residual(spec, 2.5, grid).tobytes()
     if solver._block_key(spec, 2.5) is not None:
@@ -227,7 +228,7 @@ def test_scalar_residual_equals_the_scan_samples(spec):
 
 @pytest.mark.parametrize("kinetic", _ELEMENTWISE_KINETICS, ids=lambda law: law.family.value)
 def test_two_body_scalar_residual_equals_the_scan_samples(kinetic):
-    grid = 2.5 * solver._unit_grid(SolverConfig().decades, SolverConfig().points_per_decade)
+    grid = 2.5 * log_grid(SolverConfig().decades, SolverConfig().points_per_decade)
     with np.errstate(all="ignore"):
         for potential in _ELEMENTWISE_POTENTIALS:
             scalar = np.array([float(two_body_residual(kinetic, potential, 2.5, r0)) for r0 in grid.tolist()])
@@ -303,7 +304,7 @@ def _assert_block_scans_match(specs, qs):
     points = list(zip(specs, qs))
     for _, block in itertools.groupby(points, key=lambda point: solver._block_key(*point)):
         block_specs, block_qs = zip(*block)
-        grids = [solver._log_grid(q, cfg.decades, cfg.points_per_decade) for q in block_qs]
+        grids = [q * log_grid(cfg.decades, cfg.points_per_decade) for q in block_qs]
         with np.errstate(all="ignore"):
             each = np.array([stationary_residual(s, q, g) for s, q, g in zip(block_specs, block_qs, grids)])
             stacked = solver._block_residual(list(block_specs), np.array(block_qs), np.array(grids))

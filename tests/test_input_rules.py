@@ -14,8 +14,9 @@ import pytest
 from envtheory.analysis import classify_two_body, critical_coupling
 from envtheory.errors import EvaluationDomainError, InvalidAuxiliaryExponent
 from envtheory.model import KineticLaw, PotentialLaw, StateSpec
-from envtheory.oracle import RadialProblem, SemiclassicalGeometry, harmonic_exact
-from envtheory.qnum import q_boson_ground, q_fermion_asymptotic, q_from_quanta, q_two_body_auxiliary
+from envtheory import qnum
+from envtheory.oracle import RadialProblem, SemiclassicalGeometry, harmonic_exact, radial_eigenvalue, radial_eigenvalues
+from envtheory.qnum import airy_zero, q_boson_ground, q_fermion_asymptotic, q_from_quanta, q_two_body_auxiliary
 from envtheory.solver import SolverConfig, auxiliary_energy, solve_two_body
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -110,6 +111,7 @@ def test_finite_positivity_messages_are_unchanged():
 # --- counts ------------------------------------------------------------------------
 
 YUKAWA = PotentialLaw.yukawa(1.0)
+LINEAR_WELL = RadialProblem(mu=1.0, potential=LINEAR, d=3, l=0, r_max=10.0)
 
 
 @pytest.mark.parametrize("count", [3.5, 3.0])
@@ -122,13 +124,37 @@ YUKAWA = PotentialLaw.yukawa(1.0)
         (lambda k: harmonic_exact(k, 3, 1.0, 1.0, 0.0, StateSpec.ground(3)), "n"),
         (lambda k: harmonic_exact(3, k, 1.0, 1.0, 0.0, StateSpec.ground(3)), "d"),
         (lambda k: critical_coupling("twobody", YUKAWA, k, 3.0, 1.0), "n"),
+        (lambda k: StateSpec.ground(k), "n_particles"),
+        (lambda k: airy_zero(k), "zero index"),
+        (lambda k: radial_eigenvalues(LINEAR_WELL, k), "level count"),
+        (lambda k: radial_eigenvalue(LINEAR_WELL, k), "level index"),
     ],
     ids=["q_from_quanta-d", "q_boson_ground-n", "q_boson_ground-d", "harmonic_exact-n", "harmonic_exact-d",
-         "critical_coupling-n"],
+         "critical_coupling-n", "StateSpec.ground", "airy_zero", "radial_eigenvalues", "radial_eigenvalue"],
 )
 def test_non_integer_count_is_rejected(call, name, count):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {count}$"):
         call(count)
+
+
+def test_a_non_integer_airy_index_caches_nothing():
+    with pytest.raises(ValueError):
+        airy_zero(1.5)
+    assert 1.5 not in qnum._airy_zeros
+
+
+def test_integer_count_range_messages_are_unchanged():
+    with pytest.raises(ValueError, match="^a ground state needs at least two particles$"):
+        StateSpec.ground(1)
+    with pytest.raises(ValueError, match="^zero index must be >= 0, got -1$"):
+        airy_zero(-1)
+    with pytest.raises(ValueError, match="^need at least one level, got 0$"):
+        radial_eigenvalues(LINEAR_WELL, 0)
+    with pytest.raises(ValueError, match="^level index must be >= 0, got -1$"):
+        radial_eigenvalue(LINEAR_WELL, -1)
+    with pytest.raises(ValueError, match="^need at least 200 grid points, got 100$"):
+        RadialProblem(mu=1.0, potential=LINEAR, d=3, l=0, r_max=10.0, points=100)
+    assert StateSpec.ground(np.int64(3)) == StateSpec.ground(3)
 
 
 def test_numpy_integer_counts_are_accepted():
@@ -148,10 +174,14 @@ def test_numpy_integer_counts_are_accepted():
         (lambda: q_two_body_auxiliary(2.0, 0.5, 0, 3), "quantum number n must be an integer, got 0.5"),
         (lambda: q_two_body_auxiliary(2.0, 0, 1.0, 3), "quantum number l must be an integer, got 1.0"),
         (lambda: RadialProblem(mu=1.0, potential=LINEAR, d=3, l=0.5, r_max=10.0), "angular degree must be an integer, got 0.5"),
+        (
+            lambda: RadialProblem(mu=1.0, potential=LINEAR, d=3, l=0, r_max=10.0, points=300.5),
+            "grid points must be an integer, got 300.5",
+        ),
         (lambda: q_fermion_asymptotic(10, 3, 2.5), "degeneracy must be an integer, got 2.5"),
     ],
     ids=["StateSpec-n", "StateSpec-l", "q_two_body_auxiliary-n", "q_two_body_auxiliary-l", "RadialProblem-l",
-         "q_fermion_asymptotic-degeneracy"],
+         "RadialProblem-points", "q_fermion_asymptotic-degeneracy"],
 )
 def test_non_integer_quantum_number_is_rejected(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

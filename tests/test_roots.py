@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
 
-from envtheory import KineticLaw, PotentialLaw, QValue, two_body_residual
+from envtheory import KineticLaw, PotentialLaw, QValue, SolverConfig, solver, two_body_residual
+from envtheory.errors import NoStationaryPoint, ScanExhausted
 from envtheory.roots import brentq, sign_change_brackets
 
 EPS = 2.220446049250313e-16
@@ -128,13 +129,43 @@ def test_known_endpoint_values_are_checked(fa, fb, message):
         brentq(lambda x: x - 1.0, 0.0, 2.0, fa=fa, fb=fb)
 
 
+# The solver's verdict on a scan without a bracket, by the overall sign of its samples.
+_VERDICTS = {
+    -1: (NoStationaryPoint, "attraction dominates at every scanned scale (collapse regime)"),
+    1: (NoStationaryPoint, "kinetic pressure dominates at every scanned scale (no bound stationary point)"),
+    0: (ScanExhausted, "residual changes sign but no adjacent finite bracket could be isolated"),
+}
+_NOTHING_EVALUATED = (ScanExhausted, "stationarity residual could not be evaluated anywhere on the scan grid")
+
+
+def _scan_verdict(values):
+    """The error the solver raises when every scan it makes samples ``values``, then NaN.
+
+    NaN samples carry no sign and bracket nothing, so each scan sees the
+    brackets and signs of ``values`` alone.
+    """
+
+    def residual(grid):
+        samples = np.full(np.shape(grid), math.nan)
+        samples[: len(values)] = values
+        return samples
+
+    with pytest.raises((NoStationaryPoint, ScanExhausted)) as err:
+        solver._scan_and_polish(residual, 1.0, SolverConfig())
+    return type(err.value), str(err.value)
+
+
 def test_sign_change_brackets_in_grid_order():
     grid = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
     values = [1.0, -1.0, 0.0, 2.0, math.nan, -3.0, math.inf, -1.0]
     # a zero sample is its own bracket; NaN and inf break the run
-    assert sign_change_brackets(grid, values) == ([(1.0, 2.0, 1.0, -1.0), (3.0, 3.0, 0.0, 0.0)], 0)
-    assert sign_change_brackets(grid[:2], [2.0, math.inf]) == ([], 1)
-    assert sign_change_brackets(grid[:3], [-2.0, -math.inf, math.nan]) == ([], -1)
+    assert sign_change_brackets(grid, values) == [(1.0, 2.0, 1.0, -1.0), (3.0, 3.0, 0.0, 0.0)]
+    assert sign_change_brackets(grid[:2], [2.0, math.inf]) == []
+    assert _scan_verdict([2.0, math.inf]) == _VERDICTS[1]
+    assert sign_change_brackets(grid[:3], [-2.0, -math.inf, math.nan]) == []
+    assert _scan_verdict([-2.0, -math.inf, math.nan]) == _VERDICTS[-1]
+    assert sign_change_brackets(grid[:3], [2.0, math.inf, -1.0]) == []
+    assert _scan_verdict([2.0, math.inf, -1.0]) == _VERDICTS[0]
 
 
 def _reference_brackets(grid, values):
@@ -193,15 +224,24 @@ def _finite_nonzero_pattern(rng: random.Random) -> tuple[list[float], list[float
     return grid, [v if v != 0.0 else 1.0 for v in values]
 
 
+def _expected_verdict(values, sign):
+    """The solver's verdict on bracketless ``values`` whose overall sign the reference loop found."""
+    if all(math.isnan(v) for v in values):
+        return _NOTHING_EVALUATED
+    return _VERDICTS[sign]
+
+
 def _check_against_the_reference_loop(pattern, seed):
     rng = random.Random(seed)
     for _ in range(20_000):
         grid, values = pattern(rng)
         expected, expected_sign = _reference_brackets(grid, values)
         for args in ((grid, values), (np.array(grid), np.array(values))):
-            brackets, sign = sign_change_brackets(*args)
-            assert (_bits(brackets), sign) == (_bits(expected), expected_sign), (grid, values)
+            brackets = sign_change_brackets(*args)
+            assert _bits(brackets) == _bits(expected), (grid, values)
             assert all(type(x) is float for bracket in brackets for x in bracket)
+        if not expected:
+            assert _scan_verdict(values) == _expected_verdict(values, expected_sign), (grid, values)
 
 
 def test_sign_change_brackets_match_the_reference_loop():
@@ -221,9 +261,8 @@ def test_sign_change_brackets_rows_match_the_one_row_scan():
             [[rng.choice(_SPECIAL) if rng.random() < 0.3 else rng.gauss(0.0, 1.0) for _ in range(size)] for _ in range(rows)]
         ).reshape(rows, size)
         one_by_one = [sign_change_brackets(g, v) for g, v in zip(grid, values)]
-        rows_found, signs = sign_change_brackets(grid, values)
-        assert [_bits(b) for b in rows_found] == [_bits(b) for b, _ in one_by_one]
-        assert signs == [s for _, s in one_by_one]
+        rows_found = sign_change_brackets(grid, values)
+        assert [_bits(b) for b in rows_found] == [_bits(b) for b in one_by_one]
 
 
 def test_sign_change_brackets_rows_on_the_fast_path():
@@ -234,7 +273,9 @@ def test_sign_change_brackets_rows_on_the_fast_path():
         values = np.array(
             [[rng.choice((-1.0, 1.0)) * rng.uniform(1e-3, 1e3) for _ in range(size)] for _ in range(rows)]
         ).reshape(rows, size)
-        rows_found, signs = sign_change_brackets(grid, values)
+        rows_found = sign_change_brackets(grid, values)
         reference = [_reference_brackets(g.tolist(), v.tolist()) for g, v in zip(grid, values)]
         assert [_bits(b) for b in rows_found] == [_bits(b) for b, _ in reference]
-        assert signs == [s for _, s in reference]
+        for row, (brackets, sign) in zip(values.tolist(), reference):
+            if not brackets:
+                assert _scan_verdict(row) == _VERDICTS[sign]

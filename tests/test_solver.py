@@ -28,9 +28,9 @@ from envtheory import (
 from envtheory.errors import (
     InvalidAuxiliaryExponent,
     NoStationaryPoint,
+    ScanExhausted,
 )
-from envtheory.roots import brentq, sign_change_brackets
-from envtheory.solver import _log_grid
+from envtheory.roots import brentq, log_grid, sign_change_brackets
 
 EPS = 2.220446049250313e-16
 
@@ -247,6 +247,70 @@ def test_subcritical_well_is_unbound():
     assert "kinetic" in str(err.value)
 
 
+# --- a scan with no bracket: the verdict its samples give --------------------------
+
+
+def _solve_with_residual(samples):
+    """Solve a two-body level whose stationarity residual is -r0 h(r0) for ``h = samples(r0)``.
+
+    The kinetic law is flat, so the residual is the potential term alone.
+    """
+    flat = KineticLaw.custom(CustomProfile(lambda p: 0.0 * p, lambda p: 0.0 * p))
+    potential = PotentialLaw.custom(CustomProfile(lambda x: 0.0 * x, samples))
+    return solve_two_body(flat, potential, None, 2.5)
+
+
+@pytest.mark.parametrize(
+    "samples, error, message",
+    [
+        # residual negative throughout, -inf above r0 = 1e3 and NaN below 1e-3
+        (
+            lambda x: np.where(x > 1e3, np.inf, np.where(x < 1e-3, np.nan, 1.0)),
+            NoStationaryPoint,
+            "attraction dominates at every scanned scale (collapse regime)",
+        ),
+        # residual positive throughout, NaN below 1e-3
+        (
+            lambda x: np.where(x < 1e-3, np.nan, -1.0),
+            NoStationaryPoint,
+            "kinetic pressure dominates at every scanned scale (no bound stationary point)",
+        ),
+        (
+            lambda x: np.full(np.shape(x), np.nan),
+            ScanExhausted,
+            "stationarity residual could not be evaluated anywhere on the scan grid",
+        ),
+        # positive below r0 = 1, +inf on [1, 2], negative above: no finite bracket
+        (
+            lambda x: np.where(x < 1.0, -1.0, np.where(x <= 2.0, -np.inf, 1.0)),
+            ScanExhausted,
+            "residual changes sign but no adjacent finite bracket could be isolated",
+        ),
+    ],
+    ids=["collapse", "unbound", "all-nan", "broken-by-inf"],
+)
+def test_a_scan_without_a_bracket_gives_its_samples_verdict(samples, error, message):
+    with pytest.raises(error) as err:
+        _solve_with_residual(samples)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_a_sampled_zero_is_a_root_with_its_own_sample(zero):
+    at = float(2.5 * log_grid(8.0, 64)[300])
+    scalar_calls = []
+
+    def residual(r0):
+        if np.ndim(r0) == 0:
+            scalar_calls.append(r0)
+        return np.where(r0 == at, zero, at - r0)
+
+    roots = solver._scan_and_polish(residual, 2.5, SolverConfig())
+    assert [(r0.hex(), value.hex()) for r0, value in roots] == [(at.hex(), zero.hex())]
+    assert scalar_calls == []
+
+
 def test_overcritical_yukawa_two_roots():
     spec = SystemSpec(
         n=2,
@@ -365,9 +429,12 @@ def test_log_grid_equals_the_logspace_expression_bit_for_bit():
             half = decades / 2.0
             count = int(round(per_decade * decades)) + 1
             want = guess * np.logspace(-half, half, count)
-            got = _log_grid(guess, decades, per_decade)
+            got = guess * log_grid(decades, per_decade)
             assert got.tobytes() == want.tobytes()
-            assert _log_grid(guess, decades, per_decade).tobytes() == want.tobytes()  # cached unit grid
+            assert (guess * log_grid(decades, per_decade)).tobytes() == want.tobytes()  # cached unit grid
+    # the critical-coupling profile scan's grid
+    assert log_grid(16.0, 64).tobytes() == np.logspace(-8.0, 8.0, 1025).tobytes()
+    assert not log_grid(8.0, 64).flags.writeable
 
 
 # --- a level polishes from its scan's samples ------------------------------------
@@ -404,7 +471,7 @@ def _scalar_points(monkeypatch, name):
 def _reference_roots(f, grid):
     """The roots as a polish that evaluates its own bracket ends finds them."""
     with np.errstate(all="ignore"):
-        brackets, _ = sign_change_brackets(grid, f(grid))
+        brackets = sign_change_brackets(grid, f(grid))
     rtol = max(SolverConfig().tolerance, 4.0 * EPS)
     return sorted(
         lo if lo == hi else brentq(lambda r: float(f(r)), lo, hi, xtol=1e-300, rtol=rtol, maxiter=200)[0]
@@ -413,7 +480,7 @@ def _reference_roots(f, grid):
 
 
 def _assert_polished_from_the_scan(solution, points, f, q):
-    grid = _log_grid(q, 8.0, 64)
+    grid = q * log_grid(8.0, 64)
     # no point evaluated twice, and no scanned point evaluated again
     assert len(points) == len(set(points))
     assert not set(points) & set(grid.tolist())
@@ -473,7 +540,7 @@ def test_a_float_power_profile_polishes_within_the_tolerance():
     tolerance = SolverConfig().tolerance
     for q in np.linspace(0.5, 20.0, 400).tolist():
         got = sorted(root.r0 for root in solve_nbody(spec, q).roots)
-        want = _reference_roots(lambda r0: stationary_residual(spec, q, r0), _log_grid(q, 8.0, 64))
+        want = _reference_roots(lambda r0: stationary_residual(spec, q, r0), q * log_grid(8.0, 64))
         assert len(got) == len(want)
         for r0, reference in zip(got, want):
             assert abs(r0 - reference) <= 10.0 * tolerance * reference
