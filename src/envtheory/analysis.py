@@ -5,17 +5,21 @@ curvature of the composition charts: when every term's chart is concave the
 level is an upper bound, when every chart is convex it is a lower bound, and
 an all-linear system is reproduced exactly.  Linear charts never constrain
 the direction; mixed curvatures leave the direction unknown.
+
+A built-in law carries its curvature class as a closed-form tag.  The one
+chart evaluated here is a custom profile's, b(s) = law(s**(1/lam)), whose
+curvature is sampled by Richardson-refined central differences.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import NoCriticalPoint, NotShortRange, PerturbationSizeWarning
+from .errors import EvaluationDomainError, NoCriticalPoint, NotShortRange, PerturbationSizeWarning
 from .model import (
     BoundKind,
     Convexity,
@@ -32,6 +36,7 @@ from .qnum import QValue
 from .roots import brentq, log_grid, sign_change_brackets
 
 _SAMPLES = 33
+_FD_REL_STEP = 1e-4  # relative step of the curvature's finite differences
 _SIGN_REL_TOL = 1e-5
 _EPS = float(np.finfo(float).eps)
 
@@ -41,6 +46,25 @@ def _check_interval(domain: tuple[float, float]) -> tuple[float, float]:
     if not (0.0 < lo < hi):
         raise ValueError(f"domain must satisfy 0 < lo < hi, got ({lo}, {hi})")
     return lo, hi
+
+
+def _chart(law: KineticLaw | PotentialLaw, aux_exponent: float | None) -> tuple[float, Callable]:
+    """The chart exponent lam (2 for a kinetic law) and the chart b(s) = law(s**(1/lam))."""
+    lam = chart_exponent(aux_exponent)
+    if isinstance(law, KineticLaw) and lam != 2.0:
+        raise EvaluationDomainError("kinetic charts use the x**2 substitution only")
+    return lam, lambda s: law.value(np.power(s, 1.0 / lam))
+
+
+def _richardson_second(b: Callable, s):
+    """Second derivative of ``b`` at ``s`` by Richardson-refined differences."""
+    h = _FD_REL_STEP * np.asarray(s, dtype=float)
+    twice_center = 2.0 * b(s)  # both steps share it
+
+    def d2(step):
+        return (b(s + step) - twice_center + b(s - step)) / (step * step)
+
+    return (4.0 * d2(0.5 * h) - d2(h)) / 3.0
 
 
 def term_convexity(
@@ -61,16 +85,16 @@ def term_convexity(
         return tag
     lo, hi = _check_interval(domain)
     xs = np.logspace(np.log10(lo), np.log10(hi), _SAMPLES)
-    lam = chart_exponent(aux_exponent)
+    lam, chart = _chart(law, aux_exponent)
     ss = np.power(xs, lam)  # image of the radial interval under the substitution
     with np.errstate(all="ignore"):
-        curv = np.asarray(law.chart_second_derivative(ss, aux_exponent), dtype=float)
+        curv = np.asarray(_richardson_second(chart, ss), dtype=float)
     keep = np.isfinite(curv)
     curv, ss = curv[keep], ss[keep]
     if curv.size == 0:
         return Convexity.MIXED
     with np.errstate(all="ignore"):
-        vals = np.asarray(law.chart_value(ss, aux_exponent), dtype=float)
+        vals = np.asarray(chart(ss), dtype=float)
     # Compare each curvature sample against the chart's local magnitude
     # |b(s)| / s**2: finite-difference roundoff sits orders of magnitude
     # below that scale, while genuine curvature is of the same order, so
@@ -199,10 +223,11 @@ def critical_coupling(
 ) -> CriticalCoupling:
     """Minimal well depth binding N nonrelativistic particles.
 
-    Writing the well as W(x) = -kappa w(x) with w positive and vanishing at
-    infinity, the envelope level reaches zero exactly when the profile scale
-    y0 solves 2 w(y) + y w'(y) = 0; y0 depends on the shape only.  The
-    threshold depth is then
+    Writing the well as W(x) = -kappa w(x), with kappa the coupling (1 for a
+    custom profile) and w positive and vanishing at infinity, the envelope
+    level reaches zero exactly when the profile scale y0 solves
+    2 w(y) + y w'(y) = 0; y0 depends on the shape only.  The threshold depth
+    is then
 
         twobody:  g_c = (2 / (N (N-1)^2)) (Q^2 / m) / (y0^2 w(y0)),
         onebody:  k_c = (1 / (2 N^2))     (Q^2 / m) / (y0^2 w(y0)).
@@ -219,8 +244,9 @@ def critical_coupling(
     checked(mass, "mass", positive=True)
     qv = checked(q, "quantum number", positive=True)
 
-    y0 = _profile_stationary_scale(shape)
-    w0 = float(shape.well_profile(y0))
+    kappa = shape.coupling if shape.profile is None else 1.0
+    y0 = _profile_stationary_scale(shape, kappa)
+    w0 = float(-shape.value(y0) / kappa)
     if mode == "twobody":
         value = (2.0 / (n * (n - 1.0) ** 2)) * (qv * qv / mass) / (y0 * y0 * w0)
     else:
@@ -233,11 +259,11 @@ def critical_coupling(
     return CriticalCoupling(mode=mode, y0=y0, value=value, bound=verdict.classification)
 
 
-def _profile_stationary_scale(shape: PotentialLaw) -> float:
-    """Root of 2 w(y) + y w'(y) = 0, located on a log grid around the screening length."""
+def _profile_stationary_scale(shape: PotentialLaw, kappa: float) -> float:
+    """Root of 2 w(y) + y w'(y) = 0, w = -W / kappa, on a log grid around the screening length."""
 
     def residual(y):
-        return 2.0 * shape.well_profile(y) + y * shape.well_profile_derivative(y)
+        return 2.0 * (-shape.value(y) / kappa) + y * (-shape.derivative(y) / kappa)
 
     center = shape.screening if shape.screening > 0.0 else 1.0
     grid = center * log_grid(16.0, 64)

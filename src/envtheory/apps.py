@@ -121,6 +121,7 @@ def boson_star_max_mass(
         raise ValueError("mass and alpha must be positive")
     checked(mass, "mass")
     checked(alpha, "alpha")
+    checked(n_max, "n_max", integer=True)
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     coeff = alpha * alpha / (2.0 * d * d)

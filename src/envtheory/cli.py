@@ -159,7 +159,7 @@ def _require(name: str, data: dict, key: str):
         raise ConstraintViolation(f"[{name}] requires key '{key}'")
 
 
-def _line_of(name: str, data: dict, key: str) -> int:
+def _line_of(data: dict, key: str) -> int:
     return data[key][0] if key in data else 0
 
 
@@ -188,7 +188,7 @@ def _build_law(sections: Sections, name: str):
         return law_cls.of(family, *values)
     except ValueError as exc:
         raise ConstraintViolation(
-            f"line {_line_of(name, data, 'family')}: [{name}] {exc}"
+            f"line {_line_of(data, 'family')}: [{name}] {exc}"
         ) from None
 
 
@@ -283,14 +283,14 @@ def config_from_sections(sections: Sections) -> RunConfig:
     n = _get_int("system", system, "n")
     d = _get_int("system", system, "d")
     for key, value in (("n", n), ("d", d)):
-        _check_count(key, value, 2, _line_of("system", system, key))
+        _check_count(key, value, 2, _line_of(system, key))
     statistics = Statistics(
         _get_choice(
             "system", system, "statistics", {s.value for s in Statistics}, "unspecified"
         )
     )
     degeneracy = _get_int("system", system, "degeneracy", 1)
-    _check_count("degeneracy", degeneracy, 1, _line_of("system", system, "degeneracy"))
+    _check_count("degeneracy", degeneracy, 1, _line_of(system, "degeneracy"))
 
     kinetic = _build_law(sections, "kinetic")
     onebody = _build_law(sections, "onebody")
@@ -320,7 +320,7 @@ def config_from_sections(sections: Sections) -> RunConfig:
                 checked(state_q, "q", positive=True)
             except ValueError as exc:
                 raise ConstraintViolation(
-                    f"line {_line_of('state', data, 'q')}: [state] {exc}"
+                    f"line {_line_of(data, 'q')}: [state] {exc}"
                 ) from None
 
     # [solver] keys are SolverConfig's fields, each parsed as its default's type
@@ -354,7 +354,7 @@ def config_from_sections(sections: Sections) -> RunConfig:
             if coeff is None:
                 if exp_key in data:
                     raise ConstraintViolation(
-                        f"line {_line_of('perturbation', data, exp_key)}: [perturbation] "
+                        f"line {_line_of(data, exp_key)}: [perturbation] "
                         f"{exp_key} needs {coeff_key}"
                     )
                 continue
@@ -364,13 +364,13 @@ def config_from_sections(sections: Sections) -> RunConfig:
                 shape = PotentialLaw.power_law(1.0, exponent)
             except ValueError as exc:
                 raise ConstraintViolation(
-                    f"line {_line_of('perturbation', data, exp_key)}: [perturbation] {exc}"
+                    f"line {_line_of(data, exp_key)}: [perturbation] {exc}"
                 ) from None
             try:
                 checked(coeff, coeff_key)
             except ValueError as exc:
                 raise ConstraintViolation(
-                    f"line {_line_of('perturbation', data, coeff_key)}: [perturbation] {exc}"
+                    f"line {_line_of(data, coeff_key)}: [perturbation] {exc}"
                 ) from None
             pairs[slot] = (coeff, shape)
         if not pairs:
@@ -714,7 +714,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--rmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=4000)
+    p.add_argument("--points", type=int, default=oracle.RadialProblem.points)
 
     return parser
 

@@ -1,7 +1,7 @@
 """Declarative Hamiltonian building blocks.
 
 Kinetic and potential terms are small immutable records that know how to
-evaluate themselves, their first derivative, and the curvature of their
+evaluate themselves, their first derivative, and the curvature class of their
 composition chart ``b`` — the function with ``T(x) = b(x**2)`` and
 ``W(x) = b(x**2)`` (many-body rule) or ``W(x) = b(sgn(lam) * x**lam)``
 (two-body auxiliary rule).  The sign of ``b''`` on all of (0, inf) decides
@@ -10,13 +10,13 @@ whether an envelope energy is an upper or a lower bound.  Since
     b''(s) = x / (lam**2 s**2) * [x V''(x) - (lam - 1) V'(x)],   s = x**lam,
 
 that sign is algebra about the family: every built-in family states it in
-closed form for every chart exponent.  Only a custom profile has its chart
-curvature sampled, by a Richardson-refined central difference.
+closed form for every chart exponent, as its convexity tag.  A law never
+evaluates its chart; only a custom profile has no tag, and ``analysis``
+samples its chart curvature.
 
 Each family is one ``LawFamily`` record in ``FAMILIES``: its parameters with
-their ranges and config defaults, its value and derivative, its closed-form
-chart curvature if it has one, and its curvature rule.  The laws and the CLI
-read every per-family fact from that table.
+their ranges and config defaults, its value and derivative, and its curvature
+rule.  The laws and the CLI read every per-family fact from that table.
 
 All evaluation methods accept floats or numpy arrays of strictly positive
 arguments and are pure functions of the law's parameters.
@@ -37,10 +37,8 @@ from .errors import (
     EvaluationDomainError,
     InvalidAuxiliaryExponent,
     NonPositiveArgument,
-    NotShortRange,
 )
 
-_FD_REL_STEP = 1e-4  # relative step for curvature finite differences
 _DERIV_REL_STEP = 6.0e-6  # ~cbrt(eps), central first differences for custom laws
 
 
@@ -155,17 +153,6 @@ def _central_difference(f: Callable, x):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def _richardson_second(b: Callable, s):
-    """Second derivative of ``b`` at ``s`` by Richardson-refined differences."""
-    h = _FD_REL_STEP * np.asarray(s, dtype=float)
-    twice_center = 2.0 * b(s)  # both steps share it
-
-    def d2(step):
-        return (b(s + step) - twice_center + b(s - step)) / (step * step)
-
-    return (4.0 * d2(0.5 * h) - d2(h)) / 3.0
-
-
 def auxiliary_exponent(value) -> float:
     """``value`` as an auxiliary exponent lam: the one check that lam is finite, nonzero and > -2."""
     lam = float(value)
@@ -178,11 +165,6 @@ def auxiliary_exponent(value) -> float:
 def chart_exponent(aux_exponent: float | None) -> float:
     """Substitution exponent of the composition chart (2 for the x->x**2 rule)."""
     return 2.0 if aux_exponent is None else auxiliary_exponent(aux_exponent)
-
-
-def _kinetic_chart(aux_exponent: float | None) -> None:
-    if chart_exponent(aux_exponent) != 2.0:
-        raise EvaluationDomainError("kinetic charts use the x**2 substitution only")
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +198,9 @@ class LawFamily:
     gives the sign of the chart curvature on all of s > 0 under the chart
     exponent lam: the sign of x V'' - (lam - 1) V' for a potential, and the
     x**2 chart's sign for a kinetic law.  ``MIXED`` means that sign flips
-    somewhere on (0, inf).  Only a custom family gives None, so the
-    classifier samples it.  A kinetic family may give its chart curvature
-    b''(s) in closed form as ``curvature`` (law, s).  A potential that is a
-    pure power amplitude * x**exponent gives that pair as ``power`` (law),
-    and its chart curvature follows in closed form.  Without a closed form,
-    the chart curvature comes from Richardson differences of the value.
+    somewhere on (0, inf).  The tag is the family's only statement about its
+    chart; no record evaluates the chart itself.  Only a custom family gives
+    None, so ``analysis.term_convexity`` samples its chart from ``value``.
     """
 
     label: str  # how constructor errors name the family
@@ -229,8 +208,6 @@ class LawFamily:
     value: Callable
     derivative: Callable
     tag: Callable = lambda law, lam: None
-    curvature: Callable | None = None
-    power: Callable | None = None
     short_range: bool = False
 
     def fields(self, args) -> dict[str, float]:
@@ -343,7 +320,6 @@ FAMILIES: dict[KineticFamily | PotentialFamily, LawFamily] = {
         value=lambda law, p: p * p / (2.0 * law.mass),
         derivative=lambda law, p: p / law.mass,
         tag=_tagged(Convexity.LINEAR),
-        curvature=lambda law, s: 0.0 * s,
     ),
     KineticFamily.SEMIRELATIVISTIC: LawFamily(
         "semirelativistic kinetic law",
@@ -365,7 +341,6 @@ FAMILIES: dict[KineticFamily | PotentialFamily, LawFamily] = {
         value=_minimal_length_value,
         derivative=lambda law, p: p / law.mass + 4.0 * law.deformation * p * p * p / law.mass,
         tag=lambda law, lam: Convexity.CONVEX if law.deformation > 0.0 else Convexity.LINEAR,
-        curvature=lambda law, s: 2.0 * law.deformation / law.mass + 0.0 * s,
     ),
     KineticFamily.EXPONENTIAL_QUADRATIC: LawFamily(
         "exponential-quadratic kinetic law",
@@ -373,7 +348,6 @@ FAMILIES: dict[KineticFamily | PotentialFamily, LawFamily] = {
         value=lambda law, p: np.exp(law.stiffness * p * p),
         derivative=lambda law, p: 2.0 * law.stiffness * p * np.exp(law.stiffness * p * p),
         tag=_tagged(Convexity.CONVEX),
-        curvature=lambda law, s: law.stiffness * law.stiffness * np.exp(law.stiffness * s),
     ),
     KineticFamily.CUSTOM: _custom_family("kinetic"),
     PotentialFamily.POWER_LAW: LawFamily(
@@ -382,7 +356,6 @@ FAMILIES: dict[KineticFamily | PotentialFamily, LawFamily] = {
         value=lambda law, x: law.amplitude * np.power(x, law.exponent),
         derivative=lambda law, x: law.amplitude * law.exponent * np.power(x, law.exponent - 1.0),
         tag=lambda law, lam: _sign(law.amplitude, law.exponent, law.exponent - lam),
-        power=lambda law: (law.amplitude, law.exponent),
     ),
     PotentialFamily.COULOMB: LawFamily(
         "coulomb potential",
@@ -390,7 +363,6 @@ FAMILIES: dict[KineticFamily | PotentialFamily, LawFamily] = {
         value=lambda law, x: -law.strength / x,
         derivative=lambda law, x: law.strength / (x * x),
         tag=lambda law, lam: _sign(-law.strength, 1.0 + lam),
-        power=lambda law: (-law.strength, -1.0),
     ),
     PotentialFamily.SQUARE_ROOT: LawFamily(
         "square-root potential",
@@ -478,21 +450,6 @@ class KineticLaw:
         """``derivative`` as a function of p alone, its family formula looked up once."""
         return functools.partial(FAMILIES[self.family].derivative, self)
 
-    # -- composition chart ---------------------------------------------------
-
-    def chart_value(self, s, aux_exponent: float | None = None):
-        _kinetic_chart(aux_exponent)
-        return self.value(np.sqrt(s))
-
-    def chart_second_derivative(self, s, aux_exponent: float | None = None):
-        """Curvature b''(s) of the x**2 chart at s > 0."""
-        _require_positive(s, "chart argument")
-        _kinetic_chart(aux_exponent)
-        curvature = FAMILIES[self.family].curvature
-        if curvature is not None:
-            return curvature(self, s)
-        return _richardson_second(lambda u: self.value(np.sqrt(u)), s)
-
     def convexity_tag(self) -> Convexity | None:
         """Sign of the x**2 chart's curvature on all of s > 0; None for a custom profile."""
         return FAMILIES[self.family].tag(self, 2.0)
@@ -572,45 +529,6 @@ class PotentialLaw:
             return formula(self, x)
 
         return derivative
-
-    # -- short-range well profile -------------------------------------------
-
-    def _well_depth(self) -> float:
-        """kappa in W(x) = -kappa * w(x): the coupling, or 1 for a custom profile."""
-        if not self.short_range:
-            raise NotShortRange(f"{self.family.value} potential is not short range")
-        return self.coupling if self.profile is None else 1.0
-
-    def well_profile(self, x):
-        """Dimensionless positive well shape w with W(x) = -kappa * w(x)."""
-        kappa = self._well_depth()
-        return -self.value(x) / kappa
-
-    def well_profile_derivative(self, x):
-        kappa = self._well_depth()
-        return -self.derivative(x) / kappa
-
-    # -- composition chart ---------------------------------------------------
-
-    def chart_value(self, s, aux_exponent: float | None = None):
-        lam = chart_exponent(aux_exponent)
-        return self.value(np.power(s, 1.0 / lam))
-
-    def chart_second_derivative(self, s, aux_exponent: float | None = None):
-        """Curvature b''(s) at s > 0 of the x**2 chart, or of the auxiliary one.
-
-        A float ``aux_exponent`` selects the two-body substitution
-        W(x) = b(sgn(lam) * x**lam); ``s`` is then the magnitude of the
-        substituted variable.
-        """
-        _require_positive(s, "chart argument")
-        lam = chart_exponent(aux_exponent)
-        power = FAMILIES[self.family].power
-        if power is None:
-            return _richardson_second(lambda u: self.value(np.power(u, 1.0 / lam)), s)
-        amp, q = power(self)
-        kappa = q / lam
-        return amp * kappa * (kappa - 1.0) * np.power(s, kappa - 2.0)
 
     def convexity_tag(self, aux_exponent: float | None = None) -> Convexity | None:
         """Sign of the chart curvature on all of s > 0; None for a custom profile."""

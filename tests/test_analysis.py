@@ -311,8 +311,10 @@ def test_critical_scale_on_a_grid_zero_is_that_point():
 def test_critical_scale_polishes_from_its_scan(shape):
     # the polish starts from the scan's samples and lands where a polish that
     # evaluates its own bracket ends does
-    def residual(y):
-        return 2.0 * shape.well_profile(y) + y * shape.well_profile_derivative(y)
+    kappa = shape.coupling if shape.profile is None else 1.0
+
+    def residual(y):  # 2 w(y) + y w'(y) with w = -W / kappa
+        return 2.0 * (-shape.value(y) / kappa) + y * (-shape.derivative(y) / kappa)
 
     center = shape.screening if shape.screening > 0.0 else 1.0
     grid = center * np.logspace(-8.0, 8.0, 1025)

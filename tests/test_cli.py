@@ -10,6 +10,7 @@ from envtheory.errors import (
     TypeMismatch,
     UnknownKey,
 )
+from envtheory.oracle import RadialProblem
 
 BASE = """\
 [system]
@@ -310,6 +311,16 @@ def test_oracle_command_brackets_envelope(tmp_path):
     # two-particle Coulomb pair: mu = 1/2, levels -mu/2 (n+1)^-2
     assert float(lines[1].split(",")[1]) == pytest.approx(-0.25, rel=1e-6)
     assert float(lines[2].split(",")[1]) == pytest.approx(-0.0625, rel=1e-6)
+
+
+def test_oracle_points_default_is_the_radial_problem_default(tmp_path):
+    text = BASE.replace("n = 3", "n = 2").replace(
+        "family = powerlaw\namplitude = 1.0\nexponent = 2.0",
+        "family = coulomb\nstrength = 1.0",
+    )
+    cfg = write(tmp_path, text)
+    explicit = capture("oracle", cfg, "--levels", "1", "--rmax", "60", "--points", str(RadialProblem.points))
+    assert capture("oracle", cfg, "--levels", "1", "--rmax", "60") == explicit
 
 
 def test_oracle_rejects_many_body(tmp_path):

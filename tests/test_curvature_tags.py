@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from envtheory import (
+    analysis,
     BoundKind,
     Convexity,
     KineticLaw,
@@ -26,7 +27,8 @@ from envtheory import (
 from envtheory.model import FAMILIES
 from envtheory.solver import solve_two_body
 
-LAMS = [-1.9, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0]
+# each tag's boundaries (-1, 1, 2 and the square root's (1, 2)) with a point on either side
+LAMS = [-1.9, -1.5, -1.05, -1.0, -0.5, 0.5, 0.95, 1.0, 1.05, 1.5, 1.95, 2.0, 2.5, 4.0]
 
 # (law, its potential in mpmath, the top of the reference grid)
 POTENTIALS = (
@@ -112,8 +114,8 @@ def test_classifying_a_built_in_law_never_samples(monkeypatch):
     def sampled(*args, **kwargs):
         raise AssertionError("a built-in law's curvature was sampled")
 
-    for cls in (KineticLaw, PotentialLaw):
-        monkeypatch.setattr(cls, "chart_second_derivative", sampled)
+    for name in ("_chart", "_richardson_second"):
+        monkeypatch.setattr(analysis, name, sampled)
     domain = (0.1, 10.0)
     for kinetic in BUILT_IN_KINETIC:
         assert term_convexity(kinetic, domain) is kinetic.convexity_tag()
@@ -123,6 +125,28 @@ def test_classifying_a_built_in_law_never_samples(monkeypatch):
         for lam in LAMS:
             verdict = classify_two_body(BUILT_IN_KINETIC[0], law, lam, domain)
             assert verdict.terms["potential"] is law.convexity_tag(lam)
+
+
+WINDOWS = [(0.01, 0.1), (0.1, 10.0), (1.0, 20.0)]
+
+
+def test_a_sampled_verdict_never_contradicts_the_tag(monkeypatch):
+    # The custom-law sampler, forced onto every built-in law: a window of a
+    # chart with one sign must show that sign or read flat, and a linear chart
+    # must read linear.  A window sees only part of a mixed chart, so any class
+    # may show there.
+    cases = [(law, None, law.convexity_tag()) for law in BUILT_IN_KINETIC]
+    cases += [(law, lam, law.convexity_tag(lam)) for law, _, _ in POTENTIALS for lam in LAMS]
+    for cls in (KineticLaw, PotentialLaw):
+        monkeypatch.setattr(cls, "convexity_tag", lambda law, aux_exponent=None: None)
+    disagreements = []
+    for law, lam, tag in cases:
+        allowed = {tag, Convexity.LINEAR} if tag is not Convexity.MIXED else set(Convexity)
+        for window in WINDOWS:
+            sampled = term_convexity(law, window, lam)
+            if sampled not in allowed:
+                disagreements.append((_law_id(law), lam, window, tag, sampled))
+    assert disagreements == []
 
 
 def test_a_chart_flip_outside_the_sampled_window_reads_mixed():

@@ -11,10 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from envtheory.analysis import classify_two_body, critical_coupling
+from envtheory.analysis import _chart, classify_two_body, critical_coupling
 from envtheory.errors import EvaluationDomainError, InvalidAuxiliaryExponent
 from envtheory.model import KineticLaw, PotentialLaw, StateSpec
 from envtheory import qnum
+from envtheory.apps import boson_star_max_mass
 from envtheory.oracle import RadialProblem, SemiclassicalGeometry, harmonic_exact, radial_eigenvalue, radial_eigenvalues
 from envtheory.qnum import airy_zero, q_boson_ground, q_fermion_asymptotic, q_from_quanta, q_two_body_auxiliary
 from envtheory.solver import SolverConfig, auxiliary_energy, solve_two_body
@@ -38,7 +39,7 @@ def test_invalid_auxiliary_exponent_is_an_evaluation_domain_error():
         lambda lam: solve_two_body(KINETIC, LINEAR, lam, 1.5),
         lambda lam: auxiliary_energy(1.0, 1.0, lam, 1.5),
         lambda lam: classify_two_body(KINETIC, LINEAR, lam, (0.5, 2.0)),
-        lambda lam: LINEAR.chart_second_derivative(1.0, lam),
+        lambda lam: _chart(LINEAR, lam),
         lambda lam: LINEAR.convexity_tag(lam),
         lambda lam: PotentialLaw.yukawa(1.0).convexity_tag(lam),
     ],
@@ -128,13 +129,22 @@ LINEAR_WELL = RadialProblem(mu=1.0, potential=LINEAR, d=3, l=0, r_max=10.0)
         (lambda k: airy_zero(k), "zero index"),
         (lambda k: radial_eigenvalues(LINEAR_WELL, k), "level count"),
         (lambda k: radial_eigenvalue(LINEAR_WELL, k), "level index"),
+        (lambda k: boson_star_max_mass(3, 1.0, 1e-3, k), "n_max"),
     ],
     ids=["q_from_quanta-d", "q_boson_ground-n", "q_boson_ground-d", "harmonic_exact-n", "harmonic_exact-d",
-         "critical_coupling-n", "StateSpec.ground", "airy_zero", "radial_eigenvalues", "radial_eigenvalue"],
+         "critical_coupling-n", "StateSpec.ground", "airy_zero", "radial_eigenvalues", "radial_eigenvalue",
+         "boson_star_max_mass"],
 )
 def test_non_integer_count_is_rejected(call, name, count):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {count}$"):
         call(count)
+
+
+@pytest.mark.parametrize("n_max", [math.nan, math.inf])
+def test_a_non_integer_n_max_is_a_typed_error(n_max):
+    # nan used to fail in math.floor with "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match=f"^n_max must be an integer, got {n_max}$"):
+        boson_star_max_mass(3, 1.0, 1e-3, n_max)
 
 
 def test_a_non_integer_airy_index_caches_nothing():
@@ -154,7 +164,12 @@ def test_integer_count_range_messages_are_unchanged():
         radial_eigenvalue(LINEAR_WELL, -1)
     with pytest.raises(ValueError, match="^need at least 200 grid points, got 100$"):
         RadialProblem(mu=1.0, potential=LINEAR, d=3, l=0, r_max=10.0, points=100)
+    with pytest.raises(ValueError, match="^n_max must be >= 2, got 1$"):
+        boson_star_max_mass(3, 1.0, 1e-3, 1)
+    with pytest.raises(ValueError, match="^mass and alpha must be positive$"):
+        boson_star_max_mass(3, 0.0, 1e-3, 2.5)
     assert StateSpec.ground(np.int64(3)) == StateSpec.ground(3)
+    assert boson_star_max_mass(3, 1.0, 1e-3, np.int64(10**5)) == boson_star_max_mass(3, 1.0, 1e-3, 10**5)
 
 
 def test_numpy_integer_counts_are_accepted():

@@ -14,10 +14,14 @@ from envtheory import (
     KineticLaw,
     PotentialFamily,
     PotentialLaw,
+    QValue,
     StateSpec,
     Statistics,
     SystemSpec,
+    critical_coupling,
+    term_convexity,
 )
+from envtheory.analysis import _chart, _richardson_second
 from envtheory.errors import EvaluationDomainError, NonPositiveArgument
 from envtheory.model import _require_positive
 
@@ -122,14 +126,20 @@ def test_short_range_flags():
 
 
 def test_well_profile_strips_coupling():
-    law = PotentialLaw.yukawa(5.0, 2.0)
-    x = 1.7
-    assert float(law.well_profile(x)) == pytest.approx(
-        math.exp(-x / 2.0) / x, rel=1e-15
-    )
-    h = 1e-7
-    fd = (float(law.well_profile(x + h)) - float(law.well_profile(x - h))) / (2 * h)
-    assert float(law.well_profile_derivative(x)) == pytest.approx(fd, rel=1e-6)
+    # critical_coupling reads the well as W = -kappa w: kappa is a built-in
+    # well's coupling, so the threshold does not depend on it, and 1 for a
+    # custom profile, whose own depth stays in w
+    q, mass = QValue(1.5), 1.0
+    for coupling in (5.0, 1.0):
+        cc = critical_coupling("twobody", PotentialLaw.yukawa(coupling, 2.0), 2, q, mass)
+        assert cc.y0 == pytest.approx(2.0, rel=1e-12)
+        # w(y0) = exp(-1) / y0: g_c = Q^2 e / (m y0)
+        assert cc.value == pytest.approx(2.25 * math.e / 2.0, rel=1e-12)
+    deep = PotentialLaw.custom(CustomProfile(lambda x: -5.0 * np.exp(-x / 2.0) / x), short_range=True)
+    cc = critical_coupling("twobody", deep, 2, q, mass)
+    # a custom profile's derivative is a central difference
+    assert cc.y0 == pytest.approx(2.0, rel=1e-9)
+    assert cc.value == pytest.approx(2.25 * math.e / 10.0, rel=1e-9)
 
 
 def test_nonpositive_arguments_rejected():
@@ -139,11 +149,6 @@ def test_nonpositive_arguments_rejected():
         PotentialLaw.logarithmic(1.0).value(-1.0)
     with pytest.raises(NonPositiveArgument):
         PotentialLaw.power_law(1.0, -0.5).value(0.0)
-    # the chart curvature checks its argument too, also where a closed form needs none
-    with pytest.raises(NonPositiveArgument):
-        KineticLaw.nonrelativistic(1.0).chart_second_derivative(0.0)
-    with pytest.raises(NonPositiveArgument):
-        PotentialLaw.power_law(1.0, 1.0).chart_second_derivative(-1.0)
 
 
 @pytest.mark.parametrize(
@@ -187,16 +192,9 @@ def test_require_positive_rejects_with_pinned_message(x, shown):
 
 
 # --- the squared-argument chart that decides bound direction ---------------
-
-
-def test_chart_second_derivative_powerlaw_sign():
-    # q < 2 concave, q = 2 flat, q > 2 convex under the s = x^2 chart
-    s = 1.7
-    assert PotentialLaw.power_law(1.0, 1.0).chart_second_derivative(s) < 0.0
-    assert PotentialLaw.power_law(1.0, 2.0).chart_second_derivative(s) == 0.0
-    assert PotentialLaw.power_law(1.0, 3.0).chart_second_derivative(s) > 0.0
-    # negative amplitude flips the sign
-    assert PotentialLaw.power_law(-1.0, 3.0).chart_second_derivative(s) < 0.0
+# A law carries only the chart's curvature class; analysis samples the chart
+# b(s) = law(s**(1/lam)) of a custom profile, and these tests sample it for
+# built-in laws too.
 
 
 def test_chart_second_derivative_matches_finite_difference():
@@ -210,7 +208,7 @@ def test_chart_second_derivative_matches_finite_difference():
     for law in laws:
         for _ in range(8):
             s = rng.uniform(0.5, 3.0)
-            got = law.chart_second_derivative(s)
+            got = float(_richardson_second(_chart(law, None)[1], s))
             # direct second difference of b(s) = V(sqrt(s))
             h = 1e-4 * s
             b = lambda t: float(law.value(math.sqrt(t)))
@@ -219,30 +217,22 @@ def test_chart_second_derivative_matches_finite_difference():
 
 
 def test_chart_supports_negative_aux_exponent():
-    # with lam = -1 the chart is b(s) = V(1/s); for Coulomb that is linear
-    law = PotentialLaw.coulomb(1.0)
-    for s in (0.3, 1.0, 2.5):
-        assert law.chart_second_derivative(s, aux_exponent=-1.0) == pytest.approx(
-            0.0, abs=1e-12
-        )
+    # with lam = -1 the chart is b(s) = V(1/s); for a Coulomb profile that is
+    # -s, which the sampled custom-law verdict reads as linear
+    law = PotentialLaw.custom(CustomProfile(lambda x: -1.0 / x))
+    lam, chart = _chart(law, -1.0)
+    assert lam == -1.0
+    assert chart(np.array([0.3, 1.0, 2.5])) == pytest.approx([-0.3, -1.0, -2.5], rel=1e-15)
+    assert term_convexity(law, (0.3, 2.5), aux_exponent=-1.0) is Convexity.LINEAR
 
 
 def test_chart_rejects_kinetic_with_aux_exponent():
+    law = KineticLaw.custom(CustomProfile(lambda p: p * p * p))
+    with pytest.raises(EvaluationDomainError, match="^kinetic charts use the x\\*\\*2 substitution only$"):
+        term_convexity(law, (0.5, 2.0), aux_exponent=1.0)
     with pytest.raises(EvaluationDomainError):
-        KineticLaw.nonrelativistic(1.0).chart_second_derivative(1.0, aux_exponent=1.0)
-
-
-def test_kinetic_chart_values():
-    assert KineticLaw.nonrelativistic(1.0).chart_second_derivative(2.0) == 0.0
-    minimal = KineticLaw.minimal_length_quartic(2.0, 0.3)
-    assert minimal.chart_second_derivative(2.0) == pytest.approx(0.3)  # 2 beta / m
-    k = KineticLaw.exponential_quadratic(0.5)
-    s = 1.2
-    assert k.chart_second_derivative(s) == pytest.approx(
-        0.25 * math.exp(0.5 * s), rel=1e-12
-    )
-    semi = KineticLaw.semirelativistic(1.0)
-    assert semi.chart_second_derivative(1.0) < 0.0
+        _chart(KineticLaw.nonrelativistic(1.0), 1.0)
+    assert term_convexity(law, (0.5, 2.0), aux_exponent=2.0) is Convexity.CONVEX
 
 
 def test_convexity_tags():
@@ -406,7 +396,7 @@ def test_sampled_curvature_is_the_two_call_formula_bit_for_bit(law, aux):
         b = lambda u: law.value(np.power(u, 1.0 / (2.0 if aux is None else aux)))  # noqa: E731
     with np.errstate(all="ignore"):
         for point in (s, 0.37, np.float64(12.5)):
-            got = np.asarray(law.chart_second_derivative(point, aux))
+            got = np.asarray(_richardson_second(_chart(law, aux)[1], point))
             assert got.tobytes() == np.asarray(_richardson_two_calls(b, point)).tobytes()
 
 
