@@ -39,6 +39,8 @@ _SAMPLES = 33
 _FD_REL_STEP = 1e-4  # relative step of the curvature's finite differences
 _SIGN_REL_TOL = 1e-5
 _EPS = float(np.finfo(float).eps)
+_S_MIN = float(np.sqrt(np.finfo(float).tiny))
+_S_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 def _check_interval(domain: tuple[float, float]) -> tuple[float, float]:
@@ -86,9 +88,11 @@ def term_convexity(
     lo, hi = _check_interval(domain)
     xs = np.logspace(np.log10(lo), np.log10(hi), _SAMPLES)
     lam, chart = _chart(law, aux_exponent)
-    ss = np.power(xs, lam)  # image of the radial interval under the substitution
     with np.errstate(all="ignore"):
-        curv = np.asarray(_richardson_second(chart, ss), dtype=float)
+        ss = np.power(xs, lam)  # image of the radial interval under the substitution
+        # only samples whose s, s**2 and local scale |b|/s**2 are normal floats
+        ss = ss[(ss > _S_MIN) & (ss < _S_MAX)]
+        curv = np.asarray(_richardson_second(chart, ss), dtype=float) if ss.size else ss
     keep = np.isfinite(curv)
     curv, ss = curv[keep], ss[keep]
     if curv.size == 0:

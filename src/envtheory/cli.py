@@ -35,6 +35,7 @@ from .model import (
     Statistics,
     SystemSpec,
     checked,
+    require_counts,
 )
 from .qnum import (
     QProvenance,
@@ -118,28 +119,16 @@ def _reject_unknown(name: str, data: dict, allowed: set[str]) -> None:
             raise UnknownKey(f"line {lineno}: unknown key '{key}' in [{name}]")
 
 
-def _get_float(name: str, data: dict, key: str, default: float | None = None) -> float | None:
+def _get_number(name: str, data: dict, key: str, kind=float, default=None):
+    """[name] ``key`` read as ``kind`` (float or int), or ``default`` when absent."""
     if key not in data:
         return default
     lineno, text = data[key]
     try:
-        return float(text)
+        return kind(text)
     except ValueError:
-        raise TypeMismatch(
-            f"line {lineno}: [{name}] {key}: expected a number, got {text!r}"
-        ) from None
-
-
-def _get_int(name: str, data: dict, key: str, default: int | None = None) -> int | None:
-    if key not in data:
-        return default
-    lineno, text = data[key]
-    try:
-        return int(text)
-    except ValueError:
-        raise TypeMismatch(
-            f"line {lineno}: [{name}] {key}: expected an integer, got {text!r}"
-        ) from None
+        expected = "a number" if kind is float else "an integer"
+        raise TypeMismatch(f"line {lineno}: [{name}] {key}: expected {expected}, got {text!r}") from None
 
 
 def _get_choice(name: str, data: dict, key: str, choices, default: str | None = None) -> str | None:
@@ -163,10 +152,17 @@ def _line_of(data: dict, key: str) -> int:
     return data[key][0] if key in data else 0
 
 
-def _check_count(key: str, value: int, least: int, lineno: int) -> int:
-    """``value`` of [system] ``key``, which must be at least ``least``; ``lineno`` 0 for a sweep point."""
-    if value < least:
-        raise ConstraintViolation(f"line {lineno}: [system] {key} must be >= {least}, got {value}")
+def _reported(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ValueError from the library becomes a config error at ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConstraintViolation(f"{where}{exc}") from None
+
+
+def _check_count(key: str, value: int, lineno: int) -> int:
+    """``value`` of [system] ``key`` under ``model.require_counts``; ``lineno`` 0 for a sweep point."""
+    _reported(f"line {lineno}: [system] ", require_counts, **{key: value})
     return value
 
 
@@ -183,13 +179,8 @@ def _build_law(sections: Sections, name: str):
     for param in params:
         if param.default is None:
             _require(name, data, param.name)
-    values = [_get_float(name, data, p.name, p.default) for p in params]
-    try:
-        return law_cls.of(family, *values)
-    except ValueError as exc:
-        raise ConstraintViolation(
-            f"line {_line_of(data, 'family')}: [{name}] {exc}"
-        ) from None
+    values = [_get_number(name, data, p.name, default=p.default) for p in params]
+    return _reported(f"line {_line_of(data, 'family')}: [{name}] ", law_cls.of, family, *values)
 
 
 def _parse_quanta(lineno: int, text: str) -> tuple[tuple[int, int], ...]:
@@ -280,17 +271,17 @@ def config_from_sections(sections: Sections) -> RunConfig:
     _reject_unknown("system", system, {"n", "d", "statistics", "degeneracy"})
     _require("system", system, "n")
     _require("system", system, "d")
-    n = _get_int("system", system, "n")
-    d = _get_int("system", system, "d")
+    n = _get_number("system", system, "n", int)
+    d = _get_number("system", system, "d", int)
     for key, value in (("n", n), ("d", d)):
-        _check_count(key, value, 2, _line_of(system, key))
+        _check_count(key, value, _line_of(system, key))
     statistics = Statistics(
         _get_choice(
             "system", system, "statistics", {s.value for s in Statistics}, "unspecified"
         )
     )
-    degeneracy = _get_int("system", system, "degeneracy", 1)
-    _check_count("degeneracy", degeneracy, 1, _line_of(system, "degeneracy"))
+    degeneracy = _get_number("system", system, "degeneracy", int, 1)
+    _check_count("degeneracy", degeneracy, _line_of(system, "degeneracy"))
 
     kinetic = _build_law(sections, "kinetic")
     onebody = _build_law(sections, "onebody")
@@ -315,26 +306,15 @@ def config_from_sections(sections: Sections) -> RunConfig:
             quanta = _parse_quanta(*data["quanta"])
         else:
             state_kind = "q"
-            state_q = _get_float("state", data, "q")
-            try:
-                checked(state_q, "q", positive=True)
-            except ValueError as exc:
-                raise ConstraintViolation(
-                    f"line {_line_of(data, 'q')}: [state] {exc}"
-                ) from None
+            state_q = _get_number("state", data, "q")
+            _reported(f"line {_line_of(data, 'q')}: [state] ", checked, state_q, "q", positive=True)
 
     # [solver] keys are SolverConfig's fields, each parsed as its default's type
     data = sections.get("solver", {})
-    settings = {
-        f.name: _get_int if isinstance(f.default, int) else _get_float for f in fields(solver.SolverConfig)
-    }
-    _reject_unknown("solver", data, set(settings))
-    try:
-        solver_cfg = solver.SolverConfig(
-            **{key: get("solver", data, key) for key, get in settings.items() if key in data}
-        )
-    except ValueError as exc:
-        raise ConstraintViolation(f"[solver] {exc}") from None
+    kinds = {f.name: type(f.default) for f in fields(solver.SolverConfig)}
+    _reject_unknown("solver", data, set(kinds))
+    values = {key: _get_number("solver", data, key, kind) for key, kind in kinds.items() if key in data}
+    solver_cfg = _reported("[solver] ", solver.SolverConfig, **values)
 
     perturbation = None
     if "perturbation" in sections:
@@ -350,7 +330,7 @@ def config_from_sections(sections: Sections) -> RunConfig:
             ("eta", "eta_exponent", "onebody"),
             ("epsilon", "epsilon_exponent", "twobody"),
         ):
-            coeff = _get_float("perturbation", data, coeff_key)
+            coeff = _get_number("perturbation", data, coeff_key)
             if coeff is None:
                 if exp_key in data:
                     raise ConstraintViolation(
@@ -359,27 +339,15 @@ def config_from_sections(sections: Sections) -> RunConfig:
                     )
                 continue
             _require("perturbation", data, exp_key)
-            exponent = _get_float("perturbation", data, exp_key)
-            try:
-                shape = PotentialLaw.power_law(1.0, exponent)
-            except ValueError as exc:
-                raise ConstraintViolation(
-                    f"line {_line_of(data, exp_key)}: [perturbation] {exc}"
-                ) from None
-            try:
-                checked(coeff, coeff_key)
-            except ValueError as exc:
-                raise ConstraintViolation(
-                    f"line {_line_of(data, coeff_key)}: [perturbation] {exc}"
-                ) from None
+            exponent = _get_number("perturbation", data, exp_key)
+            shape = _reported(
+                f"line {_line_of(data, exp_key)}: [perturbation] ", PotentialLaw.power_law, 1.0, exponent
+            )
+            _reported(f"line {_line_of(data, coeff_key)}: [perturbation] ", checked, coeff, coeff_key)
             pairs[slot] = (coeff, shape)
         if not pairs:
             raise ConstraintViolation("[perturbation] needs at least one coefficient")
-        perturbation = analysis.PerturbationSpec(
-            kinetic=pairs.get("kinetic"),
-            onebody=pairs.get("onebody"),
-            twobody=pairs.get("twobody"),
-        )
+        perturbation = analysis.PerturbationSpec(**pairs)
 
     return RunConfig(
         sections=sections,
@@ -408,10 +376,17 @@ def parse_config(text: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _solve_row(cfg: RunConfig) -> list[str]:
+def _level(cfg: RunConfig):
+    """The configured system, its Q and its solved level."""
     system = cfg.system()
     q = cfg.resolve_q()
-    return _level_row(cfg, q, solver.solve_nbody(system, q, cfg.solver))
+    return system, q, solver.solve_nbody(system, q, cfg.solver)
+
+
+def _need(law, slot: str, family, command: str) -> None:
+    """Reject a missing [slot] law or one of another family than ``command`` takes."""
+    if law is None or law.family is not family:
+        raise ConstraintViolation(f"'{command}' needs [{slot}] family = {family.value}")
 
 
 def _level_row(cfg: RunConfig, q: QValue, sol) -> list[str]:
@@ -428,22 +403,15 @@ def _level_row(cfg: RunConfig, q: QValue, sol) -> list[str]:
 
 
 def _cmd_solve(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
-    header = ["N", "D", "Q", "E", "r0", "p0", "bound", "n_roots"]
-    return header, [_solve_row(cfg)]
+    _, q, sol = _level(cfg)
+    return ["N", "D", "Q", "E", "r0", "p0", "bound", "n_roots"], [_level_row(cfg, q, sol)]
 
 
 def _cmd_bounds(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
-    system = cfg.system()
-    q = cfg.resolve_q()
-    sol = solver.solve_nbody(system, q, cfg.solver)
+    _, _, sol = _level(cfg)
     terms = sol.bound.terms
-    row = [
-        str(cfg.n),
-        str(cfg.d),
-        sol.bound.classification.value,
-        terms.get("kinetic").value if "kinetic" in terms else "-",
-        terms.get("onebody").value if "onebody" in terms else "-",
-        terms.get("twobody").value if "twobody" in terms else "-",
+    row = [str(cfg.n), str(cfg.d), sol.bound.classification.value] + [
+        terms[slot].value if slot in terms else "-" for slot in ("kinetic", "onebody", "twobody")
     ]
     return ["N", "D", "bound", "kinetic", "onebody", "twobody"], [row]
 
@@ -476,19 +444,14 @@ def _cmd_critical(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
 def _cmd_perturb(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
     if cfg.perturbation is None:
         raise MissingSection("a [perturbation] section is required for 'perturb'")
-    system = cfg.system()
-    q = cfg.resolve_q()
-    sol = solver.solve_nbody(system, q, cfg.solver)
+    system, q, sol = _level(cfg)
     corrected = analysis.perturbed_energy(sol, system, cfg.perturbation)
     row = [str(cfg.n), str(cfg.d), _fmt(q.value), _fmt(sol.energy), _fmt(corrected)]
     return ["N", "D", "Q", "E", "E_perturbed"], [row]
 
 
 def _cmd_baryon(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
-    try:
-        params = apps.BaryonParams(n=cfg.n, d=cfg.d, a1=args.a1, a2=args.a2, b=args.b)
-    except ValueError as exc:
-        raise ConstraintViolation(str(exc)) from None
+    params = _reported("", apps.BaryonParams, n=cfg.n, d=cfg.d, a1=args.a1, a2=args.a2, b=args.b)
     e_upper, e_lower = apps.baryon_bounds(params)
     row = [
         str(cfg.n),
@@ -503,14 +466,10 @@ def _cmd_baryon(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
 
 
 def _cmd_bosonstar(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
-    if cfg.kinetic is None or cfg.kinetic.family is not KineticFamily.SEMIRELATIVISTIC:
-        raise ConstraintViolation(
-            "'bosonstar' needs [kinetic] family = semirelativistic"
-        )
-    if cfg.twobody is None or cfg.twobody.family is not PotentialFamily.COULOMB:
-        raise ConstraintViolation("'bosonstar' needs [twobody] family = coulomb")
+    _need(cfg.kinetic, "kinetic", KineticFamily.SEMIRELATIVISTIC, "bosonstar")
+    _need(cfg.twobody, "twobody", PotentialFamily.COULOMB, "bosonstar")
     q = cfg.resolve_q()
-    params = apps.BosonStarParams(n=cfg.n, mass=cfg.kinetic.mass, alpha=cfg.twobody.strength)
+    params = _reported("", apps.BosonStarParams, n=cfg.n, mass=cfg.kinetic.mass, alpha=cfg.twobody.strength)
     mass_bound = apps.boson_star_mass(params, q)
     row = [
         str(cfg.n),
@@ -524,8 +483,7 @@ def _cmd_bosonstar(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
 
 
 def _cmd_minlength(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
-    if cfg.kinetic is None or cfg.kinetic.family is not KineticFamily.MINIMAL_LENGTH_QUARTIC:
-        raise ConstraintViolation("'minlength' needs [kinetic] family = minimal-length")
+    _need(cfg.kinetic, "kinetic", KineticFamily.MINIMAL_LENGTH_QUARTIC, "minlength")
     if (
         cfg.twobody is None
         or cfg.twobody.family is not PotentialFamily.POWER_LAW
@@ -594,7 +552,7 @@ def _cmd_sweep(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
     try:
         for value in values:
             if param in ("n", "d"):
-                point = replace(cfg, **{param: _check_count(param, int(value), 2, 0)})
+                point = replace(cfg, **{param: _check_count(param, int(value), 0)})
                 q = None  # Q follows n and d
             else:
                 # every other section parsed with cfg, so only the swept law can fail
@@ -620,29 +578,25 @@ def _cmd_sweep(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
 
 
 def _cmd_oracle(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
-    if cfg.kinetic is None or cfg.kinetic.family is not KineticFamily.NONRELATIVISTIC:
-        raise ConstraintViolation("'oracle' needs [kinetic] family = nonrelativistic")
+    _need(cfg.kinetic, "kinetic", KineticFamily.NONRELATIVISTIC, "oracle")
     if cfg.n != 2 or cfg.twobody is None:
         raise ConstraintViolation(
             "'oracle' solves the two-body relative problem: n = 2 with a [twobody] section"
         )
     if args.levels < 1:
         raise ConstraintViolation(f"--levels must be >= 1, got {args.levels}")
-    system = cfg.system()
-    q = cfg.resolve_q()
-    sol = solver.solve_nbody(system, q, cfg.solver)
+    _, _, sol = _level(cfg)
     r_max = args.rmax if args.rmax is not None else 25.0 * sol.r0
-    try:
-        problem = oracle.RadialProblem(
-            mu=cfg.kinetic.mass / 2.0,
-            potential=cfg.twobody,
-            d=cfg.d,
-            l=cfg.state_l(),
-            r_max=r_max,
-            points=args.points,
-        )
-    except ValueError as exc:
-        raise ConstraintViolation(str(exc)) from None
+    problem = _reported(
+        "",
+        oracle.RadialProblem,
+        mu=cfg.kinetic.mass / 2.0,
+        potential=cfg.twobody,
+        d=cfg.d,
+        l=cfg.state_l(),
+        r_max=r_max,
+        points=args.points,
+    )
     levels = oracle.radial_eigenvalues(problem, args.levels)
     rows = [[str(i), _fmt(e)] for i, e in enumerate(levels)]
     return ["level", "E"], rows

@@ -127,15 +127,19 @@ def checked(value, what: str, positive: bool = False, integer: bool = False):
     return number
 
 
-def require_counts(n: int | None = None, d: int | None = None) -> None:
-    """Reject a count that is not an integer, fewer than two particles or fewer than two dimensions."""
-    for name, count in (("n", n), ("d", d)):
+def require_counts(n: int | None = None, d: int | None = None, degeneracy: int | None = None) -> None:
+    """The one count rule: each given count is an integer, n >= 2, d >= 2 and degeneracy >= 1.
+
+    Every count is type-checked before any range, and a violation raises
+    ValueError reading ``{name} must be >= {least}, got {value}``.
+    """
+    counts = (("n", n, 2), ("d", d, 2), ("degeneracy", degeneracy, 1))
+    for name, count, _ in counts:
         if count is not None:
             checked(count, name, integer=True)
-    if n is not None and n < 2:
-        raise ValueError(f"need at least two particles, got n={n}")
-    if d is not None and d < 2:
-        raise ValueError(f"need at least two dimensions, got d={d}")
+    for name, count, least in counts:
+        if count is not None and count < least:
+            raise ValueError(f"{name} must be >= {least}, got {count}")
 
 
 def _require_positive(x, what: str = "argument") -> None:
@@ -548,8 +552,7 @@ class SystemSpec:
     degeneracy: int = 1
 
     def __post_init__(self) -> None:
-        checked(self.degeneracy, "degeneracy", integer=True)
-        require_counts(n=self.n, d=self.d)
+        require_counts(n=self.n, d=self.d, degeneracy=self.degeneracy)
         if not isinstance(self.kinetic, KineticLaw):
             raise TypeError(f"kinetic must be a KineticLaw, got {self.kinetic!r}")
         for slot in ("onebody", "twobody"):
@@ -558,8 +561,6 @@ class SystemSpec:
                 raise TypeError(f"{slot} must be a PotentialLaw or None, got {law!r}")
         if self.onebody is None and self.twobody is None:
             raise ValueError("at least one of onebody/twobody must be present")
-        if self.degeneracy < 1:
-            raise ValueError(f"degeneracy must be >= 1, got {self.degeneracy}")
 
     @property
     def pair_count(self) -> int:

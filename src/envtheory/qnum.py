@@ -72,10 +72,7 @@ def q_fermion_asymptotic(n: int, d: int, degeneracy: int = 1) -> QValue:
     Q ~ (d/(d+1)) (d! n^(d+1) / degeneracy)^(1/d) once n is large; this is
     the leading term only and is not a shell-exact count at small n.
     """
-    require_counts(n=n, d=d)
-    checked(degeneracy, "degeneracy", integer=True)
-    if degeneracy < 1:
-        raise ValueError(f"degeneracy must be >= 1, got {degeneracy}")
+    require_counts(n=n, d=d, degeneracy=degeneracy)
     value = d / (d + 1.0) * (math.factorial(d) * float(n) ** (d + 1) / degeneracy) ** (1.0 / d)
     return QValue(value, QProvenance.FERMION_ASYMPTOTIC)
 

@@ -65,6 +65,16 @@ def test_term_convexity_mixed_profile():
     assert term_convexity(law, (0.05, 50.0)) is Convexity.MIXED
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("domain", [(1e-5, 1e-3), (1e3, 1e5)], ids=["underflow", "overflow"])
+def test_term_convexity_window_outside_the_float_range_reads_mixed(domain):
+    # under lam = 100 the image s = x**100 of either window leaves the range
+    # where s, s**2 and |b|/s**2 are normal floats: no sample is trusted, and
+    # a b'' that underflows to 0 there must not read as linear (an Exact level)
+    law = PotentialLaw.custom(CustomProfile(value=lambda x: np.power(x, 1.5)))
+    assert term_convexity(law, domain, aux_exponent=100.0) is Convexity.MIXED
+
+
 def test_term_convexity_respects_negative_aux_exponent():
     # under the s = x^{-1} chart the Coulomb term is exactly linear
     law = PotentialLaw.coulomb(2.0)

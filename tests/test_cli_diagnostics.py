@@ -426,3 +426,33 @@ def test_oracle_bad_grid_flags_are_config_errors(tmp_path, capsys, flags, expect
     out = io.StringIO()
     code = run(["oracle", "--config", str(path), *flags], stdout=out)
     assert (code, capsys.readouterr().err, out.getvalue()) == (1, f"config error: {expected}\n", "")
+
+
+# --- every command: a value the library rejects is a config error -------------
+# [state] q = 0 and oracle --points 100 are pinned above with the same checks.
+
+BOSONSTAR = SYSTEM + "[kinetic]\nfamily = semirelativistic\nmass = 0.0\n\n[twobody]\nfamily = coulomb\nstrength = 0.01\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, flags, expected",
+    [
+        ("perturb", PERTURB_BASE + "tau = inf\ntau_exponent = 2.0\n", [],
+         "line 15: [perturbation] tau must be finite, got inf"),
+        ("perturb", PERTURB_BASE + "tau = 1.0\ntau_exponent = -3\n", [],
+         "line 16: [perturbation] power-law potential needs exponent > -2, got -3.0"),
+        ("baryon", BARYON, ["--a1", "-1"], "confinement strengths a1, a2 must be non-negative"),
+        # the semirelativistic law takes mass 0, the boson-star bound does not
+        ("bosonstar", BOSONSTAR, [], "mass must be positive, got 0.0"),
+    ],
+    ids=["tau-inf", "tau-exponent-below-minus-2", "baryon-negative-a1", "bosonstar-massless"],
+)
+def test_a_value_the_library_rejects_is_a_config_error_without_traceback(
+    tmp_path, capsys, command, text, flags, expected
+):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out = io.StringIO()
+    # an uncaught library error would escape run() here, as a traceback does from the command
+    code = run([command, "--config", str(path), *flags], stdout=out)
+    assert (code, capsys.readouterr().err, out.getvalue()) == (1, f"config error: {expected}\n", "")

@@ -13,7 +13,7 @@ import pytest
 
 from envtheory.analysis import _chart, classify_two_body, critical_coupling
 from envtheory.errors import EvaluationDomainError, InvalidAuxiliaryExponent
-from envtheory.model import KineticLaw, PotentialLaw, StateSpec
+from envtheory.model import KineticLaw, PotentialLaw, StateSpec, SystemSpec, require_counts
 from envtheory import qnum
 from envtheory.apps import boson_star_max_mass
 from envtheory.oracle import RadialProblem, SemiclassicalGeometry, harmonic_exact, radial_eigenvalue, radial_eigenvalues
@@ -179,6 +179,33 @@ def test_numpy_integer_counts_are_accepted():
     ground = StateSpec.ground(3)
     assert harmonic_exact(three, three, 1.0, 1.0, 0.0, ground) == harmonic_exact(3, 3, 1.0, 1.0, 0.0, ground)
     assert critical_coupling("twobody", YUKAWA, three, 3.0, 1.0) == critical_coupling("twobody", YUKAWA, 3, 3.0, 1.0)
+
+
+# one count rule behind every caller: the same wording wherever a count comes in
+COUNT_CALLERS = [
+    ("require_counts", lambda n, d, degeneracy: require_counts(n=n, d=d, degeneracy=degeneracy), "n d degeneracy"),
+    ("SystemSpec", lambda n, d, degeneracy: SystemSpec(n, d, KINETIC, twobody=LINEAR, degeneracy=degeneracy),
+     "n d degeneracy"),
+    ("q_boson_ground", lambda n, d, degeneracy: q_boson_ground(n, d), "n d"),
+    ("harmonic_exact", lambda n, d, degeneracy: harmonic_exact(n, d, 1.0, 1.0, 0.0, StateSpec.ground(3)), "n d"),
+    ("q_fermion_asymptotic", lambda n, d, degeneracy: q_fermion_asymptotic(n, d, degeneracy), "n d degeneracy"),
+]
+COUNT_CASES = [(caller, call, name) for caller, call, names in COUNT_CALLERS for name in names.split()]
+VALID_COUNTS = {"n": 3, "d": 3, "degeneracy": 1}
+LEAST_COUNTS = {"n": 2, "d": 2, "degeneracy": 1}
+
+
+@pytest.mark.parametrize(
+    "call, name", [case[1:] for case in COUNT_CASES], ids=[f"{caller}-{name}" for caller, _, name in COUNT_CASES]
+)
+def test_every_caller_states_the_one_count_rule(call, name):
+    least = LEAST_COUNTS[name]
+    with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
+        call(**dict(VALID_COUNTS, **{name: least - 1}))
+    for count in (3.5, 3.0):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {count}$"):
+            call(**dict(VALID_COUNTS, **{name: count}))
+    assert call(**dict(VALID_COUNTS, **{name: np.int64(VALID_COUNTS[name])})) == call(**VALID_COUNTS)
 
 
 @pytest.mark.parametrize(
