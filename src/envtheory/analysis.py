@@ -19,7 +19,13 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import EvaluationDomainError, NoCriticalPoint, NotShortRange, PerturbationSizeWarning
+from .errors import (
+    EvaluationDomainError,
+    NoCriticalPoint,
+    NonFiniteResult,
+    NotShortRange,
+    PerturbationSizeWarning,
+)
 from .model import (
     BoundKind,
     Convexity,
@@ -238,7 +244,8 @@ def critical_coupling(
 
     The flag carried by the result states on which side of the true critical
     coupling this estimate falls, inherited from the bound direction of the
-    envelope level itself.
+    envelope level itself.  A coupling beyond the float range (say, from
+    an enormous Q) raises ``NonFiniteResult``.
     """
     if mode not in ("onebody", "twobody"):
         raise ValueError(f"mode must be 'onebody' or 'twobody', got {mode!r}")
@@ -255,6 +262,8 @@ def critical_coupling(
         value = (2.0 / (n * (n - 1.0) ** 2)) * (qv * qv / mass) / (y0 * y0 * w0)
     else:
         value = (1.0 / (2.0 * n * n)) * (qv * qv / mass) / (y0 * y0 * w0)
+    if not np.isfinite(value):
+        raise NonFiniteResult(f"the critical coupling at Q = {qv} and mass {mass} is not finite, got {value}")
 
     # The envelope level for a nonrelativistic particle in this well carries
     # the well's own chart curvature (the kinetic chart is linear).

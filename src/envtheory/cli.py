@@ -225,19 +225,15 @@ class RunConfig:
     solver: solver.SolverConfig
     perturbation: analysis.PerturbationSpec | None
 
-    def system(self) -> SystemSpec:
-        if self.kinetic is None:
+    def system(self, **laws) -> SystemSpec:
+        """The configured system, with each law given in ``laws`` (by section) in place of its own."""
+        laws = {"kinetic": self.kinetic, "onebody": self.onebody, "twobody": self.twobody} | laws
+        if laws["kinetic"] is None:
             raise MissingSection("a [kinetic] section is required for this command")
-        if self.onebody is None and self.twobody is None:
+        if laws["onebody"] is None and laws["twobody"] is None:
             raise MissingSection("an [onebody] or [twobody] section is required")
         return SystemSpec(
-            n=self.n,
-            d=self.d,
-            kinetic=self.kinetic,
-            onebody=self.onebody,
-            twobody=self.twobody,
-            statistics=self.statistics,
-            degeneracy=self.degeneracy,
+            n=self.n, d=self.d, statistics=self.statistics, degeneracy=self.degeneracy, **laws
         )
 
     def resolve_q(self) -> QValue:
@@ -389,10 +385,10 @@ def _need(law, slot: str, family, command: str) -> None:
         raise ConstraintViolation(f"'{command}' needs [{slot}] family = {family.value}")
 
 
-def _level_row(cfg: RunConfig, q: QValue, sol) -> list[str]:
+def _level_row(system: SystemSpec, q: QValue, sol) -> list[str]:
     return [
-        str(cfg.n),
-        str(cfg.d),
+        str(system.n),
+        str(system.d),
         _fmt(q.value),
         _fmt(sol.energy),
         _fmt(sol.r0),
@@ -403,8 +399,8 @@ def _level_row(cfg: RunConfig, q: QValue, sol) -> list[str]:
 
 
 def _cmd_solve(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
-    _, q, sol = _level(cfg)
-    return ["N", "D", "Q", "E", "r0", "p0", "bound", "n_roots"], [_level_row(cfg, q, sol)]
+    system, q, sol = _level(cfg)
+    return ["N", "D", "Q", "E", "r0", "p0", "bound", "n_roots"], [_level_row(system, q, sol)]
 
 
 def _cmd_bounds(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
@@ -532,6 +528,28 @@ def _sweep_values(args) -> list[float]:
     return [args.start + i * width for i in range(args.steps)]
 
 
+def _swept_law(cfg: RunConfig, section: str, key: str, first: float):
+    """The law of [section] at each swept value of ``key``, from its parsed parameters.
+
+    Every point's law is one checked ``law_cls.of`` call; an unknown key or
+    a swept ``family`` is the error a config naming ``first`` there gives.
+    """
+    law_cls, families = _LAW_SECTIONS[section]
+    law = getattr(cfg, section)
+    names = [param.name for param in FAMILIES[law.family].params]
+    swept = {key: (0, repr(first))}
+    _get_choice(section, swept, "family", families)
+    _reject_unknown(section, swept, set(names))
+    where = f"line {_line_of(cfg.sections[section], 'family')}: [{section}] "
+    params = [getattr(law, name) for name in names]
+    at = names.index(key)
+
+    def at_value(value: float):
+        return _reported(where, law_cls.of, law.family, *params[:at], value, *params[at + 1 :])
+
+    return at_value
+
+
 def _cmd_sweep(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
     param = args.param.lower()
     if param not in ("n", "d"):
@@ -547,22 +565,17 @@ def _cmd_sweep(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
         if section not in cfg.sections:
             raise MissingSection(f"a [{section}] section is required to sweep {param}")
     header = ["param", "value", "N", "D", "Q", "E", "r0", "p0", "bound", "n_roots"]
-    values, points, systems, qs = _sweep_values(args), [], [], []
-    q = None
+    values, systems, qs = _sweep_values(args), [], []
+    if param not in ("n", "d"):
+        law_at = _swept_law(cfg, section, key, values[0])
     try:
         for value in values:
             if param in ("n", "d"):
                 point = replace(cfg, **{param: _check_count(param, int(value), 0)})
-                q = None  # Q follows n and d
+                system, q = point.system(), point.resolve_q()  # Q follows n and d
             else:
-                # every other section parsed with cfg, so only the swept law can fail
-                data = dict(cfg.sections[section])
-                data[key] = (0, repr(float(value)))
-                point = replace(cfg, **{section: _build_law({section: data}, section)})
-            system = point.system()
-            if q is None:
-                q = point.resolve_q()
-            points.append(point)
+                system = cfg.system(**{section: law_at(value)})
+                q = qs[0] if qs else cfg.resolve_q()
             systems.append(system)
             qs.append(q)
     except Exception:
@@ -571,8 +584,8 @@ def _cmd_sweep(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
         raise
     solutions = solver.solve_nbody_many(systems, qs, cfg.solver)
     rows = [
-        [param, _fmt(value)] + _level_row(point, q, sol)
-        for value, point, q, sol in zip(values, points, qs, solutions)
+        [param, _fmt(value)] + _level_row(system, q, sol)
+        for value, system, q, sol in zip(values, systems, qs, solutions)
     ]
     return header, rows
 
@@ -597,7 +610,7 @@ def _cmd_oracle(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
         r_max=r_max,
         points=args.points,
     )
-    levels = oracle.radial_eigenvalues(problem, args.levels)
+    levels = _reported("", oracle.radial_eigenvalues, problem, args.levels)
     rows = [[str(i), _fmt(e)] for i, e in enumerate(levels)]
     return ["level", "E"], rows
 

@@ -50,6 +50,10 @@ class NoCriticalPoint(EnvelopeError):
     """The dimensionless well profile admits no stationary scale."""
 
 
+class NonFiniteResult(EnvelopeError):
+    """A result overflowed the float range, so no finite number can be returned."""
+
+
 class UnboundOscillator(EnvelopeError):
     """An oscillator spectrum needs a positive net spring constant."""
 

@@ -90,6 +90,14 @@ class RadialProblem:
         checked(self.points, "grid points", integer=True)
         if self.points < 200:
             raise ValueError(f"need at least 200 grid points, got {self.points}")
+        finest = self.r_max / (self.points * 2**_MAX_DOUBLINGS)
+        with np.errstate(all="ignore"):
+            kinetic_scale = 1.0 / (2.0 * np.float64(self.mu) * finest * finest)
+        if not np.isfinite(kinetic_scale):
+            raise ValueError(
+                f"r_max = {self.r_max} over {self.points} points is too fine a grid: "
+                f"the kinetic scale 1/(2 mu h^2) of its finest doubling is not finite"
+            )
 
     @property
     def centrifugal(self) -> float:
@@ -107,6 +115,8 @@ def radial_eigenvalues(problem: RadialProblem, count: int) -> np.ndarray:
     checked(count, "level count", integer=True)
     if count < 1:
         raise ValueError(f"need at least one level, got {count}")
+    if count > problem.points:
+        raise ValueError(f"{problem.points} grid points hold at most {problem.points} levels, got {count}")
     coarse = _grid_eigenvalues(problem, problem.points, count)
     points = problem.points
     for _ in range(_MAX_DOUBLINGS):

@@ -24,6 +24,9 @@ its own samples: no positive one means attraction wins at every scale
 ``solve_nbody_many`` solves a sequence of N-body points, a sweep, in blocks:
 one 2-D scan finds the brackets on every point's first grid, and each point's
 polish starts from them, with its floats unchanged from ``solve_nbody``.
+Points that share Q share that grid, so a law sweep's block scans one grid
+row: p0, the kinetic term and every unswept law are evaluated once for the
+block, and only the swept term once per point.
 """
 
 from __future__ import annotations
@@ -378,11 +381,14 @@ def _block_residual(specs: list[SystemSpec], qs: np.ndarray, r0: np.ndarray) -> 
 
     Each law is rebuilt with its parameters as (points, 1) columns, so the
     formulas of ``FAMILIES`` broadcast over the points unchanged.  A number
-    every point shares stays the points' own scalar.  ``np.power`` takes a
-    fast path for some scalar exponents (2, 0.5, -1, ...) that a column of
-    exponents does not, so a power law whose exponent differs between rows
-    is evaluated row by row, one ``np.power`` call per row with that point's
-    own exponent.
+    every point shares stays the points' own scalar, and is evaluated once
+    for the whole block: when the points share Q, ``r0`` may be one (1, S)
+    grid row, so p0, the kinetic term and every unswept law take one row
+    and only the terms whose parameters differ spread to one row per point.
+    ``np.power`` takes a fast path for some scalar exponents (2, 0.5, -1,
+    ...) that a column of exponents does not, so a power law whose exponent
+    differs between rows is evaluated row by row, one ``np.power`` call per
+    row with that point's own exponent.
     """
 
     def shared(values) -> bool:
@@ -393,7 +399,9 @@ def _block_residual(specs: list[SystemSpec], qs: np.ndarray, r0: np.ndarray) -> 
 
     def row_by_row(laws):
         functions = [law.derivative_function() for law in laws]
-        return lambda x: np.stack([f(row) for f, row in zip(functions, x)])
+        return lambda x: np.stack(
+            [f(row) for f, row in zip(functions, np.broadcast_to(x, (len(functions), x.shape[-1])))]
+        )
 
     terms = []
     for slot in ("kinetic", "onebody", "twobody"):
@@ -415,13 +423,28 @@ def _block_residual(specs: list[SystemSpec], qs: np.ndarray, r0: np.ndarray) -> 
     return residual(column(qs.tolist()), r0)
 
 
+def _block_scan(specs: list[SystemSpec], qs: list, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, F): one row per point of its first scan grid and F there, from one evaluation.
+
+    Points that share Q share their grid, so the block samples one (1, S)
+    row, which ``_block_residual`` spreads to a row per point only where a
+    parameter differs; each sample is still the float its point's own scan
+    computes.  Both arrays come back with one row per point (read-only
+    broadcast views where the rows are one).
+    """
+    qs = np.array([float(q) for q in qs])
+    if (qs == qs[0]).all():
+        qs = qs[:1]
+    grid = qs[:, None] * log_grid(cfg.decades, cfg.points_per_decade)
+    values = np.broadcast_to(_block_residual(specs, qs, grid), (len(specs), grid.shape[1]))
+    return np.broadcast_to(grid, values.shape), values
+
+
 def _solve_block(block: list, cfg: SolverConfig) -> list[EnvelopeSolution]:
-    specs = [spec for spec, _ in block]
-    qs = np.array([float(q) for _, q in block])
+    """Every point of ``block`` solved by ``solve_nbody`` from the brackets of one ``_block_scan``."""
     try:
         with np.errstate(all="ignore"):
-            grid = qs[:, None] * log_grid(cfg.decades, cfg.points_per_decade)
-            values = _block_residual(specs, qs, grid)
+            grid, values = _block_scan([spec for spec, _ in block], [q for _, q in block], cfg)
         brackets = sign_change_brackets(grid, values)
     except (ArithmeticError, ValueError, EnvelopeError):
         # the single-point scans raise it again, from the point it belongs to

@@ -23,6 +23,7 @@ from envtheory import (
 )
 from envtheory.errors import (
     NoCriticalPoint,
+    NonFiniteResult,
     NotShortRange,
     PerturbationSizeWarning,
 )
@@ -285,6 +286,14 @@ def test_critical_rejects_non_finite_inputs(make_q, mass):
     for mode in ("onebody", "twobody"):
         with pytest.raises(ValueError):
             critical_coupling(mode, PotentialLaw.yukawa(1.0, 1.0), 2, make_q(), mass)
+
+
+def test_critical_coupling_beyond_the_float_range_is_an_error():
+    # Q**2 overflows; a coupling of 1e+300**2 would otherwise come back as inf
+    for mode in ("onebody", "twobody"):
+        with pytest.raises(NonFiniteResult, match="is not finite, got inf"):
+            critical_coupling(mode, PotentialLaw.yukawa(1.0, 1.0), 3, 1e300, 1.0)
+        assert math.isfinite(critical_coupling(mode, PotentialLaw.yukawa(1.0, 1.0), 3, 1e150, 1.0).value)
 
 
 def test_critical_bound_side_is_reported():

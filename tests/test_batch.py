@@ -348,6 +348,49 @@ def _harmonic(n, d, amplitude=1.0):
     return SystemSpec(n, d, KineticLaw.nonrelativistic(1.0), twobody=PotentialLaw.power_law(amplitude, 2.0))
 
 
+def _block_scan_rows(specs, qs):
+    """``solver._block_scan`` of one block, checked row by row against each point's own scan."""
+    cfg = SolverConfig()
+    assert len({solver._block_key(spec, q) for spec, q in zip(specs, qs)}) == 1
+    with np.errstate(all="ignore"):
+        grid, values = solver._block_scan(specs, qs, cfg)
+        for spec, q, grid_row, row in zip(specs, qs, grid, values, strict=True):
+            own = float(q) * log_grid(cfg.decades, cfg.points_per_decade)
+            assert grid_row.tobytes() == own.tobytes()
+            assert row.tobytes() == np.asarray(stationary_residual(spec, q, own), dtype=float).tobytes()
+    return grid
+
+
+_SHARED_Q_SWEEPS = {
+    "onebody-and-twobody-potential": [
+        SystemSpec(4, 3, KineticLaw.nonrelativistic(1.2), onebody=PotentialLaw.power_law(0.5, 2.0), twobody=PotentialLaw.yukawa(g, 0.7))
+        for g in np.linspace(0.5, 30.0, 25).tolist()
+    ],
+    "kinetic-parameter": [
+        SystemSpec(3, 2, KineticLaw.minimal_length_quartic(1.5, t), onebody=PotentialLaw.logarithmic(1.4), twobody=PotentialLaw.coulomb(0.3))
+        for t in np.linspace(0.0, 0.5, 25).tolist()
+    ],
+    # exponent - 1 in {2, 0.5, 1, -1, 0} takes np.power's scalar fast paths: one call per row
+    "power-law-exponent": [
+        SystemSpec(4, 3, KineticLaw.semirelativistic(0.8), onebody=PotentialLaw.power_law(0.6, 2.0), twobody=PotentialLaw.power_law(0.8, e))
+        for e in (3.0, 1.5, 2.0, 0.0, 1.0, 2.5, -0.0, 3.0, 0.7, -1.0)
+    ],
+    "repeated-point": [_harmonic(3, 3, 0.75)] * 5,
+}
+
+
+@pytest.mark.parametrize("specs", _SHARED_Q_SWEEPS.values(), ids=_SHARED_Q_SWEEPS)
+def test_a_shared_q_block_scans_one_grid_row(specs):
+    grid = _block_scan_rows(specs, [QValue(4.5)] * len(specs))
+    assert grid.strides[0] == 0  # every point reads the one row
+
+
+def test_a_per_point_q_block_scans_a_grid_per_point():
+    specs = [_harmonic(n, 3, 0.9) for n in range(2, 27)]
+    grid = _block_scan_rows(specs, [q_boson_ground(spec.n, spec.d) for spec in specs])
+    assert grid.strides[0] != 0
+
+
 def test_particle_number_and_dimension_sweeps(monkeypatch):
     specs = [_harmonic(n, 3) for n in range(2, 60)] + [_harmonic(4, d) for d in range(2, 40)]
     qs = [q_boson_ground(s.n, s.d) for s in specs]
@@ -544,3 +587,24 @@ SHORT_QUANTA = THREE_TERMS + "\n[state]\nquanta = 0,0\n"
 def test_law_sweep_diagnostics(tmp_path, text, extra, err):
     param, start, stop = extra.split()
     assert _sweep(tmp_path, text, "--param", param, "--from", start, "--to", stop, "--steps", "3") == (1, "", err)
+
+
+def test_a_law_sweep_reads_its_config_text_once(tmp_path, monkeypatch):
+    # the parse reads each number once; a point is built from the parsed numbers
+    from envtheory import cli
+
+    reads = []
+    read = cli._get_number
+
+    def counted(*args, **kwargs):
+        reads.append(args[:3])
+        return read(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_get_number", counted)
+    counts = []
+    for steps in ("2", "100"):
+        reads.clear()
+        code, out, _ = _sweep(tmp_path, THREE_TERMS, "--param", "onebody.amplitude", "--from", "0.5", "--to", "2", "--steps", steps)
+        assert code == 0 and out.count("\n") == 1 + int(steps)
+        counts.append(len(reads))
+    assert counts[0] == counts[1]

@@ -456,3 +456,35 @@ def test_a_value_the_library_rejects_is_a_config_error_without_traceback(
     # an uncaught library error would escape run() here, as a traceback does from the command
     code = run([command, "--config", str(path), *flags], stdout=out)
     assert (code, capsys.readouterr().err, out.getvalue()) == (1, f"config error: {expected}\n", "")
+
+
+# --- oracle grids and critical couplings out of the float range ----------------
+
+YUKAWA_Q = SYSTEM + KINETIC + "[twobody]\nfamily = yukawa\ncoupling = 1.0\n\n[state]\nq = 1e300\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, flags, expected",
+    [
+        ("oracle", ORACLE, ["--levels", "500", "--points", "200"],
+         "config error: 200 grid points hold at most 200 levels, got 500"),
+        ("oracle", ORACLE, ["--rmax", "1e-300"],
+         "config error: r_max = 1e-300 over 4000 points is too fine a grid: "
+         "the kinetic scale 1/(2 mu h^2) of its finest doubling is not finite"),
+        # finite on the first grid, infinite after the doublings
+        ("oracle", ORACLE, ["--rmax", "1e-150"],
+         "config error: r_max = 1e-150 over 4000 points is too fine a grid: "
+         "the kinetic scale 1/(2 mu h^2) of its finest doubling is not finite"),
+        ("critical", YUKAWA_Q, ["--mode", "twobody"],
+         "error: the critical coupling at Q = 1e+300 and mass 1.0 is not finite, got inf"),
+    ],
+    ids=["oracle-levels-beyond-grid", "oracle-rmax-1e-300", "oracle-rmax-1e-150", "critical-q-1e300"],
+)
+def test_a_result_beyond_the_grid_or_the_float_range_is_a_one_line_error(
+    tmp_path, capsys, command, text, flags, expected
+):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out = io.StringIO()
+    code = run([command, "--config", str(path), *flags], stdout=out)
+    assert (code, capsys.readouterr().err, out.getvalue()) == (1, f"{expected}\n", "")

@@ -291,3 +291,14 @@ def test_balance_includes_onebody_force():
     f_c, f_1, f_2, residual = centripetal_balance(spec, sol, geometry="simplex")
     assert f_1 > 0.0 and f_2 > 0.0
     assert abs(residual) < 1e-10
+
+
+def test_the_grid_bounds_the_levels_and_the_kinetic_scale():
+    problem = RadialProblem(mu=0.5, potential=PotentialLaw.power_law(1.0, 2.0), d=3, l=0, r_max=10.0, points=200)
+    with pytest.raises(ValueError, match="200 grid points hold at most 200 levels, got 201"):
+        radial_eigenvalues(problem, 201)
+    # 1e-150 / 4000 squares to a normal float; only the sixth doubling underflows
+    for r_max in (1e-300, 1e-150):
+        with pytest.raises(ValueError, match="kinetic scale 1/\\(2 mu h\\^2\\) of its finest doubling is not finite"):
+            RadialProblem(mu=0.5, potential=problem.potential, d=3, l=0, r_max=r_max)
+    RadialProblem(mu=0.5, potential=problem.potential, d=3, l=0, r_max=1e-130)
