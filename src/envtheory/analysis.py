@@ -284,6 +284,11 @@ def _profile_stationary_scale(shape: PotentialLaw, kappa: float) -> float:
         values = np.asarray(residual(grid), dtype=float)
     brackets = sign_change_brackets(grid, values)
     if not brackets:
+        if not np.any(np.isfinite(values)):
+            raise NonFiniteResult(
+                f"the well profile is not finite anywhere on the stationary-scale scan "
+                f"around the screening length {center}"
+            )
         raise NoCriticalPoint(
             "the well profile admits no stationary scale: 2 w(y) + y w'(y) never crosses zero"
         )

@@ -93,10 +93,17 @@ class RadialProblem:
         finest = self.r_max / (self.points * 2**_MAX_DOUBLINGS)
         with np.errstate(all="ignore"):
             kinetic_scale = 1.0 / (2.0 * np.float64(self.mu) * finest * finest)
+            inner = np.power(finest * (np.arange(1, 3) - 0.5), self.d - 1)
         if not np.isfinite(kinetic_scale):
             raise ValueError(
                 f"r_max = {self.r_max} over {self.points} points is too fine a grid: "
                 f"the kinetic scale 1/(2 mu h^2) of its finest doubling is not finite"
+            )
+        # the off-diagonal divides by sqrt(w_1 w_2); every other product is larger
+        if not inner[0] * inner[1] > 0.0:
+            raise ValueError(
+                f"r_max = {self.r_max} over {self.points} points is too fine a grid: "
+                f"the cell weights r**(D-1) of its finest doubling underflow to zero"
             )
 
     @property
@@ -141,6 +148,19 @@ def radial_eigenvalue(problem: RadialProblem, n: int) -> float:
 
 
 def _grid_eigenvalues(problem: RadialProblem, points: int, count: int) -> np.ndarray:
+    """Lowest ``count`` eigenvalues of one grid's matrix.
+
+    The builder returns only the two diagonals, so the grid, the potential
+    samples, the face areas and the cell weights are freed before LAPACK
+    allocates its own workspace.
+    """
+    diag, off = _tridiagonal(problem, points)
+    return eigh_tridiagonal(
+        diag, off, select="i", select_range=(0, count - 1), eigvals_only=True
+    )
+
+
+def _tridiagonal(problem: RadialProblem, points: int) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric tridiagonal discretization on cell centers r_j = (j - 1/2) h.
 
     Writing the physical radial function R(r) = u(r) / r**((D-1)/2) removes
@@ -175,9 +195,7 @@ def _grid_eigenvalues(problem: RadialProblem, points: int, count: int) -> np.nda
     ) + v
     diag[-1] += faces[-1] / weights[-1] * inv
     off = -faces[1:-1] / np.sqrt(weights[:-1] * weights[1:]) * inv
-    return eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, count - 1), eigvals_only=True
-    )
+    return diag, off
 
 
 def eigh_tridiagonal(diag, off, **kwargs):

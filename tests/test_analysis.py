@@ -270,6 +270,18 @@ def test_critical_rejects_profile_without_turnover():
         critical_coupling("twobody", law, 2, QValue(1.5), 1.0)
 
 
+def test_critical_scan_without_a_finite_sample_is_not_finite():
+    # 1/(x x) overflows on the whole scan around screening 1e-200
+    with pytest.raises(NonFiniteResult, match="screening length 1e-200"):
+        critical_coupling("twobody", PotentialLaw.yukawa(1.0, 1e-200), 3, QValue(1.5), 1.0)
+    # a scan with finite samples and no sign change keeps its NoCriticalPoint
+    law = PotentialLaw.custom(
+        CustomProfile(value=lambda x: np.where(x < 1.0, np.nan, -1.0 / (x * x))), short_range=True
+    )
+    with pytest.raises(NoCriticalPoint):
+        critical_coupling("twobody", law, 2, QValue(1.5), 1.0)
+
+
 # Each case builds its Q inside pytest.raises, because QValue(inf) itself raises.
 @pytest.mark.parametrize(
     "make_q, mass",

@@ -1,0 +1,91 @@
+"""Bound-side properties of envelope levels against their closed forms.
+
+Two-body Coulomb and harmonic systems are solved under both exact auxiliary
+towers (exponents -1 and 2), and N-body harmonic systems under the oscillator
+tower.  An Exact verdict must reproduce the closed-form level, and an
+UpperBound or LowerBound verdict must lie on its side of it.  A counterexample
+for these built-in laws is a bug in the tag algebra or the solver.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from envtheory import (
+    BoundKind,
+    KineticLaw,
+    PotentialLaw,
+    StateSpec,
+    SystemSpec,
+    auxiliary_energy,
+    harmonic_exact,
+    q_from_quanta,
+    q_two_body_auxiliary,
+    solve_nbody,
+    solve_two_body,
+)
+
+# derandomized, so tier-1 sees the same draws on every run
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+positive = st.floats(min_value=0.05, max_value=20.0)
+
+
+def assert_on_its_side(verdict, energy, exact):
+    if verdict is BoundKind.EXACT:
+        assert energy == pytest.approx(exact, rel=1e-9, abs=0.0)
+    elif verdict is BoundKind.UPPER:
+        assert energy >= exact
+    elif verdict is BoundKind.LOWER:
+        assert energy <= exact
+    else:
+        pytest.fail(f"a built-in power law got no definite verdict: {verdict}")
+
+
+@PROPERTY
+@given(
+    family=st.sampled_from(["coulomb", "harmonic"]),
+    tower=st.sampled_from([-1.0, 2.0]),
+    d=st.integers(2, 6),
+    l=st.integers(0, 2),
+    n=st.integers(0, 3),
+    mu=positive,
+    strength=positive,
+)
+def test_a_two_body_verdict_lies_on_its_side_of_the_closed_form(family, tower, d, l, n, mu, strength):
+    if family == "coulomb":
+        potential = PotentialLaw.coulomb(strength)
+        q = q_two_body_auxiliary(-1.0, n, l, d)
+        exact = -mu * strength**2 / (2.0 * q.value**2)
+    else:
+        potential = PotentialLaw.power_law(strength, 2.0)
+        exact = auxiliary_energy(mu, strength, 2.0, q_two_body_auxiliary(2.0, n, l, d))
+    solution = solve_two_body(
+        KineticLaw.nonrelativistic(mu), potential, tower, q_two_body_auxiliary(tower, n, l, d)
+    )
+    assert_on_its_side(solution.bound.classification, solution.energy, exact)
+
+
+@PROPERTY
+@given(
+    d=st.integers(2, 6),
+    quanta=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=5),
+    mass=positive,
+    nu=st.one_of(st.just(0.0), positive),
+    rho=st.one_of(st.just(0.0), positive),
+)
+def test_an_n_body_harmonic_verdict_lies_on_its_side_of_the_closed_form(d, quanta, mass, nu, rho):
+    if nu == 0.0 and rho == 0.0:
+        rho = 1.0
+    state = StateSpec(tuple(quanta))
+    n = state.n_particles
+    spec = SystemSpec(
+        n=n,
+        d=d,
+        kinetic=KineticLaw.nonrelativistic(mass),
+        onebody=PotentialLaw.power_law(nu, 2.0) if nu else None,
+        twobody=PotentialLaw.power_law(rho, 2.0) if rho else None,
+    )
+    solution = solve_nbody(spec, q_from_quanta(state, d))
+    exact = harmonic_exact(n, d, mass, nu, rho, state)
+    assert_on_its_side(solution.bound.classification, solution.energy, exact)

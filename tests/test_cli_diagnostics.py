@@ -461,6 +461,7 @@ def test_a_value_the_library_rejects_is_a_config_error_without_traceback(
 # --- oracle grids and critical couplings out of the float range ----------------
 
 YUKAWA_Q = SYSTEM + KINETIC + "[twobody]\nfamily = yukawa\ncoupling = 1.0\n\n[state]\nq = 1e300\n"
+YUKAWA_TINY = SYSTEM + KINETIC + "[twobody]\nfamily = yukawa\ncoupling = 1.0\nscreening = 1e-200\n"
 
 
 @pytest.mark.parametrize(
@@ -477,9 +478,25 @@ YUKAWA_Q = SYSTEM + KINETIC + "[twobody]\nfamily = yukawa\ncoupling = 1.0\n\n[st
          "the kinetic scale 1/(2 mu h^2) of its finest doubling is not finite"),
         ("critical", YUKAWA_Q, ["--mode", "twobody"],
          "error: the critical coupling at Q = 1e+300 and mass 1.0 is not finite, got inf"),
+        # a finite kinetic scale, but r**(D-1) underflows in the innermost cells
+        ("oracle", ORACLE, ["--rmax", "1e-140"],
+         "config error: r_max = 1e-140 over 4000 points is too fine a grid: "
+         "the cell weights r**(D-1) of its finest doubling underflow to zero"),
+        ("oracle", ORACLE, ["--rmax", "1e-120"],
+         "config error: r_max = 1e-120 over 4000 points is too fine a grid: "
+         "the cell weights r**(D-1) of its finest doubling underflow to zero"),
+        ("oracle", ORACLE.replace("d = 3", "d = 6"), ["--rmax", "1e-40"],
+         "config error: r_max = 1e-40 over 4000 points is too fine a grid: "
+         "the cell weights r**(D-1) of its finest doubling underflow to zero"),
+        # 1/(x x) overflows on every scan sample: no finite sample, not "no stationary scale"
+        ("critical", YUKAWA_TINY, ["--mode", "twobody"],
+         "error: the well profile is not finite anywhere on the stationary-scale scan "
+         "around the screening length 1e-200"),
     ],
-    ids=["oracle-levels-beyond-grid", "oracle-rmax-1e-300", "oracle-rmax-1e-150", "critical-q-1e300"],
+    ids=["oracle-levels-beyond-grid", "oracle-rmax-1e-300", "oracle-rmax-1e-150", "critical-q-1e300",
+         "oracle-rmax-1e-140", "oracle-rmax-1e-120", "oracle-d6-rmax-1e-40", "critical-screening-1e-200"],
 )
+@pytest.mark.filterwarnings("error")
 def test_a_result_beyond_the_grid_or_the_float_range_is_a_one_line_error(
     tmp_path, capsys, command, text, flags, expected
 ):

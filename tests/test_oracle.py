@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
+from envtheory import oracle
 from envtheory import (
     CustomProfile,
     KineticLaw,
@@ -301,4 +304,138 @@ def test_the_grid_bounds_the_levels_and_the_kinetic_scale():
     for r_max in (1e-300, 1e-150):
         with pytest.raises(ValueError, match="kinetic scale 1/\\(2 mu h\\^2\\) of its finest doubling is not finite"):
             RadialProblem(mu=0.5, potential=problem.potential, d=3, l=0, r_max=r_max)
-    RadialProblem(mu=0.5, potential=problem.potential, d=3, l=0, r_max=1e-130)
+    # 1e-130 keeps a finite kinetic scale, but its finest cell weights underflow
+    with pytest.raises(ValueError, match="cell weights r\\*\\*\\(D-1\\) of its finest doubling underflow"):
+        RadialProblem(mu=0.5, potential=problem.potential, d=3, l=0, r_max=1e-130)
+
+
+# The finest grid's two innermost cell weights have a zero product exactly when
+# the matrix would divide by zero; each valid neighbour keeps a finite matrix.
+@pytest.mark.parametrize(
+    "d, r_max, valid",
+    [(3, 1e-140, False), (3, 1e-120, False), (3, 3.6e-76, False), (3, 3.8e-76, True),
+     (6, 1e-40, False), (6, 1.28e-27, False), (6, 1.3e-27, True)],
+)
+def test_the_finest_cell_weights_must_not_underflow(d, r_max, valid):
+    potential = PotentialLaw.power_law(1.0, 2.0)
+    finest = 4000 * 2**6
+    if valid:
+        problem = RadialProblem(mu=0.5, potential=potential, d=d, l=0, r_max=r_max)
+        diag, off = oracle._tridiagonal(problem, finest)
+        assert np.isfinite(diag).all() and np.isfinite(off).all()
+        assert same_matrix((diag, off), reference_tridiagonal(problem, finest))
+        return
+    with pytest.raises(ValueError, match=f"r_max = {r_max} over 4000 points is too fine a grid: "
+                       "the cell weights r\\*\\*\\(D-1\\) of its finest doubling underflow to zero"):
+        RadialProblem(mu=0.5, potential=potential, d=d, l=0, r_max=r_max)
+    # the rejected grid really is singular: the reference builder puts an inf or nan in it
+    unchecked = RadialProblem(mu=0.5, potential=potential, d=d, l=0, r_max=1.0)
+    object.__setattr__(unchecked, "r_max", r_max)
+    with np.errstate(all="ignore"):
+        diag, off = reference_tridiagonal(unchecked, finest)
+    assert not (np.isfinite(diag).all() and np.isfinite(off).all())
+
+
+# --- the matrix builder: same bits, less memory ----------------------------------
+
+
+def reference_tridiagonal(problem, points):
+    """The matrix exactly as the builder made it when it also ran the solve."""
+    h = problem.r_max / points
+    r = h * (np.arange(1, points + 1) - 0.5)
+    with np.errstate(all="ignore"):
+        v = np.asarray(problem.potential.value(r), dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise UnboundedBelow(
+            "potential evaluates to non-finite values on the grid; "
+            "shrink r_max or regularize the potential"
+        )
+    inv = 1.0 / (2.0 * problem.mu * h * h)
+    angular = problem.l * (problem.l + problem.d - 2)
+    faces = np.power(h * np.arange(0, points + 1), problem.d - 1)
+    weights = np.power(r, problem.d - 1)
+    diag = (faces[:-1] + faces[1:]) / weights * inv + angular / (
+        2.0 * problem.mu * r * r
+    ) + v
+    diag[-1] += faces[-1] / weights[-1] * inv
+    off = -faces[1:-1] / np.sqrt(weights[:-1] * weights[1:]) * inv
+    return diag, off
+
+
+def reference_grid_eigenvalues(problem, points, count):
+    diag, off = reference_tridiagonal(problem, points)
+    return eigh_tridiagonal(
+        diag, off, select="i", select_range=(0, count - 1), eigvals_only=True
+    )
+
+
+def same_matrix(got, want):
+    return [side.tobytes() for side in got] == [side.tobytes() for side in want]
+
+
+ORACLE_POTENTIALS = {
+    "powerlaw": (PotentialLaw.power_law(0.8, 1.5), 20.0),
+    "coulomb": (PotentialLaw.coulomb(1.0), 60.0),
+    "logarithmic": (PotentialLaw.logarithmic(1.0), 30.0),
+    "yukawa": (PotentialLaw.yukawa(4.0, 1.0), 30.0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_POTENTIALS))
+def test_every_grid_gives_the_matrix_and_levels_of_the_reference_builder(family):
+    potential, r_max = ORACLE_POTENTIALS[family]
+    for d in range(2, 7):
+        for l in range(3):
+            problem = RadialProblem(mu=0.75, potential=potential, d=d, l=l, r_max=r_max, points=300)
+            for points in (300, 600):
+                assert same_matrix(oracle._tridiagonal(problem, points), reference_tridiagonal(problem, points))
+                got = oracle._grid_eigenvalues(problem, points, 3)
+                assert got.tobytes() == reference_grid_eigenvalues(problem, points, 3).tobytes(), (d, l, points)
+
+
+@pytest.mark.parametrize(
+    "family, d, l",
+    [("powerlaw", 2, 0), ("coulomb", 3, 1), ("logarithmic", 5, 2), ("yukawa", 6, 0)],
+)
+def test_every_level_is_that_of_the_reference_builder(monkeypatch, family, d, l):
+    potential, r_max = ORACLE_POTENTIALS[family]
+    problem = RadialProblem(mu=0.75, potential=potential, d=d, l=l, r_max=r_max, points=400)
+    got = radial_eigenvalues(problem, 3)
+    monkeypatch.setattr(oracle, "_grid_eigenvalues", reference_grid_eigenvalues)
+    assert got.tobytes() == radial_eigenvalues(problem, 3).tobytes()
+
+
+def test_a_not_converged_input_sees_the_grids_of_the_reference_builder(monkeypatch):
+    problem = RadialProblem(
+        mu=1.0, potential=PotentialLaw.power_law(1.0, 2.0), d=3, l=0, r_max=1e6, points=200,
+    )
+    seen = {}
+    for name, solve in (("split", oracle._grid_eigenvalues), ("reference", reference_grid_eigenvalues)):
+        levels = seen[name] = []
+
+        def recorded(problem, points, count, solve=solve, levels=levels):
+            levels.append(solve(problem, points, count))
+            return levels[-1]
+
+        monkeypatch.setattr(oracle, "_grid_eigenvalues", recorded)
+        with pytest.raises(NotConverged):
+            radial_eigenvalues(problem, 1)
+    assert len(seen["split"]) == 7
+    assert [e.tobytes() for e in seen["split"]] == [e.tobytes() for e in seen["reference"]]
+
+
+def test_a_grid_holds_at_most_80_bytes_per_point_while_lapack_runs():
+    # the two diagonals (16 bytes) and dstebz's w, iblock, isplit, work and
+    # iwork (60 bytes) are the floor; the grid, the potential samples, the face
+    # areas and the cell weights (32 bytes) must be gone by then
+    problem = RadialProblem(mu=1.0, potential=PotentialLaw.yukawa(4.0, 1.0), d=3, l=1, r_max=30.0)
+    oracle._grid_eigenvalues(problem, 1000, 3)  # scipy.linalg's import is not the grid's
+    points = 64_000
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        oracle._grid_eigenvalues(problem, points, 3)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak / points <= 80.0, peak / points
