@@ -37,6 +37,7 @@ from .model import (
     chart_exponent,
     checked,
     require_counts,
+    require_finite,
 )
 from .qnum import QValue
 from .roots import brentq, log_grid, sign_change_brackets
@@ -133,13 +134,8 @@ def classify_bound(
     ``domain`` is the radial sampling interval; the kinetic chart is sampled
     over ``momentum_domain`` (defaults to the same numbers).
     """
-    terms: dict[str, Convexity] = {}
-    terms["kinetic"] = term_convexity(spec.kinetic, momentum_domain or domain)
-    if spec.onebody is not None:
-        terms["onebody"] = term_convexity(spec.onebody, domain)
-    if spec.twobody is not None:
-        terms["twobody"] = term_convexity(spec.twobody, domain)
-    return ConvexityVerdict.from_terms(terms)
+    potentials = {"onebody": spec.onebody, "twobody": spec.twobody}
+    return _verdict(spec.kinetic, potentials, None, domain, momentum_domain)
 
 
 def classify_two_body(
@@ -150,10 +146,15 @@ def classify_two_body(
     momentum_domain: tuple[float, float] | None = None,
 ) -> ConvexityVerdict:
     """Two-body bound direction; the potential chart uses the auxiliary substitution."""
-    terms = {
-        "kinetic": term_convexity(kinetic, momentum_domain or domain),
-        "potential": term_convexity(potential, domain, aux_exponent=aux_exponent),
-    }
+    return _verdict(kinetic, {"potential": potential}, aux_exponent, domain, momentum_domain)
+
+
+def _verdict(kinetic, potentials, aux_exponent, domain, momentum_domain) -> ConvexityVerdict:
+    """Bound direction from the kinetic chart and the chart of each law in ``potentials`` not None."""
+    terms = {"kinetic": term_convexity(kinetic, momentum_domain or domain)}
+    for key, law in potentials.items():
+        if law is not None:
+            terms[key] = term_convexity(law, domain, aux_exponent)
     return ConvexityVerdict.from_terms(terms)
 
 
@@ -222,6 +223,9 @@ class CriticalCoupling:
     y0: float
     value: float
     bound: BoundKind
+
+    def __post_init__(self) -> None:
+        require_finite(self, "y0", "value")
 
 
 def critical_coupling(

@@ -36,6 +36,7 @@ from .errors import (
     EmptyState,
     EvaluationDomainError,
     InvalidAuxiliaryExponent,
+    NonFiniteResult,
     NonPositiveArgument,
 )
 
@@ -125,6 +126,14 @@ def checked(value, what: str, positive: bool = False, integer: bool = False):
     if not math.isfinite(number):
         raise ValueError(f"{what} must be finite, got {number}")
     return number
+
+
+def require_finite(result, *names: str) -> None:
+    """Raise NonFiniteResult unless each float field ``names`` of ``result`` is finite."""
+    for name in names:
+        value = getattr(result, name)
+        if not math.isfinite(value):
+            raise NonFiniteResult(f"{type(result).__name__}.{name} is not finite, got {value}")
 
 
 def require_counts(n: int | None = None, d: int | None = None, degeneracy: int | None = None) -> None:
@@ -625,6 +634,9 @@ class StationaryRoot:
     energy: float
     residual: float
 
+    def __post_init__(self) -> None:
+        require_finite(self, "r0", "p0", "energy", "residual")
+
 
 @dataclass(frozen=True)
 class EnvelopeSolution:
@@ -636,6 +648,9 @@ class EnvelopeSolution:
     q: float
     bound: ConvexityVerdict
     roots: tuple[StationaryRoot, ...] = ()
+
+    def __post_init__(self) -> None:
+        require_finite(self, "energy", "r0", "p0", "q")
 
     @property
     def n_roots(self) -> int:

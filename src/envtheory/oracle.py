@@ -90,20 +90,32 @@ class RadialProblem:
         checked(self.points, "grid points", integer=True)
         if self.points < 200:
             raise ValueError(f"need at least 200 grid points, got {self.points}")
-        finest = self.r_max / (self.points * 2**_MAX_DOUBLINGS)
+        grids = self.points * 2 ** np.arange(_MAX_DOUBLINGS + 1)
+        h = self.r_max / grids
         with np.errstate(all="ignore"):
-            kinetic_scale = 1.0 / (2.0 * np.float64(self.mu) * finest * finest)
-            inner = np.power(finest * (np.arange(1, 3) - 0.5), self.d - 1)
-        if not np.isfinite(kinetic_scale):
+            kinetic_scale = 1.0 / (2.0 * np.float64(self.mu) * h * h)
+            inner = np.power(h[-1] * (np.arange(1, 3) - 0.5), self.d - 1)
+            inner_product = inner[0] * inner[1]
+            # each grid's last two cell centers and faces, formed as ``_tridiagonal`` forms them
+            r = h[:, None] * (grids[:, None] - np.array([1.5, 0.5]))
+            faces = np.power(h[:, None] * (grids[:, None] - np.array([1.0, 0.0])), self.d - 1)
+            weights = np.power(r, self.d - 1)
+            outer = (faces, weights, weights[:, 0] * weights[:, 1], 2.0 * self.mu * r[:, 1] * r[:, 1])
+        if not np.isfinite(kinetic_scale[-1]):
             raise ValueError(
                 f"r_max = {self.r_max} over {self.points} points is too fine a grid: "
                 f"the kinetic scale 1/(2 mu h^2) of its finest doubling is not finite"
             )
         # the off-diagonal divides by sqrt(w_1 w_2); every other product is larger
-        if not inner[0] * inner[1] > 0.0:
+        if not inner_product > 0.0:
             raise ValueError(
                 f"r_max = {self.r_max} over {self.points} points is too fine a grid: "
                 f"the cell weights r**(D-1) of its finest doubling underflow to zero"
+            )
+        if not all(np.all(np.isfinite(factor) & (factor != 0.0)) for factor in (*outer, kinetic_scale)):
+            raise ValueError(
+                f"r_max = {self.r_max} over {self.points} points is too wide a grid: at the outer end, "
+                f"r**(D-1), 2 mu r^2 or the kinetic scale 1/(2 mu h^2) is not a finite nonzero float"
             )
 
     @property
@@ -155,9 +167,14 @@ def _grid_eigenvalues(problem: RadialProblem, points: int, count: int) -> np.nda
     allocates its own workspace.
     """
     diag, off = _tridiagonal(problem, points)
-    return eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, count - 1), eigvals_only=True
-    )
+    try:
+        return eigh_tridiagonal(
+            diag, off, select="i", select_range=(0, count - 1), eigvals_only=True
+        )
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            f"r_max = {problem.r_max} over {points} points: LAPACK failed on this grid: {exc}"
+        ) from exc
 
 
 def _tridiagonal(problem: RadialProblem, points: int) -> tuple[np.ndarray, np.ndarray]:

@@ -17,9 +17,11 @@ guess r0 ~ Q, for sign changes and polishing each bracket with a safeguarded
 bisection/secant method (``roots.brentq``), which starts from the scan's own
 samples at the bracket's ends and hands back F at the root, so a level
 evaluates no point twice.  All roots are reported; the lowest-energy one is
-the physical envelope level.  A scan with no bracket gives its verdict from
-its own samples: no positive one means attraction wins at every scale
-(collapse), no negative one that kinetic pressure does (unbound).
+the physical envelope level, and its bound verdict reads each term's chart on
+the one-decade windows (r0/10, 10 r0) and (p0/10, 10 p0) around it.  A scan
+with no bracket gives its verdict from its own samples: no positive one means
+attraction wins at every scale (collapse), no negative one that kinetic
+pressure does (unbound).
 
 ``solve_nbody_many`` solves a sequence of N-body points, a sweep, in blocks:
 one 2-D scan finds the brackets on every point's first grid, and each point's
@@ -32,6 +34,7 @@ block, and only the swept term once per point.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -39,7 +42,6 @@ from . import analysis
 from .errors import EnvelopeError, NoStationaryPoint, ScanExhausted
 from .model import (
     FAMILIES,
-    ConvexityVerdict,
     EnvelopeSolution,
     KineticFamily,
     KineticLaw,
@@ -180,16 +182,15 @@ def solve_nbody(
     scan found on this point's first grid, with their samples, so the polish
     starts from them.
     """
-    cfg = config or _DEFAULT_CONFIG
     qv = checked(q, "quantum number", positive=True)
-
-    def residual(r0):
-        return stationary_residual(spec, qv, r0)
-
-    def energy(r0, p0):
-        return nbody_energy(spec, r0, p0)
-
-    return _solve(residual, energy, qv, cfg, _nbody_verdict(spec), _brackets)
+    return _solve(
+        partial(stationary_residual, spec, qv),
+        partial(nbody_energy, spec),
+        partial(analysis.classify_bound, spec),
+        qv,
+        config or _DEFAULT_CONFIG,
+        _brackets,
+    )
 
 
 def solve_nbody_many(
@@ -227,17 +228,6 @@ def solve_nbody_many(
     return solutions
 
 
-def _nbody_verdict(spec: SystemSpec):
-    def verdict(r0: float, p0: float) -> ConvexityVerdict:
-        return analysis.classify_bound(
-            spec,
-            (r0 / 10.0, 10.0 * r0),
-            momentum_domain=(p0 / 10.0, 10.0 * p0),
-        )
-
-    return verdict
-
-
 # ---------------------------------------------------------------------------
 # Two-body path
 # ---------------------------------------------------------------------------
@@ -268,25 +258,14 @@ def solve_two_body(
     quadratic chart.
     """
     lam = chart_exponent(aux_exponent)
-    cfg = config or _DEFAULT_CONFIG
     qv = checked(q, "quantum number", positive=True)
-
-    def residual(r0):
-        return two_body_residual(kinetic, potential, qv, r0)
-
-    def energy(r0, p0):
-        return two_body_energy(kinetic, potential, r0, p0)
-
-    def verdict(r0: float, p0: float) -> ConvexityVerdict:
-        return analysis.classify_two_body(
-            kinetic,
-            potential,
-            lam,
-            (r0 / 10.0, 10.0 * r0),
-            momentum_domain=(p0 / 10.0, 10.0 * p0),
-        )
-
-    return _solve(residual, energy, qv, cfg, verdict)
+    return _solve(
+        partial(two_body_residual, kinetic, potential, qv),
+        partial(two_body_energy, kinetic, potential),
+        partial(analysis.classify_two_body, kinetic, potential, lam),
+        qv,
+        config or _DEFAULT_CONFIG,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +273,8 @@ def solve_two_body(
 # ---------------------------------------------------------------------------
 
 
-def _solve(residual, energy, qv: float, cfg: SolverConfig, verdict, brackets=None) -> EnvelopeSolution:
+def _solve(residual, energy, verdict, qv: float, cfg: SolverConfig, brackets=None) -> EnvelopeSolution:
+    """The level at Q: every root of ``residual`` by ``energy``, and one ``verdict`` around the lowest."""
     roots = _polish_all(residual, brackets, cfg) if brackets else _scan_and_polish(residual, qv, cfg)
     stationary = []
     for r0, value in roots:
@@ -302,12 +282,13 @@ def _solve(residual, energy, qv: float, cfg: SolverConfig, verdict, brackets=Non
         stationary.append(StationaryRoot(r0=r0, p0=p0, energy=float(energy(r0, p0)), residual=value))
     stationary.sort(key=lambda root: root.energy)
     primary = stationary[0]
+    r0, p0 = primary.r0, primary.p0
     return EnvelopeSolution(
         energy=primary.energy,
-        r0=primary.r0,
-        p0=primary.p0,
+        r0=r0,
+        p0=p0,
         q=qv,
-        bound=verdict(primary.r0, primary.p0),
+        bound=verdict((r0 / 10.0, 10.0 * r0), (p0 / 10.0, 10.0 * p0)),
         roots=tuple(stationary),
     )
 

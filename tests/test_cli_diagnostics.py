@@ -462,6 +462,10 @@ def test_a_value_the_library_rejects_is_a_config_error_without_traceback(
 
 YUKAWA_Q = SYSTEM + KINETIC + "[twobody]\nfamily = yukawa\ncoupling = 1.0\n\n[state]\nq = 1e300\n"
 YUKAWA_TINY = SYSTEM + KINETIC + "[twobody]\nfamily = yukawa\ncoupling = 1.0\nscreening = 1e-200\n"
+PAIR = "[system]\nn = 2\nd = 3\n\n" + KINETIC + "[twobody]\nfamily = coulomb\nstrength = 1.0\n"
+PAIR_2D = PAIR.replace("d = 3", "d = 2")
+TOO_WIDE = (" over 4000 points is too wide a grid: at the outer end, "
+            "r**(D-1), 2 mu r^2 or the kinetic scale 1/(2 mu h^2) is not a finite nonzero float")
 
 
 @pytest.mark.parametrize(
@@ -492,9 +496,15 @@ YUKAWA_TINY = SYSTEM + KINETIC + "[twobody]\nfamily = yukawa\ncoupling = 1.0\nsc
         ("critical", YUKAWA_TINY, ["--mode", "twobody"],
          "error: the well profile is not finite anywhere on the stationary-scale scan "
          "around the screening length 1e-200"),
+        # r**(D-1), their product or 2 mu r^2 overflows in the outermost cells
+        ("oracle", PAIR, ["--rmax", "1e200"], "config error: r_max = 1e+200" + TOO_WIDE),
+        ("oracle", PAIR, ["--rmax", "1e160"], "config error: r_max = 1e+160" + TOO_WIDE),
+        ("oracle", PAIR_2D, ["--rmax", "1e200"], "config error: r_max = 1e+200" + TOO_WIDE),
+        ("oracle", PAIR_2D, ["--rmax", "1e155"], "config error: r_max = 1e+155" + TOO_WIDE),
     ],
     ids=["oracle-levels-beyond-grid", "oracle-rmax-1e-300", "oracle-rmax-1e-150", "critical-q-1e300",
-         "oracle-rmax-1e-140", "oracle-rmax-1e-120", "oracle-d6-rmax-1e-40", "critical-screening-1e-200"],
+         "oracle-rmax-1e-140", "oracle-rmax-1e-120", "oracle-d6-rmax-1e-40", "critical-screening-1e-200",
+         "oracle-rmax-1e200", "oracle-rmax-1e160", "oracle-d2-rmax-1e200", "oracle-d2-rmax-1e155"],
 )
 @pytest.mark.filterwarnings("error")
 def test_a_result_beyond_the_grid_or_the_float_range_is_a_one_line_error(
@@ -505,3 +515,32 @@ def test_a_result_beyond_the_grid_or_the_float_range_is_a_one_line_error(
     out = io.StringIO()
     code = run([command, "--config", str(path), *flags], stdout=out)
     assert (code, capsys.readouterr().err, out.getvalue()) == (1, f"{expected}\n", "")
+
+
+# LAPACK's own failure on a finite grid: one line naming the grid, with the
+# LAPACK message after it
+@pytest.mark.parametrize("text, rmax", [(PAIR, "1e-74"), (PAIR_2D, "2.3e-149")], ids=["d3", "d2"])
+@pytest.mark.filterwarnings("error")
+def test_a_grid_lapack_cannot_solve_is_a_one_line_config_error(tmp_path, capsys, text, rmax):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out = io.StringIO()
+    code = run(["oracle", "--config", str(path), "--rmax", rmax], stdout=out)
+    err = capsys.readouterr().err
+    assert (code, out.getvalue(), err.count("\n")) == (1, "", 1)
+    assert err.startswith(f"config error: r_max = {rmax} over 4000 points: LAPACK failed on this grid: ")
+
+
+@pytest.mark.parametrize(
+    "text, rmax",
+    [(PAIR, "1e77"), (PAIR_2D, "1e154"), (PAIR, "1e-72"), (PAIR_2D, "1e-72")],
+    ids=["d3-1e77", "d2-1e154", "d3-1e-72", "d2-1e-72"],
+)
+@pytest.mark.filterwarnings("error")
+def test_the_neighbours_of_the_rejected_grids_solve(tmp_path, capsys, text, rmax):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out = io.StringIO()
+    code = run(["oracle", "--config", str(path), "--rmax", rmax], stdout=out)
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert out.getvalue().splitlines()[0] == "level,E" and len(out.getvalue().splitlines()) == 4

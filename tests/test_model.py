@@ -9,20 +9,23 @@ from envtheory import (
     BoundKind,
     Convexity,
     ConvexityVerdict,
+    CriticalCoupling,
     CustomProfile,
+    EnvelopeSolution,
     KineticFamily,
     KineticLaw,
     PotentialFamily,
     PotentialLaw,
     QValue,
     StateSpec,
+    StationaryRoot,
     Statistics,
     SystemSpec,
     critical_coupling,
     term_convexity,
 )
 from envtheory.analysis import _chart, _richardson_second
-from envtheory.errors import EvaluationDomainError, NonPositiveArgument
+from envtheory.errors import EvaluationDomainError, NonFiniteResult, NonPositiveArgument
 from envtheory.model import _require_positive
 
 
@@ -423,3 +426,26 @@ def test_enum_wire_names():
     assert BoundKind.UNKNOWN.value == "Unknown"
     assert KineticFamily.MINIMAL_LENGTH_QUARTIC.value == "minimal-length"
     assert PotentialFamily.POWER_LAW.value == "powerlaw"
+
+
+# --- result records hold finite floats only ----------------------------------------
+
+_RECORDS = [
+    (StationaryRoot, dict(r0=1.0, p0=2.0, energy=-0.5, residual=0.0)),
+    (EnvelopeSolution, dict(energy=-0.5, r0=1.0, p0=2.0, q=2.0, bound=ConvexityVerdict.from_terms({}))),
+    (CriticalCoupling, dict(mode="twobody", y0=1.0, value=0.8, bound=BoundKind.UPPER)),
+]
+
+
+@pytest.mark.parametrize("record, valid", _RECORDS, ids=[record.__name__ for record, _ in _RECORDS])
+def test_a_result_record_holds_only_finite_floats(record, valid):
+    assert record(**valid) == record(**valid)
+    floats = [name for name, value in valid.items() if isinstance(value, float)]
+    assert len(floats) == {StationaryRoot: 4, EnvelopeSolution: 4, CriticalCoupling: 2}[record]
+    for name in floats:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteResult, match=f"^{record.__name__}.{name} is not finite, got {bad}$") as info:
+                record(**{**valid, name: bad})
+            # the CLI prints an EnvelopeError as one `error:` line; a ValueError escapes as a traceback
+            assert not isinstance(info.value, ValueError)
+

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -334,6 +335,50 @@ def test_the_finest_cell_weights_must_not_underflow(d, r_max, valid):
     with np.errstate(all="ignore"):
         diag, off = reference_tridiagonal(unchecked, finest)
     assert not (np.isfinite(diag).all() and np.isfinite(off).all())
+
+
+# Every grid's outer end must stay a finite nonzero float: its last cells' r**(D-1)
+# and their product, 2 mu r^2 and the kinetic scale 1/(2 mu h^2).  Past that the
+# old builder overflowed into a wrong matrix or an inf; each valid neighbour
+# builds the reference matrix with no floating-point error.
+@pytest.mark.parametrize(
+    "d, r_max, valid",
+    [(3, 1e200, False), (3, 1e160, False), (3, 1e78, False), (3, 1e77, True),
+     (2, 1e200, False), (2, 1e155, False), (2, 1e154, True)],
+)
+def test_the_outer_cells_must_stay_in_the_float_range(d, r_max, valid):
+    potential = PotentialLaw.coulomb(1.0)
+    finest = 4000 * 2**6
+    if valid:
+        problem = RadialProblem(mu=0.5, potential=potential, d=d, l=0, r_max=r_max)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for points in (4000, finest):
+                assert same_matrix(oracle._tridiagonal(problem, points), reference_tridiagonal(problem, points))
+        assert np.isfinite(radial_eigenvalues(problem, 1)).all()
+        return
+    message = (f"r_max = {r_max} over 4000 points is too wide a grid: at the outer end, "
+               "r**(D-1), 2 mu r^2 or the kinetic scale 1/(2 mu h^2) is not a finite nonzero float")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RadialProblem(mu=0.5, potential=potential, d=d, l=0, r_max=r_max)
+    unchecked = RadialProblem(mu=0.5, potential=potential, d=d, l=0, r_max=1.0)
+    object.__setattr__(unchecked, "r_max", r_max)
+    with np.errstate(over="raise", divide="raise", invalid="raise"), pytest.raises(FloatingPointError):
+        reference_tridiagonal(unchecked, finest)
+
+
+# A finite matrix whose entries LAPACK cannot handle names its grid; the
+# original error stays chained.  Each valid neighbour still solves.
+@pytest.mark.parametrize(
+    "d, r_max, failing_points",
+    [(3, 1e-74, 4000), (3, 1e-73, 16000), (2, 2.3e-149, 4000)],
+)
+def test_a_lapack_failure_names_the_grid(d, r_max, failing_points):
+    problem = RadialProblem(mu=0.5, potential=PotentialLaw.coulomb(1.0), d=d, l=0, r_max=r_max)
+    with pytest.raises(ValueError, match=re.escape(f"r_max = {r_max} over {failing_points} points: LAPACK failed")) as info:
+        radial_eigenvalues(problem, 3)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    neighbour = RadialProblem(mu=0.5, potential=PotentialLaw.coulomb(1.0), d=d, l=0, r_max=1e-72)
+    assert np.isfinite(radial_eigenvalues(neighbour, 3)).all()
 
 
 # --- the matrix builder: same bits, less memory ----------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import random
 
@@ -481,6 +482,8 @@ def _reference_roots(f, grid):
 
 def _assert_polished_from_the_scan(solution, points, f, q):
     grid = q * log_grid(8.0, 64)
+    # the polish went through the residual function under test
+    assert points
     # no point evaluated twice, and no scanned point evaluated again
     assert len(points) == len(set(points))
     assert not set(points) & set(grid.tolist())
@@ -544,3 +547,30 @@ def test_a_float_power_profile_polishes_within_the_tolerance():
         assert len(got) == len(want)
         for r0, reference in zip(got, want):
             assert abs(r0 - reference) <= 10.0 * tolerance * reference
+
+
+_YUKAWA = PotentialLaw.yukawa(8.0, 1.0)  # two roots on both paths
+
+
+@pytest.mark.parametrize(
+    "name, solve",
+    [
+        ("classify_bound", lambda: solve_nbody(_NBODY_LEVELS[1], 1.5)),
+        ("classify_two_body", lambda: solve_two_body(KineticLaw.nonrelativistic(1.0), _YUKAWA, 2.0, 2.5)),
+    ],
+)
+def test_a_level_calls_its_verdict_once_on_the_decade_around_its_lowest_root(monkeypatch, name, solve):
+    calls = []
+    original = getattr(solver.analysis, name)
+    signature = inspect.signature(original)
+
+    def recorded(*args, **kwargs):
+        given = signature.bind(*args, **kwargs).arguments
+        calls.append((given["domain"], given["momentum_domain"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver.analysis, name, recorded)
+    solution = solve()
+    assert solution.n_roots == 2 and solution.energy == min(root.energy for root in solution.roots)
+    r0, p0 = solution.r0, solution.p0
+    assert calls == [((r0 / 10.0, 10.0 * r0), (p0 / 10.0, 10.0 * p0))]
