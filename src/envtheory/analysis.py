@@ -297,4 +297,4 @@ def _profile_stationary_scale(shape: PotentialLaw, kappa: float) -> float:
             "the well profile admits no stationary scale: 2 w(y) + y w'(y) never crosses zero"
         )
     lo, hi, f_lo, f_hi = brackets[0]
-    return brentq(residual, lo, hi, xtol=1e-300, rtol=4.0 * _EPS, fa=f_lo, fb=f_hi)[0]
+    return brentq(residual, lo, hi, xtol=1e-300, fa=f_lo, fb=f_hi)[0]

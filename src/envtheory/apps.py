@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollapseRegime, PerturbationSizeWarning
-from .model import checked, require_counts
+from .model import checked, require_count, require_counts
 from .qnum import QValue
 
 
@@ -117,13 +117,9 @@ def boson_star_max_mass(
     N*, clamped to [2, n_max], and ties go to the smaller N.
     """
     require_counts(d=d)
-    if mass <= 0.0 or alpha <= 0.0:
-        raise ValueError("mass and alpha must be positive")
-    checked(mass, "mass")
-    checked(alpha, "alpha")
-    checked(n_max, "n_max", integer=True)
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
+    checked(mass, "mass", positive=True)
+    checked(alpha, "alpha", positive=True)
+    require_count(n_max, "n_max", 2)
     coeff = alpha * alpha / (2.0 * d * d)
     if coeff > 0.0:
         peak = (3.0 * coeff + math.sqrt(9.0 * coeff * coeff + 32.0 * coeff)) / (8.0 * coeff)

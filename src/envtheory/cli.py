@@ -69,6 +69,10 @@ _LAW_SECTIONS = {
 
 Sections = dict[str, dict[str, tuple[int, str]]]
 
+# A sweep holds every point's system, level and row, about 1.7 kB a point, so
+# the largest sweep peaks near 170 MB; the values are checked before they exist.
+_MAX_SWEEP_POINTS = 10**5
+
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
@@ -197,14 +201,10 @@ def _parse_quanta(lineno: int, text: str) -> tuple[tuple[int, int], ...]:
             raise TypeMismatch(
                 f"line {lineno}: [state] quanta entries must be integers, got {chunk!r}"
             ) from None
-        if n_i < 0 or l_i < 0:
-            raise ConstraintViolation(
-                f"line {lineno}: [state] quanta must be non-negative, got {chunk!r}"
-            )
         pairs.append((n_i, l_i))
     if not pairs:
         raise ConstraintViolation(f"line {lineno}: [state] quanta must list at least one pair")
-    return tuple(pairs)
+    return _reported(f"line {lineno}: [state] ", StateSpec, tuple(pairs)).quanta
 
 
 @dataclass
@@ -519,13 +519,16 @@ def _sweep_values(args) -> list[float]:
             raise ConstraintViolation(f"--param {param} needs integer bounds")
         if args.steps is not None:
             raise ConstraintViolation(f"--param {param} steps in increments of 1; omit --steps")
-        return [float(v) for v in range(start, stop + 1)]
-    if args.steps is None:
-        raise ConstraintViolation("--steps is required for law-parameter sweeps")
-    if args.steps < 2:
-        raise ConstraintViolation(f"--steps must be >= 2, got {args.steps}")
-    width = (args.stop - args.start) / (args.steps - 1)
-    return [args.start + i * width for i in range(args.steps)]
+        points, width = stop - start + 1, 1.0
+    else:
+        if args.steps is None:
+            raise ConstraintViolation("--steps is required for law-parameter sweeps")
+        if args.steps < 2:
+            raise ConstraintViolation(f"--steps must be >= 2, got {args.steps}")
+        points, width = args.steps, (args.stop - args.start) / (args.steps - 1)
+    if points > _MAX_SWEEP_POINTS:
+        raise ConstraintViolation(f"a sweep takes at most {_MAX_SWEEP_POINTS} points, got {points}")
+    return [args.start + i * width for i in range(points)]
 
 
 def _swept_law(cfg: RunConfig, section: str, key: str, first: float):
@@ -610,6 +613,14 @@ def _cmd_oracle(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
         r_max=r_max,
         points=args.points,
     )
+    # a state inside one cell of every grid scales with the grid, so the
+    # doublings agree on a level that is not the state's
+    cell = r_max / (args.points * 2**oracle._MAX_DOUBLINGS)
+    if cell > sol.r0:
+        raise NotConverged(
+            f"r_max = {r_max} over {args.points} points cannot resolve the state: "
+            f"the finest grid's cell {cell} is wider than the envelope scale r0 = {sol.r0}"
+        )
     levels = _reported("", oracle.radial_eigenvalues, problem, args.levels)
     rows = [[str(i), _fmt(e)] for i, e in enumerate(levels)]
     return ["level", "E"], rows
@@ -721,8 +732,12 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
 
     payload = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 1
     else:
         out_stream.write(payload)
     return 0

@@ -107,19 +107,14 @@ class CustomProfile:
     derivative: Callable[..., object] | None = None
 
 
-def checked(value, what: str, positive: bool = False, integer: bool = False):
-    """``value`` as a finite float, positive when ``positive`` is set; a count unchanged.
+def checked(value, what: str, positive: bool = False) -> float:
+    """``value`` as a finite float, positive when ``positive`` is set.
 
-    The one input check behind the law constructors, ``SystemSpec``,
-    ``SolverConfig``, ``QValue``, the solver's Q, the counts, the oracles and
-    the closed forms: NaN, ±inf, a value that is not > 0 where ``positive``
-    asks for one and, for a count (``integer``), anything but a Python or
-    numpy integer raise ValueError naming ``what``.
+    The one number check behind the law constructors, ``SystemSpec``,
+    ``SolverConfig``, ``QValue``, the solver's Q, the oracles and the closed
+    forms: NaN, ±inf and a value that is not > 0 where ``positive`` asks for
+    one raise ValueError naming ``what``.
     """
-    if integer:
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{what} must be an integer, got {value!r}")
-        return value
     number = float(value)
     if positive and not number > 0.0:
         raise ValueError(f"{what} must be positive, got {number}")
@@ -136,19 +131,32 @@ def require_finite(result, *names: str) -> None:
             raise NonFiniteResult(f"{type(result).__name__}.{name} is not finite, got {value}")
 
 
-def require_counts(n: int | None = None, d: int | None = None, degeneracy: int | None = None) -> None:
-    """The one count rule: each given count is an integer, n >= 2, d >= 2 and degeneracy >= 1.
+def require_count(value, what: str, least: int | None = None):
+    """``value`` unchanged when it is a Python or numpy integer of at least ``least``.
 
-    Every count is type-checked before any range, and a violation raises
-    ValueError reading ``{name} must be >= {least}, got {value}``.
+    The one count rule, behind every integer input: anything else raises
+    ValueError reading ``{what} must be an integer, got {value}`` or
+    ``{what} must be >= {least}, got {value}``.  Without ``least`` only the
+    type is checked.
     """
-    counts = (("n", n, 2), ("d", d, 2), ("degeneracy", degeneracy, 1))
-    for name, count, _ in counts:
-        if count is not None:
-            checked(count, name, integer=True)
-    for name, count, least in counts:
-        if count is not None and count < least:
-            raise ValueError(f"{name} must be >= {least}, got {count}")
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
+def require_counts(n: int | None = None, d: int | None = None, degeneracy: int | None = None) -> None:
+    """``require_count`` on each given system count: n >= 2, d >= 2 and degeneracy >= 1.
+
+    Every count is type-checked before any range.
+    """
+    rules = ((n, "n", 2), (d, "d", 2), (degeneracy, "degeneracy", 1))
+    counts = [rule for rule in rules if rule[0] is not None]
+    for count, name, _ in counts:
+        require_count(count, name)
+    for count, name, least in counts:
+        require_count(count, name, least)
 
 
 def _require_positive(x, what: str = "argument") -> None:
@@ -585,18 +593,13 @@ class StateSpec:
     def __post_init__(self) -> None:
         if len(self.quanta) == 0:
             raise EmptyState("a state needs at least one (n, l) pair")
-        for pair in self.quanta:
-            n_i, l_i = pair
-            checked(n_i, "quantum number n", integer=True)
-            checked(l_i, "quantum number l", integer=True)
-            if n_i < 0 or l_i < 0:
-                raise ValueError(f"quanta must be non-negative integers, got {pair}")
+        for n_i, l_i in self.quanta:
+            require_count(n_i, "quantum number n", 0)
+            require_count(l_i, "quantum number l", 0)
 
     @classmethod
     def ground(cls, n_particles: int) -> "StateSpec":
-        checked(n_particles, "n_particles", integer=True)
-        if n_particles < 2:
-            raise ValueError("a ground state needs at least two particles")
+        require_count(n_particles, "n_particles", 2)
         return cls(((0, 0),) * (n_particles - 1))
 
     @property

@@ -20,11 +20,14 @@ from .errors import (
     UnboundedBelow,
     UnboundOscillator,
 )
-from .model import EnvelopeSolution, PotentialLaw, StateSpec, SystemSpec, checked, require_counts
+from .model import EnvelopeSolution, PotentialLaw, StateSpec, SystemSpec, checked, require_count, require_counts
 from .qnum import q_from_quanta
 
 _RICHARDSON_REL_TOL = 1e-6
 _MAX_DOUBLINGS = 6
+# LAPACK holds about 76 bytes a point of the finest doubling, points * 2**6 of
+# them, so the largest problem peaks near 320 MB.
+_MAX_POINTS = 2**16
 
 
 def harmonic_exact(
@@ -83,13 +86,11 @@ class RadialProblem:
     def __post_init__(self) -> None:
         checked(self.mu, "mass", positive=True)
         require_counts(d=self.d)
-        checked(self.l, "angular degree", integer=True)
-        if self.l < 0:
-            raise ValueError(f"angular degree must be >= 0, got {self.l}")
+        require_count(self.l, "angular degree", 0)
         checked(self.r_max, "r_max", positive=True)
-        checked(self.points, "grid points", integer=True)
-        if self.points < 200:
-            raise ValueError(f"need at least 200 grid points, got {self.points}")
+        require_count(self.points, "grid points", 200)
+        if self.points > _MAX_POINTS:
+            raise ValueError(f"grid points must be <= {_MAX_POINTS}, got {self.points}")
         grids = self.points * 2 ** np.arange(_MAX_DOUBLINGS + 1)
         h = self.r_max / grids
         with np.errstate(all="ignore"):
@@ -131,9 +132,7 @@ def radial_eigenvalues(problem: RadialProblem, count: int) -> np.ndarray:
     grids agree to 1e-6 relative on every requested level, and the Richardson
     combination (4 E_fine - E_coarse) / 3 of the last pair is returned.
     """
-    checked(count, "level count", integer=True)
-    if count < 1:
-        raise ValueError(f"need at least one level, got {count}")
+    require_count(count, "level count", 1)
     if count > problem.points:
         raise ValueError(f"{problem.points} grid points hold at most {problem.points} levels, got {count}")
     coarse = _grid_eigenvalues(problem, problem.points, count)
@@ -153,9 +152,7 @@ def radial_eigenvalues(problem: RadialProblem, count: int) -> np.ndarray:
 
 def radial_eigenvalue(problem: RadialProblem, n: int) -> float:
     """The n-th radial level (0-based) in the problem's angular sector."""
-    checked(n, "level index", integer=True)
-    if n < 0:
-        raise ValueError(f"level index must be >= 0, got {n}")
+    require_count(n, "level index", 0)
     return float(radial_eigenvalues(problem, n + 1)[n])
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import UnsupportedAuxiliary
-from .model import StateSpec, checked, require_counts
+from .model import StateSpec, checked, require_count, require_counts
 
 # mpmath's working precision is process-global, so its calls are serialized.
 _airy_lock = threading.Lock()
@@ -85,10 +85,8 @@ def q_two_body_auxiliary(aux_exponent: float, n: int, l: int, d: int) -> QValue:
     d = 3, l = 0 only) maps the k-th Airy zero alpha_n onto
     Q = 2 (-alpha_n / 3)^(3/2).
     """
-    checked(n, "quantum number n", integer=True)
-    checked(l, "quantum number l", integer=True)
-    if n < 0 or l < 0:
-        raise ValueError(f"quantum numbers must be non-negative, got n={n}, l={l}")
+    require_count(n, "quantum number n", 0)
+    require_count(l, "quantum number l", 0)
     require_counts(d=d)
     lam = float(aux_exponent)
     if lam == -1.0:
@@ -122,9 +120,7 @@ def airy_ai(x: float) -> float:
 
 def airy_zero(index: int) -> float:
     """The index-th negative zero of Ai (0-based), from mpmath, cached."""
-    checked(index, "zero index", integer=True)
-    if index < 0:
-        raise ValueError(f"zero index must be >= 0, got {index}")
+    require_count(index, "zero index", 0)
     with _airy_lock:
         if index not in _airy_zeros:
             import mpmath

@@ -52,11 +52,11 @@ from .model import (
     auxiliary_exponent,
     chart_exponent,
     checked,
+    require_count,
 )
 from .qnum import QValue
-from .roots import brentq, log_grid, sign_change_brackets
+from .roots import _RTOL_MIN, brentq, log_grid, sign_change_brackets
 
-_EPS = float(np.finfo(float).eps)
 # Grid samples in one block scan of ``solve_nbody_many``; it bounds the memory
 # a block holds (31 points at the default 513-sample grid).
 _BLOCK_SAMPLES = 2**14
@@ -75,11 +75,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         for each in fields(self):
             checked(getattr(self, each.name), each.name)
-        checked(self.max_iterations, "max_iterations", integer=True)
+        require_count(self.max_iterations, "max_iterations", 10)
         if not (0.0 < self.tolerance <= 1e-6):
             raise ValueError(f"tolerance must lie in (0, 1e-6], got {self.tolerance}")
-        if self.max_iterations < 10:
-            raise ValueError(f"max_iterations must be >= 10, got {self.max_iterations}")
         if self.bracket_expansion <= 1.0:
             raise ValueError("bracket_expansion must exceed 1")
         if self.points_per_decade < 8:
@@ -328,7 +326,7 @@ def _polish_all(residual, brackets, cfg: SolverConfig) -> list[tuple[float, floa
     at the root it returns, so no point is evaluated twice; a zero-width
     bracket is a sampled zero, which ``brentq`` returns with its sample.
     """
-    rtol = max(cfg.tolerance, 4.0 * _EPS)
+    rtol = max(cfg.tolerance, _RTOL_MIN)
     return [
         brentq(residual, lo, hi, xtol=1e-300, rtol=rtol, maxiter=cfg.max_iterations, fa=f_lo, fb=f_hi)
         for lo, hi, f_lo, f_hi in brackets

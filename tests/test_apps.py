@@ -211,11 +211,11 @@ def test_boson_star_max_mass_closed_form_matches_the_scan():
 @pytest.mark.parametrize(
     "mass, alpha, message",
     [
-        (math.nan, 1e-3, "mass must be finite, got nan"),
+        (math.nan, 1e-3, "mass must be positive, got nan"),
         (math.inf, 1e-3, "mass must be finite, got inf"),
-        (1.0, math.nan, "alpha must be finite, got nan"),
+        (1.0, math.nan, "alpha must be positive, got nan"),
         (1.0, math.inf, "alpha must be finite, got inf"),
-        (0.0, 1e-3, "mass and alpha must be positive"),
+        (0.0, 1e-3, "mass must be positive, got 0.0"),
     ],
 )
 def test_boson_star_max_mass_rejects_bad_input(mass, alpha, message):

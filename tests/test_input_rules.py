@@ -1,9 +1,9 @@
 """Each input rule has one home, and bad input fails at construction with a typed error.
 
 The auxiliary exponent lam is checked by ``model.auxiliary_exponent``, finite
-and positive numbers by ``model.checked`` and particle and dimension counts by
-``model.require_counts``.  NaN, ±inf and non-integer counts never reach a
-result.
+and positive numbers by ``model.checked`` and every integer input, with its
+least value, by ``model.require_count``.  NaN, ±inf and non-integer counts
+never reach a result.
 """
 
 import math
@@ -154,19 +154,19 @@ def test_a_non_integer_airy_index_caches_nothing():
 
 
 def test_integer_count_range_messages_are_unchanged():
-    with pytest.raises(ValueError, match="^a ground state needs at least two particles$"):
+    with pytest.raises(ValueError, match="^n_particles must be >= 2, got 1$"):
         StateSpec.ground(1)
     with pytest.raises(ValueError, match="^zero index must be >= 0, got -1$"):
         airy_zero(-1)
-    with pytest.raises(ValueError, match="^need at least one level, got 0$"):
+    with pytest.raises(ValueError, match="^level count must be >= 1, got 0$"):
         radial_eigenvalues(LINEAR_WELL, 0)
     with pytest.raises(ValueError, match="^level index must be >= 0, got -1$"):
         radial_eigenvalue(LINEAR_WELL, -1)
-    with pytest.raises(ValueError, match="^need at least 200 grid points, got 100$"):
+    with pytest.raises(ValueError, match="^grid points must be >= 200, got 100$"):
         RadialProblem(mu=1.0, potential=LINEAR, d=3, l=0, r_max=10.0, points=100)
     with pytest.raises(ValueError, match="^n_max must be >= 2, got 1$"):
         boson_star_max_mass(3, 1.0, 1e-3, 1)
-    with pytest.raises(ValueError, match="^mass and alpha must be positive$"):
+    with pytest.raises(ValueError, match="^mass must be positive, got 0.0$"):
         boson_star_max_mass(3, 0.0, 1e-3, 2.5)
     assert StateSpec.ground(np.int64(3)) == StateSpec.ground(3)
     assert boson_star_max_mass(3, 1.0, 1e-3, np.int64(10**5)) == boson_star_max_mass(3, 1.0, 1e-3, 10**5)
@@ -231,15 +231,51 @@ def test_non_integer_quantum_number_is_rejected(call, message):
 
 
 def test_integer_quantum_number_range_messages_are_unchanged():
-    with pytest.raises(ValueError, match=r"^quanta must be non-negative integers, got \(0, -1\)$"):
+    with pytest.raises(ValueError, match="^quantum number l must be >= 0, got -1$"):
         StateSpec(((0, -1),))
-    with pytest.raises(ValueError, match="^quantum numbers must be non-negative, got n=-1, l=0$"):
+    with pytest.raises(ValueError, match="^quantum number n must be >= 0, got -1$"):
         q_two_body_auxiliary(2.0, -1, 0, 3)
     with pytest.raises(ValueError, match="^angular degree must be >= 0, got -1$"):
         RadialProblem(mu=1.0, potential=LINEAR, d=3, l=-1, r_max=10.0)
     with pytest.raises(ValueError, match="^degeneracy must be >= 1, got 0$"):
         q_fermion_asymptotic(10, 3, 0)
     assert q_from_quanta(StateSpec(((np.int64(1), np.int64(2)),)), 3) == q_from_quanta(StateSpec(((1, 2),)), 3)
+
+
+# every integer input of the library, its least value and a valid value:
+# ``model.require_count`` words the rule the same way at every site
+SMALL_WELL = RadialProblem(mu=1.0, potential=LINEAR, d=3, l=0, r_max=10.0, points=200)
+COUNT_SITES = [
+    ("require_counts-n", lambda k: require_counts(n=k), "n", 2, 3),
+    ("require_counts-d", lambda k: require_counts(d=k), "d", 2, 3),
+    ("require_counts-degeneracy", lambda k: require_counts(degeneracy=k), "degeneracy", 1, 2),
+    ("StateSpec-n", lambda k: StateSpec(((k, 0),)), "quantum number n", 0, 1),
+    ("StateSpec-l", lambda k: StateSpec(((0, k),)), "quantum number l", 0, 1),
+    ("StateSpec.ground", lambda k: StateSpec.ground(k), "n_particles", 2, 3),
+    ("q_two_body_auxiliary-n", lambda k: q_two_body_auxiliary(2.0, k, 0, 3), "quantum number n", 0, 1),
+    ("q_two_body_auxiliary-l", lambda k: q_two_body_auxiliary(2.0, 0, k, 3), "quantum number l", 0, 1),
+    ("airy_zero", lambda k: airy_zero(k), "zero index", 0, 1),
+    ("RadialProblem-l", lambda k: RadialProblem(mu=1.0, potential=LINEAR, d=3, l=k, r_max=10.0), "angular degree", 0, 1),
+    ("RadialProblem-points", lambda k: RadialProblem(mu=1.0, potential=LINEAR, d=3, l=0, r_max=10.0, points=k),
+     "grid points", 200, 300),
+    ("radial_eigenvalues", lambda k: tuple(radial_eigenvalues(SMALL_WELL, k)), "level count", 1, 2),
+    ("radial_eigenvalue", lambda k: radial_eigenvalue(SMALL_WELL, k), "level index", 0, 1),
+    ("boson_star_max_mass", lambda k: boson_star_max_mass(3, 1.0, 1e-3, k), "n_max", 2, 100),
+    ("SolverConfig", lambda k: SolverConfig(max_iterations=k), "max_iterations", 10, 50),
+]
+
+
+@pytest.mark.parametrize(
+    "call, name, least, valid", [site[1:] for site in COUNT_SITES], ids=[site[0] for site in COUNT_SITES]
+)
+def test_every_count_meets_its_least_value_in_one_wording(call, name, least, valid):
+    with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
+        call(least - 1)
+    for count in (valid + 0.5, float(valid)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {count}$"):
+            call(count)
+    assert call(np.int64(valid)) == call(valid)
+    assert call(np.int64(least)) == call(least)
 
 
 @pytest.mark.parametrize("value", [200.5, 200.0])
