@@ -78,6 +78,15 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _cell(value) -> str:
+    """One CSV cell: a float by ``_fmt``, an int or a str as itself, an enum by its value."""
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, (int, str)):
+        return str(value)
+    return value.value
+
+
 # ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
@@ -187,7 +196,7 @@ def _build_law(sections: Sections, name: str):
     return _reported(f"line {_line_of(data, 'family')}: [{name}] ", law_cls.of, family, *values)
 
 
-def _parse_quanta(lineno: int, text: str) -> tuple[tuple[int, int], ...]:
+def _parse_quanta(lineno: int, text: str) -> StateSpec:
     pairs = []
     for chunk in text.split():
         parts = chunk.split(",")
@@ -204,7 +213,7 @@ def _parse_quanta(lineno: int, text: str) -> tuple[tuple[int, int], ...]:
         pairs.append((n_i, l_i))
     if not pairs:
         raise ConstraintViolation(f"line {lineno}: [state] quanta must list at least one pair")
-    return _reported(f"line {lineno}: [state] ", StateSpec, tuple(pairs)).quanta
+    return _reported(f"line {lineno}: [state] ", StateSpec, tuple(pairs))
 
 
 @dataclass
@@ -219,9 +228,7 @@ class RunConfig:
     kinetic: KineticLaw | None
     onebody: PotentialLaw | None
     twobody: PotentialLaw | None
-    state_kind: str  # 'boson-gs' | 'fermion-asymptotic' | 'quanta' | 'q'
-    state_quanta: tuple[tuple[int, int], ...] | None
-    state_q: float | None
+    state: str | StateSpec | QValue  # a tower name, the [state] quanta, or the [state] q
     solver: solver.SolverConfig
     perturbation: analysis.PerturbationSpec | None
 
@@ -237,23 +244,21 @@ class RunConfig:
         )
 
     def resolve_q(self) -> QValue:
-        if self.state_kind == "boson-gs":
-            return q_boson_ground(self.n, self.d)
-        if self.state_kind == "fermion-asymptotic":
-            return q_fermion_asymptotic(self.n, self.d, self.degeneracy)
-        if self.state_kind == "quanta":
-            if len(self.state_quanta) != self.n - 1:
+        state = self.state
+        if isinstance(state, QValue):
+            return state
+        if isinstance(state, StateSpec):
+            if len(state.quanta) != self.n - 1:
                 raise ConstraintViolation(
-                    f"[state] quanta lists {len(self.state_quanta)} pairs but "
-                    f"n={self.n} needs {self.n - 1}"
+                    f"[state] quanta lists {len(state.quanta)} pairs but n={self.n} needs {self.n - 1}"
                 )
-            return q_from_quanta(StateSpec(self.state_quanta), self.d)
-        return QValue(self.state_q, QProvenance.USER_DEFINED)
+            return q_from_quanta(state, self.d)
+        if state == "boson-gs":
+            return q_boson_ground(self.n, self.d)
+        return q_fermion_asymptotic(self.n, self.d, self.degeneracy)
 
     def state_l(self) -> int:
-        if self.state_kind == "quanta":
-            return self.state_quanta[0][1]
-        return 0
+        return self.state.quanta[0][1] if isinstance(self.state, StateSpec) else 0
 
 
 def config_from_sections(sections: Sections) -> RunConfig:
@@ -283,7 +288,7 @@ def config_from_sections(sections: Sections) -> RunConfig:
     onebody = _build_law(sections, "onebody")
     twobody = _build_law(sections, "twobody")
 
-    state_kind, quanta, state_q = "boson-gs", None, None
+    state = "boson-gs"
     if "state" in sections:
         data = sections["state"]
         _reject_unknown("state", data, {"tower", "quanta", "q"})
@@ -294,16 +299,13 @@ def config_from_sections(sections: Sections) -> RunConfig:
                 f"got {present or 'none'}"
             )
         if present[0] == "tower":
-            state_kind = _get_choice(
-                "state", data, "tower", {"boson-gs", "fermion-asymptotic"}
-            )
+            state = _get_choice("state", data, "tower", {"boson-gs", "fermion-asymptotic"})
         elif present[0] == "quanta":
-            state_kind = "quanta"
-            quanta = _parse_quanta(*data["quanta"])
+            state = _parse_quanta(*data["quanta"])
         else:
-            state_kind = "q"
-            state_q = _get_number("state", data, "q")
-            _reported(f"line {_line_of(data, 'q')}: [state] ", checked, state_q, "q", positive=True)
+            q = _get_number("state", data, "q")
+            _reported(f"line {_line_of(data, 'q')}: [state] ", checked, q, "q", positive=True)
+            state = QValue(q, QProvenance.USER_DEFINED)
 
     # [solver] keys are SolverConfig's fields, each parsed as its default's type
     data = sections.get("solver", {})
@@ -315,23 +317,16 @@ def config_from_sections(sections: Sections) -> RunConfig:
     perturbation = None
     if "perturbation" in sections:
         data = sections["perturbation"]
-        _reject_unknown(
-            "perturbation",
-            data,
-            {"tau", "tau_exponent", "eta", "eta_exponent", "epsilon", "epsilon_exponent"},
-        )
+        slots = {"tau": "kinetic", "eta": "onebody", "epsilon": "twobody"}
+        _reject_unknown("perturbation", data, {*slots, *(f"{key}_exponent" for key in slots)})
         pairs: dict[str, tuple[float, PotentialLaw]] = {}
-        for coeff_key, exp_key, slot in (
-            ("tau", "tau_exponent", "kinetic"),
-            ("eta", "eta_exponent", "onebody"),
-            ("epsilon", "epsilon_exponent", "twobody"),
-        ):
+        for coeff_key, slot in slots.items():
+            exp_key = f"{coeff_key}_exponent"
             coeff = _get_number("perturbation", data, coeff_key)
             if coeff is None:
                 if exp_key in data:
                     raise ConstraintViolation(
-                        f"line {_line_of(data, exp_key)}: [perturbation] "
-                        f"{exp_key} needs {coeff_key}"
+                        f"line {_line_of(data, exp_key)}: [perturbation] {exp_key} needs {coeff_key}"
                     )
                 continue
             _require("perturbation", data, exp_key)
@@ -354,9 +349,7 @@ def config_from_sections(sections: Sections) -> RunConfig:
         kinetic=kinetic,
         onebody=onebody,
         twobody=twobody,
-        state_kind=state_kind,
-        state_quanta=quanta,
-        state_q=state_q,
+        state=state,
         solver=solver_cfg,
         perturbation=perturbation,
     )
@@ -385,100 +378,60 @@ def _need(law, slot: str, family, command: str) -> None:
         raise ConstraintViolation(f"'{command}' needs [{slot}] family = {family.value}")
 
 
-def _level_row(system: SystemSpec, q: QValue, sol) -> list[str]:
-    return [
-        str(system.n),
-        str(system.d),
-        _fmt(q.value),
-        _fmt(sol.energy),
-        _fmt(sol.r0),
-        _fmt(sol.p0),
-        sol.bound.classification.value,
-        str(sol.n_roots),
-    ]
+def _level_row(system: SystemSpec, q: QValue, sol) -> dict:
+    """One level's columns, in order, as raw values; ``run`` prints each through ``_cell``."""
+    return dict(N=system.n, D=system.d, Q=q.value, E=sol.energy, r0=sol.r0, p0=sol.p0,
+                bound=sol.bound.classification, n_roots=sol.n_roots)
 
 
-def _cmd_solve(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
-    system, q, sol = _level(cfg)
-    return ["N", "D", "Q", "E", "r0", "p0", "bound", "n_roots"], [_level_row(system, q, sol)]
+def _cmd_solve(cfg: RunConfig, args) -> list[dict]:
+    return [_level_row(*_level(cfg))]
 
 
-def _cmd_bounds(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
+def _cmd_bounds(cfg: RunConfig, args) -> list[dict]:
     _, _, sol = _level(cfg)
     terms = sol.bound.terms
-    row = [str(cfg.n), str(cfg.d), sol.bound.classification.value] + [
-        terms[slot].value if slot in terms else "-" for slot in ("kinetic", "onebody", "twobody")
-    ]
-    return ["N", "D", "bound", "kinetic", "onebody", "twobody"], [row]
+    row = dict(N=cfg.n, D=cfg.d, bound=sol.bound.classification)
+    return [row | {slot: terms.get(slot, "-") for slot in ("kinetic", "onebody", "twobody")}]
 
 
-def _cmd_critical(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
-    if cfg.kinetic is None:
-        raise MissingSection("a [kinetic] section is required for 'critical'")
-    if cfg.kinetic.family is not KineticFamily.NONRELATIVISTIC:
-        raise ConstraintViolation(
-            "critical couplings are defined for nonrelativistic kinematics only"
-        )
+def _cmd_critical(cfg: RunConfig, args) -> list[dict]:
+    _need(cfg.kinetic, "kinetic", KineticFamily.NONRELATIVISTIC, "critical")
     shape = cfg.onebody if args.mode == "onebody" else cfg.twobody
     if shape is None:
         raise MissingSection(f"an [{args.mode}] section is required for --mode {args.mode}")
     q = cfg.resolve_q()
     result = analysis.critical_coupling(args.mode, shape, cfg.n, q, cfg.kinetic.mass)
-    row = [
-        args.mode,
-        str(cfg.n),
-        str(cfg.d),
-        _fmt(q.value),
-        _fmt(cfg.kinetic.mass),
-        _fmt(result.y0),
-        _fmt(result.value),
-        result.bound.value,
+    return [
+        dict(mode=args.mode, N=cfg.n, D=cfg.d, Q=q.value, m=cfg.kinetic.mass, y0=result.y0,
+             critical_value=result.value, bound=result.bound)
     ]
-    return ["mode", "N", "D", "Q", "m", "y0", "critical_value", "bound"], [row]
 
 
-def _cmd_perturb(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
+def _cmd_perturb(cfg: RunConfig, args) -> list[dict]:
     if cfg.perturbation is None:
         raise MissingSection("a [perturbation] section is required for 'perturb'")
     system, q, sol = _level(cfg)
     corrected = analysis.perturbed_energy(sol, system, cfg.perturbation)
-    row = [str(cfg.n), str(cfg.d), _fmt(q.value), _fmt(sol.energy), _fmt(corrected)]
-    return ["N", "D", "Q", "E", "E_perturbed"], [row]
+    return [dict(N=cfg.n, D=cfg.d, Q=q.value, E=sol.energy, E_perturbed=corrected)]
 
 
-def _cmd_baryon(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
+def _cmd_baryon(cfg: RunConfig, args) -> list[dict]:
     params = _reported("", apps.BaryonParams, n=cfg.n, d=cfg.d, a1=args.a1, a2=args.a2, b=args.b)
     e_upper, e_lower = apps.baryon_bounds(params)
-    row = [
-        str(cfg.n),
-        str(cfg.d),
-        _fmt(args.a1),
-        _fmt(args.a2),
-        _fmt(args.b),
-        _fmt(e_upper),
-        _fmt(e_lower),
-    ]
-    return ["N", "D", "a1", "a2", "b", "E_upper", "E_lower"], [row]
+    return [dict(N=cfg.n, D=cfg.d, a1=args.a1, a2=args.a2, b=args.b, E_upper=e_upper, E_lower=e_lower)]
 
 
-def _cmd_bosonstar(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
+def _cmd_bosonstar(cfg: RunConfig, args) -> list[dict]:
     _need(cfg.kinetic, "kinetic", KineticFamily.SEMIRELATIVISTIC, "bosonstar")
     _need(cfg.twobody, "twobody", PotentialFamily.COULOMB, "bosonstar")
     q = cfg.resolve_q()
     params = _reported("", apps.BosonStarParams, n=cfg.n, mass=cfg.kinetic.mass, alpha=cfg.twobody.strength)
     mass_bound = apps.boson_star_mass(params, q)
-    row = [
-        str(cfg.n),
-        str(cfg.d),
-        _fmt(cfg.kinetic.mass),
-        _fmt(cfg.twobody.strength),
-        _fmt(q.value),
-        _fmt(mass_bound),
-    ]
-    return ["N", "D", "m", "alpha", "Q", "M_upper"], [row]
+    return [dict(N=cfg.n, D=cfg.d, m=cfg.kinetic.mass, alpha=cfg.twobody.strength, Q=q.value, M_upper=mass_bound)]
 
 
-def _cmd_minlength(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
+def _cmd_minlength(cfg: RunConfig, args) -> list[dict]:
     _need(cfg.kinetic, "kinetic", KineticFamily.MINIMAL_LENGTH_QUARTIC, "minlength")
     if (
         cfg.twobody is None
@@ -491,19 +444,11 @@ def _cmd_minlength(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
             "positive amplitude"
         )
     q = cfg.resolve_q()
-    energy = apps.minimal_length_energy(
-        cfg.n, cfg.d, cfg.kinetic.mass, cfg.twobody.amplitude, cfg.kinetic.deformation, q
-    )
-    row = [
-        str(cfg.n),
-        str(cfg.d),
-        _fmt(cfg.kinetic.mass),
-        _fmt(cfg.twobody.amplitude),
-        _fmt(cfg.kinetic.deformation),
-        _fmt(q.value),
-        _fmt(energy),
+    kinetic, spring = cfg.kinetic, cfg.twobody.amplitude
+    energy = apps.minimal_length_energy(cfg.n, cfg.d, kinetic.mass, spring, kinetic.deformation, q)
+    return [
+        dict(N=cfg.n, D=cfg.d, m=kinetic.mass, spring=spring, deformation=kinetic.deformation, Q=q.value, E=energy)
     ]
-    return ["N", "D", "m", "spring", "deformation", "Q", "E"], [row]
 
 
 def _sweep_values(args) -> list[float]:
@@ -526,6 +471,8 @@ def _sweep_values(args) -> list[float]:
         if args.steps < 2:
             raise ConstraintViolation(f"--steps must be >= 2, got {args.steps}")
         points, width = args.steps, (args.stop - args.start) / (args.steps - 1)
+        if not math.isfinite(width):
+            raise ConstraintViolation(f"--from {args.start} to --to {args.stop} spans more than the float range")
     if points > _MAX_SWEEP_POINTS:
         raise ConstraintViolation(f"a sweep takes at most {_MAX_SWEEP_POINTS} points, got {points}")
     return [args.start + i * width for i in range(points)]
@@ -553,7 +500,7 @@ def _swept_law(cfg: RunConfig, section: str, key: str, first: float):
     return at_value
 
 
-def _cmd_sweep(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
+def _cmd_sweep(cfg: RunConfig, args) -> list[dict]:
     param = args.param.lower()
     if param not in ("n", "d"):
         if "." not in param:
@@ -567,7 +514,6 @@ def _cmd_sweep(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
             )
         if section not in cfg.sections:
             raise MissingSection(f"a [{section}] section is required to sweep {param}")
-    header = ["param", "value", "N", "D", "Q", "E", "r0", "p0", "bound", "n_roots"]
     values, systems, qs = _sweep_values(args), [], []
     if param not in ("n", "d"):
         law_at = _swept_law(cfg, section, key, values[0])
@@ -586,14 +532,13 @@ def _cmd_sweep(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
         solver.solve_nbody_many(systems, qs, cfg.solver)
         raise
     solutions = solver.solve_nbody_many(systems, qs, cfg.solver)
-    rows = [
-        [param, _fmt(value)] + _level_row(system, q, sol)
+    return [
+        dict(param=param, value=value, **_level_row(system, q, sol))
         for value, system, q, sol in zip(values, systems, qs, solutions)
     ]
-    return header, rows
 
 
-def _cmd_oracle(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
+def _cmd_oracle(cfg: RunConfig, args) -> list[dict]:
     _need(cfg.kinetic, "kinetic", KineticFamily.NONRELATIVISTIC, "oracle")
     if cfg.n != 2 or cfg.twobody is None:
         raise ConstraintViolation(
@@ -613,8 +558,11 @@ def _cmd_oracle(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
         r_max=r_max,
         points=args.points,
     )
-    # a state inside one cell of every grid scales with the grid, so the
+    # a grid that ends inside the state gives the levels of its box, and a
+    # state inside one cell of every grid scales with the grid, so the
     # doublings agree on a level that is not the state's
+    if r_max <= sol.r0:
+        raise NotConverged(f"r_max = {r_max} ends inside the state: it must exceed the envelope scale r0 = {sol.r0}")
     cell = r_max / (args.points * 2**oracle._MAX_DOUBLINGS)
     if cell > sol.r0:
         raise NotConverged(
@@ -622,8 +570,7 @@ def _cmd_oracle(cfg: RunConfig, args) -> tuple[list[str], list[list[str]]]:
             f"the finest grid's cell {cell} is wider than the envelope scale r0 = {sol.r0}"
         )
     levels = _reported("", oracle.radial_eigenvalues, problem, args.levels)
-    rows = [[str(i), _fmt(e)] for i, e in enumerate(levels)]
-    return ["level", "E"], rows
+    return [dict(level=i, E=e) for i, e in enumerate(levels)]
 
 
 _COMMANDS = {
@@ -716,7 +663,7 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
 
     try:
         cfg = parse_config(text)
-        header, rows = _COMMANDS[args.command](cfg, args)
+        rows = _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -730,7 +677,8 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    payload = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
+    lines = [",".join(rows[0])] + [",".join(map(_cell, row.values())) for row in rows]
+    payload = "\n".join(lines) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -79,11 +79,9 @@ class SolverConfig:
         if not (0.0 < self.tolerance <= 1e-6):
             raise ValueError(f"tolerance must lie in (0, 1e-6], got {self.tolerance}")
         if self.bracket_expansion <= 1.0:
-            raise ValueError("bracket_expansion must exceed 1")
-        if self.points_per_decade < 8:
-            raise ValueError("points_per_decade must be >= 8")
-        if self.decades <= 0.0:
-            raise ValueError("decades must be positive")
+            raise ValueError(f"bracket_expansion must exceed 1, got {self.bracket_expansion}")
+        require_count(self.points_per_decade, "points_per_decade", 8)
+        checked(self.decades, "decades", positive=True)
 
 
 _DEFAULT_CONFIG = SolverConfig()
@@ -294,8 +292,8 @@ def _solve(residual, energy, verdict, qv: float, cfg: SolverConfig, brackets=Non
 def _scan_and_polish(residual, guess: float, cfg: SolverConfig) -> list[tuple[float, float]]:
     decades = cfg.decades
     for _expansion in range(3):
-        grid = guess * log_grid(decades, cfg.points_per_decade)
         with np.errstate(all="ignore"):
+            grid = guess * log_grid(decades, cfg.points_per_decade)
             values = np.asarray(residual(grid), dtype=float)
         brackets = sign_change_brackets(grid, values)
         if brackets:

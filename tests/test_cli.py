@@ -97,7 +97,7 @@ def test_parse_sections_key_outside_section():
 def test_parse_config_happy_path():
     cfg = parse_config(BASE)
     assert (cfg.n, cfg.d) == (3, 3)
-    assert cfg.state_kind == "boson-gs"
+    assert cfg.state == "boson-gs"
     assert float(cfg.resolve_q()) == pytest.approx(3.0)
 
 
@@ -137,7 +137,7 @@ def test_parse_config_requires_system_section():
 
 def test_parse_config_quanta_state():
     cfg = parse_config(BASE.replace("tower = boson-gs", "quanta = 1,0 0,1"))
-    assert cfg.state_quanta == ((1, 0), (0, 1))
+    assert cfg.state.quanta == ((1, 0), (0, 1))
     # Q = 2 + 1 + 2 * 3/2 = 6
     assert float(cfg.resolve_q()) == pytest.approx(6.0)
 

@@ -250,7 +250,7 @@ def test_state_q_must_be_finite(tmp_path, capsys, text, expected):
         ("decades", "nan", "config error: [solver] decades must be finite, got nan\n"),
         ("bracket_expansion", "nan", "config error: [solver] bracket_expansion must be finite, got nan\n"),
         ("tolerance", "inf", "config error: [solver] tolerance must be finite, got inf\n"),
-        ("decades", "-1", "config error: [solver] decades must be positive\n"),
+        ("decades", "-1", "config error: [solver] decades must be positive, got -1.0\n"),
     ],
 )
 def test_solver_values_must_be_finite(tmp_path, capsys, key, value, expected):
@@ -398,7 +398,7 @@ def test_empty_solver_section_is_the_default_config():
         ("max_iterations = 2.5\n", "line 15: [solver] max_iterations: expected an integer, got '2.5'"),
         ("tolerance = tight\n", "line 15: [solver] tolerance: expected a number, got 'tight'"),
         ("max_iterations = 5\n", "[solver] max_iterations must be >= 10, got 5"),
-        ("points_per_decade = 4\n", "[solver] points_per_decade must be >= 8"),
+        ("points_per_decade = 4\n", "[solver] points_per_decade must be >= 8, got 4"),
         ("decades = x\npoints_per_decade = y\n", "line 16: [solver] points_per_decade: expected an integer, got 'y'"),
     ],
     ids=["unknown-key", "int-type", "float-type", "iterations-range", "density-range", "field-order"],
@@ -517,40 +517,36 @@ def test_a_result_beyond_the_grid_or_the_float_range_is_a_one_line_error(
     assert (code, capsys.readouterr().err, out.getvalue()) == (1, f"{expected}\n", "")
 
 
-# LAPACK's own failure on a finite grid: one line naming the grid, with the
-# LAPACK message after it
-@pytest.mark.parametrize("text, rmax", [(PAIR, "1e-74"), (PAIR_2D, "2.3e-149")], ids=["d3", "d2"])
-@pytest.mark.filterwarnings("error")
-def test_a_grid_lapack_cannot_solve_is_a_one_line_config_error(tmp_path, capsys, text, rmax):
-    path = tmp_path / "run.cfg"
-    path.write_text(text)
-    out = io.StringIO()
-    code = run(["oracle", "--config", str(path), "--rmax", rmax], stdout=out)
-    err = capsys.readouterr().err
-    assert (code, out.getvalue(), err.count("\n")) == (1, "", 1)
-    assert err.startswith(f"config error: r_max = {rmax} over 4000 points: LAPACK failed on this grid: ")
+# Each grid passes every float-range rule, and the Coulomb pair's level is
+# -0.25 at the envelope scale r0 = 4.5.  A grid that ends inside the state
+# gives the levels of its box (E0 = 9.87e144 at 1e-72, -0.0625 at 4), and at
+# 1e-74 (D = 3) or 2.3e-149 (D = 2) LAPACK fails on it; both rules are checked
+# after the grid is built.  At 1e77 (D = 3) and 1e154 (D = 2) the state lies
+# inside one cell of every doubling, so the doublings would agree on a level
+# that is not the state's (-1.9e-73 at 1e77).  Each is one not-converged line.
+INSIDE = " ends inside the state: it must exceed the envelope scale r0 = "
+UNRESOLVED = " over 4000 points cannot resolve the state: "
 
 
-# Each neighbour passes every float-range rule of its grid.  At 1e-72 it
-# solves.  At 1e77 (D = 3) and 1e154 (D = 2) the bound state lies inside one
-# cell of every doubling, so the doublings would agree on a level that is not
-# the state's (-1.9e-73 at 1e77, where the level is -0.25): the resolution rule,
-# checked after the grid is built, reports it as not converged.
 @pytest.mark.parametrize(
-    "text, rmax, unresolved",
-    [(PAIR, "1e77", "1e+77"), (PAIR_2D, "1e154", "1e+154"), (PAIR, "1e-72", None), (PAIR_2D, "1e-72", None)],
-    ids=["d3-1e77", "d2-1e154", "d3-1e-72", "d2-1e-72"],
+    "text, rmax, expected",
+    [
+        (PAIR, "1e-74", "1e-74" + INSIDE),
+        (PAIR_2D, "2.3e-149", "2.3e-149" + INSIDE),
+        (PAIR, "1e-72", "1e-72" + INSIDE),
+        (PAIR_2D, "1e-72", "1e-72" + INSIDE),
+        (PAIR, "4", "4.0" + INSIDE),
+        (PAIR, "1e77", "1e+77" + UNRESOLVED),
+        (PAIR_2D, "1e154", "1e+154" + UNRESOLVED),
+    ],
+    ids=["d3-1e-74", "d2-2.3e-149", "d3-1e-72", "d2-1e-72", "d3-4", "d3-1e77", "d2-1e154"],
 )
 @pytest.mark.filterwarnings("error")
-def test_the_neighbours_of_the_rejected_grids_solve(tmp_path, capsys, text, rmax, unresolved):
+def test_an_oracle_grid_that_misses_the_state_is_not_converged(tmp_path, capsys, text, rmax, expected):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     out = io.StringIO()
     code = run(["oracle", "--config", str(path), "--rmax", rmax], stdout=out)
     err = capsys.readouterr().err
-    if unresolved is not None:
-        assert (code, out.getvalue(), err.count("\n")) == (3, "", 1)
-        assert err.startswith(f"not converged: r_max = {unresolved} over 4000 points cannot resolve the state: ")
-        return
-    assert (code, err) == (0, "")
-    assert out.getvalue().splitlines()[0] == "level,E" and len(out.getvalue().splitlines()) == 4
+    assert (code, out.getvalue(), err.count("\n")) == (3, "", 1)
+    assert err.startswith(f"not converged: r_max = {expected}")

@@ -6,6 +6,7 @@ that had no test: a solve on the asymptotic fermion tower and an oracle run
 in an l > 0 sector.
 """
 
+import argparse
 import io
 import math
 import os
@@ -16,8 +17,8 @@ import sys
 import pytest
 
 from envtheory.analysis import critical_coupling, term_convexity
-from envtheory.cli import _fmt, parse_sections, run
-from envtheory.errors import EvaluationDomainError, TypeMismatch
+from envtheory.cli import _fmt, _sweep_values, parse_sections, run
+from envtheory.errors import EvaluationDomainError, NoStationaryPoint, TypeMismatch
 from envtheory.model import CustomProfile, KineticFamily, KineticLaw, PotentialFamily, PotentialLaw, SystemSpec
 from envtheory.qnum import q_fermion_asymptotic
 from envtheory.roots import brentq
@@ -75,9 +76,9 @@ CLI_DIAGNOSTICS = [
      "line 15: [perturbation] tau_exponent needs tau"),
     ("no-coefficient", PERTURBATION, "solve", [], "[perturbation] needs at least one coefficient"),
     ("critical-no-kinetic", SYSTEM + YUKAWA, "critical", ["--mode", "twobody"],
-     "a [kinetic] section is required for 'critical'"),
+     "'critical' needs [kinetic] family = nonrelativistic"),
     ("critical-semirelativistic", SYSTEM + "[kinetic]\nfamily = semirelativistic\nmass = 1.0\n\n" + YUKAWA,
-     "critical", ["--mode", "twobody"], "critical couplings are defined for nonrelativistic kinematics only"),
+     "critical", ["--mode", "twobody"], "'critical' needs [kinetic] family = nonrelativistic"),
     ("critical-no-mode-section", SYSTEM + KINETIC + YUKAWA, "critical", ["--mode", "onebody"],
      "an [onebody] section is required for --mode onebody"),
     ("minlength-twobody", SYSTEM + "[kinetic]\nfamily = minimal-length\nmass = 1.0\ndeformation = 0.01\n\n"
@@ -139,6 +140,38 @@ def test_an_oracle_run_in_an_l_1_sector(tmp_path, capsys):
     assert (code, err) == (0, "")
     levels = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
     assert levels == pytest.approx([5.0, 9.0], rel=1e-6)
+
+
+# --- CSV cells and the float range --------------------------------------------------
+
+
+def test_each_cell_prints_by_its_type(tmp_path, capsys):
+    # an int as its digits, a float to 17 digits, an enum by its value
+    text = SWEEP.replace("n = 3", "n = 100000000000000000000")
+    assert run_cli(tmp_path, capsys, text, "solve") == (0, "", (
+        "N,D,Q,E,r0,p0,bound,n_roots\n"
+        "100000000000000000000,3,1.5e+20,2.1213203435596425e+30,1029883571953599.8,145647.53151219126,Exact,1\n"
+    ))
+
+
+def test_a_sweep_wider_than_the_float_range_is_one_config_error_line(tmp_path, capsys):
+    flags = ["--param", "twobody.amplitude", "--from=-1e308", "--to=1e308", "--steps", "3"]
+    assert run_cli(tmp_path, capsys, SWEEP, "sweep", *flags) == (
+        1, "config error: --from -1e+308 to --to 1e+308 spans more than the float range\n", ""
+    )
+    # a finite width keeps its floats, however wide the span
+    wide = argparse.Namespace(param="twobody.amplitude", start=-1e307, stop=1e307, steps=3)
+    assert _sweep_values(wide) == [-1e307, 0.0, 1e307]
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_scan_grid_past_the_float_range_warns_nothing(tmp_path, capsys):
+    code, err, out = run_cli(tmp_path, capsys, STATE + "q = 1e300\n", "solve")
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("no stationary point: ")
+    spec = SystemSpec(3, 3, KineticLaw.nonrelativistic(1.0), twobody=PotentialLaw.power_law(1.0, 2.0))
+    with pytest.raises(NoStationaryPoint):
+        solve_nbody(spec, 1e300)
 
 
 # --- library errors ----------------------------------------------------------------

@@ -395,10 +395,21 @@ def test_solver_config_rejects_non_finite(field, value):
 def test_solver_config_finite_messages_unchanged():
     with pytest.raises(ValueError, match=r"^tolerance must lie in \(0, 1e-6\], got 0.001$"):
         SolverConfig(tolerance=1e-3)
-    with pytest.raises(ValueError, match="^bracket_expansion must exceed 1$"):
+    with pytest.raises(ValueError, match="^bracket_expansion must exceed 1, got 1.0$"):
         SolverConfig(bracket_expansion=1.0)
-    with pytest.raises(ValueError, match="^decades must be positive$"):
+    with pytest.raises(ValueError, match=r"^decades must be positive, got -1.0$"):
         SolverConfig(decades=-1.0)
+    # the finite check comes first
+    with pytest.raises(ValueError, match="^decades must be finite, got inf$"):
+        SolverConfig(decades=math.inf)
+
+
+def test_points_per_decade_is_a_count():
+    with pytest.raises(ValueError, match=r"^points_per_decade must be an integer, got 8.5$"):
+        SolverConfig(points_per_decade=8.5)
+    with pytest.raises(ValueError, match="^points_per_decade must be >= 8, got 7$"):
+        SolverConfig(points_per_decade=7)
+    assert SolverConfig(points_per_decade=np.int64(8)).points_per_decade == 8
 
 
 def test_tight_tolerance_is_honored():
