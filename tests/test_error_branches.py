@@ -242,8 +242,11 @@ def run_child(tmp_path, text, command, *flags):
         (COULOMB_PAIR, "oracle", ["--rmax", "1e70"],
          "not converged: r_max = 1e+70 over 4000 points cannot resolve the state: the finest grid's cell "
          "3.9062500000000005e+64 is wider than the envelope scale r0 = 4.500000000000012"),
+        (SWEEP + "\n[solver]\npoints_per_decade = 100000000\n", "solve", [],
+         "config error: [solver] the widest scan, points_per_decade * decades * bracket_expansion**2 = "
+         "100000000 * 8.0 * 2.0**2, takes more than 1048576 samples"),
     ],
-    ids=["sweep-d-to-1e18", "sweep-1e9-steps", "oracle-1e9-points", "oracle-coulomb-rmax-1e70"],
+    ids=["sweep-d-to-1e18", "sweep-1e9-steps", "oracle-1e9-points", "oracle-coulomb-rmax-1e70", "solve-1e8-per-decade"],
 )
 def test_a_repro_is_one_line_in_a_bounded_child(tmp_path, text, command, flags, expected):
     code, err, out = run_child(tmp_path, text, command, *flags)

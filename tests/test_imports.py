@@ -1,4 +1,4 @@
-"""The solve path imports numpy only; scipy and mpmath load on first use."""
+"""The runtime needs no mpmath, and the solve path imports numpy only; scipy loads on the oracle's first use."""
 
 import json
 import os
@@ -6,6 +6,9 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import mpmath
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -31,15 +34,17 @@ PROBE = textwrap.dedent(
     """
     import io, json, sys
 
+    sys.modules["mpmath"] = None  # every import of mpmath now fails
+
     def heavy():
-        return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath"))
+        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
     from envtheory import cli
     after_import = heavy()
     code = cli.run(["solve", "--config", sys.argv[1]], stdout=io.StringIO())
     after_solve = heavy()
 
-    from envtheory import PotentialLaw, RadialProblem, radial_eigenvalues
+    from envtheory import PotentialLaw, RadialProblem, q_two_body_auxiliary, radial_eigenvalues
     problem = RadialProblem(mu=1.0, potential=PotentialLaw.power_law(1.0, 2.0), d=3, l=0, r_max=12.0)
     radial_eigenvalues(problem, 1)
     print(json.dumps({
@@ -47,7 +52,7 @@ PROBE = textwrap.dedent(
         "after_import": after_import,
         "after_solve": after_solve,
         "linalg_after_oracle": "scipy.linalg" in sys.modules,
-        "mpmath_after_oracle": "mpmath" in sys.modules,
+        "airy_q50": q_two_body_auxiliary(1.0, 50, 0, 3).value,
     }))
     """
 )
@@ -70,4 +75,5 @@ def test_cli_solve_needs_neither_scipy_nor_mpmath(tmp_path):
     assert seen["after_import"] == []
     assert seen["after_solve"] == []
     assert seen["linalg_after_oracle"] is True
-    assert seen["mpmath_after_oracle"] is False
+    # the linear auxiliary tower past the Airy table, against mpmath in this process
+    assert seen["airy_q50"] == pytest.approx(2.0 * (-float(mpmath.airyaizero(51)) / 3.0) ** 1.5, rel=1e-14)

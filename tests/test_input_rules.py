@@ -14,7 +14,6 @@ import pytest
 from envtheory.analysis import _chart, classify_two_body, critical_coupling
 from envtheory.errors import EvaluationDomainError, InvalidAuxiliaryExponent
 from envtheory.model import KineticLaw, PotentialLaw, StateSpec, SystemSpec, require_counts
-from envtheory import qnum
 from envtheory.apps import boson_star_max_mass
 from envtheory.oracle import RadialProblem, SemiclassicalGeometry, harmonic_exact, radial_eigenvalue, radial_eigenvalues
 from envtheory.qnum import airy_zero, q_boson_ground, q_fermion_asymptotic, q_from_quanta, q_two_body_auxiliary
@@ -145,12 +144,6 @@ def test_a_non_integer_n_max_is_a_typed_error(n_max):
     # nan used to fail in math.floor with "cannot convert float NaN to integer"
     with pytest.raises(ValueError, match=f"^n_max must be an integer, got {n_max}$"):
         boson_star_max_mass(3, 1.0, 1e-3, n_max)
-
-
-def test_a_non_integer_airy_index_caches_nothing():
-    with pytest.raises(ValueError):
-        airy_zero(1.5)
-    assert 1.5 not in qnum._airy_zeros
 
 
 def test_integer_count_range_messages_are_unchanged():

@@ -1,12 +1,13 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from envtheory import (
     QProvenance,
     QValue,
     StateSpec,
-    airy_ai,
     airy_zero,
     q_boson_ground,
     q_fermion_asymptotic,
@@ -14,6 +15,13 @@ from envtheory import (
     q_two_body_auxiliary,
 )
 from envtheory.errors import UnsupportedAuxiliary
+from envtheory.qnum import _AIRY_ZEROS
+
+
+def airy_ai(x):
+    """Ai(x) from mpmath, the reference the zeros are checked against."""
+    return float(mpmath.airyai(x))
+
 
 # First ten negative zeros of the Airy function, root-found here once and
 # frozen; cross-checked against Ai itself below.
@@ -164,3 +172,37 @@ def test_airy_series_known_values():
 def test_airy_zero_rejects_negative_index():
     with pytest.raises(ValueError):
         airy_zero(-1)
+
+
+def test_the_airy_table_holds_mpmaths_floats():
+    assert [airy_zero(k) for k in range(len(_AIRY_ZEROS))] == list(_AIRY_ZEROS)
+    assert list(_AIRY_ZEROS) == [float(mpmath.airyaizero(k + 1)) for k in range(len(_AIRY_ZEROS))]
+
+
+def test_the_airy_series_is_within_3_ulps_of_mpmath_past_the_table():
+    for k in range(len(_AIRY_ZEROS), 600):
+        want = float(mpmath.airyaizero(k + 1))
+        assert abs(airy_zero(k) - want) <= 3 * math.ulp(want), k
+
+
+@pytest.mark.parametrize(
+    "index, want", [(10**11, -60556498.37101557), (10**14, -6055649837.071309)], ids=["1e11", "1e14"]
+)
+def test_far_airy_zeros(index, want):
+    # mpmath's airyaizero returned -60556490.94315525 at 1e11, a zero ~18,000 places off,
+    # and raised "Could not find root within given tolerance" at 1e14
+    assert airy_zero(index) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_a_numpy_airy_index_does_not_wrap():
+    # 4 k + 3 wraps in int64 at k = 2**62
+    assert airy_zero(np.int64(2**62)) == airy_zero(2**62)
+
+
+def test_an_airy_index_past_the_float_range_is_named():
+    # t = 3 pi (4k + 3) / 8 leaves the float range from k ~ 3.82e307, and 4k + 3 itself from k ~ 4.5e307
+    assert math.isfinite(airy_zero(int(3.8e307)))
+    for index in (int(3.82e307), int(4.6e307), 10**400):
+        with pytest.raises(ValueError, match=f"^zero index {index} is too large: ") as err:
+            airy_zero(index)
+        assert type(err.value) is ValueError

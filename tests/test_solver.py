@@ -412,6 +412,14 @@ def test_points_per_decade_is_a_count():
     assert SolverConfig(points_per_decade=np.int64(8)).points_per_decade == 8
 
 
+def test_the_widest_scan_is_bounded():
+    # the third pass scans points_per_decade * decades * bracket_expansion**2 + 1 samples, at most 2**20
+    assert SolverConfig(points_per_decade=2**15 - 1).points_per_decade == 2**15 - 1
+    for fields in ({"points_per_decade": 2**15}, {"bracket_expansion": 1e200}, {"decades": 1e300}):
+        with pytest.raises(ValueError, match=r"^the widest scan, .* takes more than 1048576 samples$"):
+            SolverConfig(**fields)
+
+
 def test_tight_tolerance_is_honored():
     spec = harmonic_spec(3, 3, 1.0, 1.0)
     sol = solve_nbody(spec, q_boson_ground(3, 3), SolverConfig(tolerance=1e-12))
