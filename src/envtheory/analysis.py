@@ -40,7 +40,7 @@ from .model import (
     require_finite,
 )
 from .qnum import QValue
-from .roots import brentq, log_grid, sign_change_brackets
+from .roots import brentq, scan
 
 _SAMPLES = 33
 _FD_REL_STEP = 1e-4  # relative step of the curvature's finite differences
@@ -283,10 +283,7 @@ def _profile_stationary_scale(shape: PotentialLaw, kappa: float) -> float:
         return 2.0 * (-shape.value(y) / kappa) + y * (-shape.derivative(y) / kappa)
 
     center = shape.screening if shape.screening > 0.0 else 1.0
-    grid = center * log_grid(16.0, 64)
-    with np.errstate(all="ignore"):
-        values = np.asarray(residual(grid), dtype=float)
-    brackets = sign_change_brackets(grid, values)
+    values, brackets = scan(residual, center, 16.0, 64)
     if not brackets:
         if not np.any(np.isfinite(values)):
             raise NonFiniteResult(

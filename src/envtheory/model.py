@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping
@@ -113,9 +114,13 @@ def checked(value, what: str, positive: bool = False) -> float:
     The one number check behind the law constructors, ``SystemSpec``,
     ``SolverConfig``, ``QValue``, the solver's Q, the oracles and the closed
     forms: NaN, ±inf and a value that is not > 0 where ``positive`` asks for
-    one raise ValueError naming ``what``.
+    one raise ValueError naming ``what``.  An integer past the float range
+    counts as ±inf.
     """
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf if value > 0 else -math.inf
     if positive and not number > 0.0:
         raise ValueError(f"{what} must be positive, got {number}")
     if not math.isfinite(number):
@@ -149,7 +154,8 @@ def require_count(value, what: str, least: int | None = None):
 def require_counts(n: int | None = None, d: int | None = None, degeneracy: int | None = None) -> None:
     """``require_count`` on each given system count: n >= 2, d >= 2 and degeneracy >= 1.
 
-    Every count is type-checked before any range.
+    Every count is type-checked before any range.  n must also keep its
+    pair count n (n - 1) / 2 within the float range, where the solvers use it.
     """
     rules = ((n, "n", 2), (d, "d", 2), (degeneracy, "degeneracy", 1))
     counts = [rule for rule in rules if rule[0] is not None]
@@ -157,6 +163,8 @@ def require_counts(n: int | None = None, d: int | None = None, degeneracy: int |
         require_count(count, name)
     for count, name, least in counts:
         require_count(count, name, least)
+    if n is not None and int(n) * (int(n) - 1) // 2 > sys.float_info.max:
+        raise ValueError(f"n must keep the pair count n (n - 1) / 2 within the float range, got {n}")
 
 
 def _require_positive(x, what: str = "argument") -> None:

@@ -18,9 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .errors import UnsupportedAuxiliary
+from .errors import NonFiniteResult, UnsupportedAuxiliary
 from .model import StateSpec, checked, require_count, require_counts
 
 
@@ -48,18 +46,33 @@ class QValue:
         return float(self.value)
 
 
+def _finite_q(value: float, provenance: QProvenance) -> QValue:
+    """``QValue(value, provenance)``, or NonFiniteResult for a Q past the float range."""
+    if value == math.inf:
+        raise NonFiniteResult(f"the {provenance.value} Q is past the float range")
+    return QValue(value, provenance)
+
+
+def _tower(total: int, pairs: int, d: int, provenance: QProvenance) -> QValue:
+    """Q = total + pairs d / 2: ``total`` oscillator quanta over ``pairs`` coordinates in d dimensions."""
+    try:
+        value = total + pairs * d / 2.0
+    except OverflowError:  # an integer past the float range
+        value = math.inf
+    return _finite_q(value, provenance)
+
+
 def q_from_quanta(state: StateSpec, d: int) -> QValue:
     """Q for an explicit excitation listing in d spatial dimensions."""
     require_counts(d=d)
     total = sum(2 * n_i + l_i for n_i, l_i in state.quanta)
-    value = total + len(state.quanta) * d / 2.0
-    return QValue(value, QProvenance.OSCILLATOR_TOWER)
+    return _tower(total, len(state.quanta), d, QProvenance.OSCILLATOR_TOWER)
 
 
 def q_boson_ground(n: int, d: int) -> QValue:
     """Ground-state Q for n identical bosons: all internal quanta at zero."""
     require_counts(n=n, d=d)
-    return QValue((n - 1) * d / 2.0, QProvenance.BOSON_GROUND_STATE)
+    return _tower(0, n - 1, d, QProvenance.BOSON_GROUND_STATE)
 
 
 def q_fermion_asymptotic(n: int, d: int, degeneracy: int = 1) -> QValue:
@@ -67,11 +80,23 @@ def q_fermion_asymptotic(n: int, d: int, degeneracy: int = 1) -> QValue:
 
     Filling the lowest oscillator shells under the Pauli principle gives
     Q ~ (d/(d+1)) (d! n^(d+1) / degeneracy)^(1/d) once n is large; this is
-    the leading term only and is not a shell-exact count at small n.
+    the leading term only and is not a shell-exact count at small n.  Past
+    d = 170, where d! leaves the float range, or where that product does,
+    the power is taken through logarithms.
     """
     require_counts(n=n, d=d, degeneracy=degeneracy)
-    value = d / (d + 1.0) * (math.factorial(d) * float(n) ** (d + 1) / degeneracy) ** (1.0 / d)
-    return QValue(value, QProvenance.FERMION_ASYMPTOTIC)
+    value = math.inf
+    if d <= 170:
+        try:
+            value = d / (d + 1.0) * (math.factorial(d) * float(n) ** (d + 1) / degeneracy) ** (1.0 / d)
+        except OverflowError:  # n or degeneracy past the float range, or n ** (d + 1)
+            pass
+    if not 0.0 < value < math.inf:
+        try:
+            value = d / (d + 1.0) * math.exp((math.lgamma(d + 1) + (d + 1) * math.log(n) - math.log(degeneracy)) / d)
+        except OverflowError:
+            value = math.inf
+    return _finite_q(value, QProvenance.FERMION_ASYMPTOTIC)
 
 
 def q_two_body_auxiliary(aux_exponent: float, n: int, l: int, d: int) -> QValue:
@@ -87,9 +112,9 @@ def q_two_body_auxiliary(aux_exponent: float, n: int, l: int, d: int) -> QValue:
     require_counts(d=d)
     lam = float(aux_exponent)
     if lam == -1.0:
-        return QValue(n + l + (d - 1) / 2.0, QProvenance.COULOMB_EXACT)
+        return _tower(n + l, 1, d - 1, QProvenance.COULOMB_EXACT)
     if lam == 2.0:
-        return QValue(2 * n + l + d / 2.0, QProvenance.HARMONIC_EXACT)
+        return _tower(2 * n + l, 1, d, QProvenance.HARMONIC_EXACT)
     if lam == 1.0:
         if d != 3 or l != 0:
             raise UnsupportedAuxiliary(
@@ -146,5 +171,9 @@ def airy_zero(index: int) -> float:
     u, series = t**-2, 0.0
     for coefficient in _MCMAHON:
         series = series * u + coefficient
-    # cbrt, because the float 2/3 is short of 2/3 and t ** (2/3) drifts at large t
-    return -float(np.cbrt(t) ** 2 * series)
+    # a cube root squared, because the float 2/3 is short of 2/3 and t ** (2/3)
+    # drifts at large t; one Newton step on c ** 3 = t, written without c ** 3
+    # so it cannot overflow near the float max, takes the float 1/3's drift out
+    c = t ** (1.0 / 3.0)
+    c = c - (c - t / (c * c)) / 3.0
+    return -(c * c * series)

@@ -1,7 +1,8 @@
 """Bracketed scalar root finding without scipy.
 
-``log_grid`` is the one scan grid: the solver's stationarity scans and the
-critical-coupling profile scan each scale it to their own centre.
+``scan`` is the one place a root search samples: the solver's stationarity
+passes, a sweep block's first pass and the critical-coupling profile scan
+each scale ``log_grid`` to their own centre through it.
 ``sign_change_brackets`` finds the sign changes of a function sampled on a
 grid, or on one grid per row, and hands back each bracket with the two
 samples at its ends.  ``brentq`` is a step-for-step
@@ -109,7 +110,7 @@ def brentq(
 def log_grid(decades: float, per_decade: int) -> np.ndarray:
     """``per_decade`` samples a decade over ``decades`` decades centred on 1, cached and read-only.
 
-    A scan around a centre c samples ``c * log_grid(decades, per_decade)``.
+    ``scan`` around a centre c samples ``c * log_grid(decades, per_decade)``.
     """
     half = decades / 2.0
     unit = np.logspace(-half, half, int(round(per_decade * decades)) + 1)
@@ -129,29 +130,35 @@ def sign_change_brackets(grid, values):
     """
     x = np.asarray(grid, dtype=float)
     v = np.asarray(values, dtype=float)
-    magnitude = np.abs(v)
-    fast = v.size > 0 and magnitude.min() > 0.0 and magnitude.max() < math.inf
-    if fast:
-        # every sample finite and nonzero: a bracket is a flip of the sign bit
-        neg = np.signbit(v)
-        hit = neg[..., 1:] != neg[..., :-1]
-        start = hit.ravel().nonzero()[0]
-        if v.ndim > 1:
-            start += start // max(v.shape[-1] - 1, 1)  # hit has one column fewer per row than v
-        end = start + 1
-    else:
-        neg = v < 0.0
-        zero = v == 0.0
-        live = np.isfinite(v) & ~zero
-        # pair[..., i]: samples i-1 and i are both live and differ in sign; that bracket starts at i-1
-        pair = np.zeros(v.shape, dtype=bool)
-        pair[..., 1:] = live[..., 1:] & live[..., :-1] & (neg[..., 1:] != neg[..., :-1])
-        hit = pair | zero
-        end = hit.ravel().nonzero()[0]  # row-major order
-        start = end - pair.reshape(-1)[end]
+    neg = v < 0.0
+    zero = v == 0.0
+    live = np.isfinite(v) & ~zero
+    # pair[..., i]: samples i-1 and i are both live and differ in sign; that bracket starts at i-1
+    pair = np.zeros(v.shape, dtype=bool)
+    pair[..., 1:] = live[..., 1:] & live[..., :-1] & (neg[..., 1:] != neg[..., :-1])
+    hit = pair | zero
+    end = hit.ravel().nonzero()[0]  # row-major order
+    start = end - pair.reshape(-1)[end]
     xs, vs = x.reshape(-1), v.reshape(-1)
     brackets = list(zip(xs[start].tolist(), xs[end].tolist(), vs[start].tolist(), vs[end].tolist()))
     if v.ndim == 1:
         return brackets
     stops = np.cumsum(np.count_nonzero(hit, axis=-1)).tolist()
     return [brackets[lo:hi] for lo, hi in zip([0] + stops[:-1], stops)]
+
+
+def scan(f, centre, decades: float, per_decade: int):
+    """(values, brackets): ``f`` sampled on ``centre * log_grid(decades, per_decade)``, and its sign changes.
+
+    The grid is formed and ``f`` evaluated under one ``np.errstate(all="ignore")``,
+    so a grid or a sample past the float range warns nothing; the values are
+    floats.  A column of centres, shape (k, 1), gives one grid row per centre;
+    ``f`` then returns 2-D values, one row per point, and the brackets are one
+    list per row of values (see ``sign_change_brackets``).
+    """
+    with np.errstate(all="ignore"):
+        grid = centre * log_grid(decades, per_decade)
+        values = np.asarray(f(grid), dtype=float)
+    if values.ndim > 1:
+        grid = np.broadcast_to(grid, values.shape)  # points that share one centre share its grid row
+    return values, sign_change_brackets(grid, values)

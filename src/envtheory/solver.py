@@ -12,11 +12,11 @@ with C_N = N (N - 1) / 2 pairs and p0 = Q / r0.  A stationary scale is a root
 of F.  The two-body reduction (one relative coordinate) is the same structure
 with E = T(p0) + V(r0) and F = p0 T'(p0) - r0 V'(r0).
 
-Roots are located by scanning ``roots.log_grid``, scaled to the natural
-guess r0 ~ Q, for sign changes and polishing each bracket with a safeguarded
-bisection/secant method (``roots.brentq``), which starts from the scan's own
-samples at the bracket's ends and hands back F at the root, so a level
-evaluates no point twice.  All roots are reported; the lowest-energy one is
+Roots are located by ``roots.scan``, which samples ``roots.log_grid`` scaled
+to the natural guess r0 ~ Q for sign changes, and each bracket is polished
+with a safeguarded bisection/secant method (``roots.brentq``), which starts
+from the scan's own samples at the bracket's ends and hands back F at the
+root, so a level evaluates no point twice.  All roots are reported; the lowest-energy one is
 the physical envelope level, and its bound verdict reads each term's chart on
 the one-decade windows (r0/10, 10 r0) and (p0/10, 10 p0) around it.  A scan
 with no bracket gives its verdict from its own samples: no positive one means
@@ -55,7 +55,7 @@ from .model import (
     require_count,
 )
 from .qnum import QValue
-from .roots import _RTOL_MIN, brentq, log_grid, sign_change_brackets
+from .roots import _RTOL_MIN, brentq, log_grid, scan
 
 # Grid samples in one block scan of ``solve_nbody_many``; it bounds the memory
 # a block holds (31 points at the default 513-sample grid).
@@ -280,10 +280,17 @@ def solve_two_body(
 
 
 def _solve(residual, energy, verdict, qv: float, cfg: SolverConfig, brackets=None) -> EnvelopeSolution:
-    """The level at Q: every root of ``residual`` by ``energy``, and one ``verdict`` around the lowest."""
-    roots = _polish_all(residual, brackets, cfg) if brackets else _scan_and_polish(residual, qv, cfg)
+    """The level at Q: every root of ``residual`` by ``energy``, and one ``verdict`` around the lowest.
+
+    Each bracket's root is polished from the bracket's own samples: ``brentq``
+    starts from the scan's values at the ends and hands back F at the root it
+    returns, so no point is evaluated twice; a zero-width bracket is a
+    sampled zero, which ``brentq`` returns with its sample.
+    """
+    rtol = max(cfg.tolerance, _RTOL_MIN)
     stationary = []
-    for r0, value in roots:
+    for lo, hi, f_lo, f_hi in brackets or _scan_passes(residual, qv, cfg):
+        r0, value = brentq(residual, lo, hi, xtol=1e-300, rtol=rtol, maxiter=cfg.max_iterations, fa=f_lo, fb=f_hi)
         p0 = qv / r0
         stationary.append(StationaryRoot(r0=r0, p0=p0, energy=float(energy(r0, p0)), residual=value))
     stationary.sort(key=lambda root: root.energy)
@@ -299,15 +306,13 @@ def _solve(residual, energy, verdict, qv: float, cfg: SolverConfig, brackets=Non
     )
 
 
-def _scan_and_polish(residual, guess: float, cfg: SolverConfig) -> list[tuple[float, float]]:
+def _scan_passes(residual, guess: float, cfg: SolverConfig) -> list[tuple[float, float, float, float]]:
+    """The brackets of the first of three ever wider scans around ``guess`` that finds any."""
     decades = cfg.decades
     for _expansion in range(3):
-        with np.errstate(all="ignore"):
-            grid = guess * log_grid(decades, cfg.points_per_decade)
-            values = np.asarray(residual(grid), dtype=float)
-        brackets = sign_change_brackets(grid, values)
+        values, brackets = scan(residual, guess, decades, cfg.points_per_decade)
         if brackets:
-            return _polish_all(residual, brackets, cfg)
+            return brackets
         if np.isnan(values).all():
             raise ScanExhausted(
                 "stationarity residual could not be evaluated anywhere on the scan grid"
@@ -325,20 +330,6 @@ def _scan_and_polish(residual, guess: float, cfg: SolverConfig) -> list[tuple[fl
     raise ScanExhausted(
         "residual changes sign but no adjacent finite bracket could be isolated"
     )
-
-
-def _polish_all(residual, brackets, cfg: SolverConfig) -> list[tuple[float, float]]:
-    """(r0, F(r0)) for each bracket's root, polished from the bracket's own samples.
-
-    ``brentq`` starts from the scan's values at the ends and hands back F
-    at the root it returns, so no point is evaluated twice; a zero-width
-    bracket is a sampled zero, which ``brentq`` returns with its sample.
-    """
-    rtol = max(cfg.tolerance, _RTOL_MIN)
-    return [
-        brentq(residual, lo, hi, xtol=1e-300, rtol=rtol, maxiter=cfg.max_iterations, fa=f_lo, fb=f_hi)
-        for lo, hi, f_lo, f_hi in brackets
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +355,7 @@ def _block_key(spec: SystemSpec, q):
 
 
 def _block_residual(specs: list[SystemSpec], qs: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    """F at r0[k, :] for point specs[k], for every k, in one evaluation.
+    """F at r0[k, :] for point specs[k], for every k, in one evaluation: one row per point.
 
     Each law is rebuilt with its parameters as (points, 1) columns, so the
     formulas of ``FAMILIES`` broadcast over the points unchanged.  A number
@@ -375,7 +366,8 @@ def _block_residual(specs: list[SystemSpec], qs: np.ndarray, r0: np.ndarray) -> 
     ``np.power`` takes a fast path for some scalar exponents (2, 0.5, -1,
     ...) that a column of exponents does not, so a power law whose exponent
     differs between rows is evaluated row by row, one ``np.power`` call per
-    row with that point's own exponent.
+    row with that point's own exponent.  Rows that come out as one are
+    returned as a read-only broadcast view of it.
     """
 
     def shared(values) -> bool:
@@ -407,32 +399,23 @@ def _block_residual(specs: list[SystemSpec], qs: np.ndarray, r0: np.ndarray) -> 
     residual = _residual_of(
         column([spec.n for spec in specs]), column([float(spec.pair_count) for spec in specs]), *terms
     )
-    return residual(column(qs.tolist()), r0)
+    return np.broadcast_to(residual(column(qs.tolist()), r0), (len(specs), np.shape(r0)[-1]))
 
 
-def _block_scan(specs: list[SystemSpec], qs: list, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(grid, F): one row per point of its first scan grid and F there, from one evaluation.
+def _solve_block(block: list, cfg: SolverConfig) -> list[EnvelopeSolution]:
+    """Every point of ``block`` solved by ``solve_nbody`` from the brackets of one 2-D ``scan``.
 
     Points that share Q share their grid, so the block samples one (1, S)
     row, which ``_block_residual`` spreads to a row per point only where a
     parameter differs; each sample is still the float its point's own scan
-    computes.  Both arrays come back with one row per point (read-only
-    broadcast views where the rows are one).
+    computes.
     """
-    qs = np.array([float(q) for q in qs])
+    specs = [spec for spec, _ in block]
+    qs = np.array([float(q) for _, q in block])
     if (qs == qs[0]).all():
         qs = qs[:1]
-    grid = qs[:, None] * log_grid(cfg.decades, cfg.points_per_decade)
-    values = np.broadcast_to(_block_residual(specs, qs, grid), (len(specs), grid.shape[1]))
-    return np.broadcast_to(grid, values.shape), values
-
-
-def _solve_block(block: list, cfg: SolverConfig) -> list[EnvelopeSolution]:
-    """Every point of ``block`` solved by ``solve_nbody`` from the brackets of one ``_block_scan``."""
     try:
-        with np.errstate(all="ignore"):
-            grid, values = _block_scan([spec for spec, _ in block], [q for _, q in block], cfg)
-        brackets = sign_change_brackets(grid, values)
+        _, brackets = scan(partial(_block_residual, specs, qs), qs[:, None], cfg.decades, cfg.points_per_decade)
     except (ArithmeticError, ValueError, EnvelopeError):
         # the single-point scans raise it again, from the point it belongs to
         brackets = [[]] * len(block)

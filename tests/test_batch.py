@@ -348,13 +348,23 @@ def _harmonic(n, d, amplitude=1.0):
     return SystemSpec(n, d, KineticLaw.nonrelativistic(1.0), twobody=PotentialLaw.power_law(amplitude, 2.0))
 
 
-def _block_scan_rows(specs, qs):
-    """``solver._block_scan`` of one block, checked row by row against each point's own scan."""
+def _block_scan_rows(monkeypatch, specs, qs):
+    """The r0 grid of the one block ``solve_nbody_many`` scans, each row checked against its point's own scan."""
     cfg = SolverConfig()
     assert len({solver._block_key(spec, q) for spec, q in zip(specs, qs)}) == 1
+    scans = []
+    block_residual = solver._block_residual
+
+    def spy(block_specs, block_qs, r0):
+        values = block_residual(block_specs, block_qs, r0)
+        scans.append((r0, values))
+        return values
+
+    monkeypatch.setattr(solver, "_block_residual", spy)
+    solve_nbody_many(specs, qs, cfg)
+    ((grid, values),) = scans
     with np.errstate(all="ignore"):
-        grid, values = solver._block_scan(specs, qs, cfg)
-        for spec, q, grid_row, row in zip(specs, qs, grid, values, strict=True):
+        for spec, q, grid_row, row in zip(specs, qs, np.broadcast_to(grid, values.shape), values, strict=True):
             own = float(q) * log_grid(cfg.decades, cfg.points_per_decade)
             assert grid_row.tobytes() == own.tobytes()
             assert row.tobytes() == np.asarray(stationary_residual(spec, q, own), dtype=float).tobytes()
@@ -380,15 +390,15 @@ _SHARED_Q_SWEEPS = {
 
 
 @pytest.mark.parametrize("specs", _SHARED_Q_SWEEPS.values(), ids=_SHARED_Q_SWEEPS)
-def test_a_shared_q_block_scans_one_grid_row(specs):
-    grid = _block_scan_rows(specs, [QValue(4.5)] * len(specs))
-    assert grid.strides[0] == 0  # every point reads the one row
+def test_a_shared_q_block_scans_one_grid_row(monkeypatch, specs):
+    grid = _block_scan_rows(monkeypatch, specs, [QValue(4.5)] * len(specs))
+    assert grid.shape[0] == 1  # every point reads the one row
 
 
-def test_a_per_point_q_block_scans_a_grid_per_point():
+def test_a_per_point_q_block_scans_a_grid_per_point(monkeypatch):
     specs = [_harmonic(n, 3, 0.9) for n in range(2, 27)]
-    grid = _block_scan_rows(specs, [q_boson_ground(spec.n, spec.d) for spec in specs])
-    assert grid.strides[0] != 0
+    grid = _block_scan_rows(monkeypatch, specs, [q_boson_ground(spec.n, spec.d) for spec in specs])
+    assert grid.shape[0] == len(specs)
 
 
 def test_particle_number_and_dimension_sweeps(monkeypatch):

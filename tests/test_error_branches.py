@@ -10,6 +10,7 @@ import argparse
 import io
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -19,7 +20,9 @@ import pytest
 from envtheory.analysis import critical_coupling, term_convexity
 from envtheory.cli import _fmt, _sweep_values, parse_sections, run
 from envtheory.errors import EvaluationDomainError, NoStationaryPoint, TypeMismatch
-from envtheory.model import CustomProfile, KineticFamily, KineticLaw, PotentialFamily, PotentialLaw, SystemSpec
+from envtheory.model import (
+    CustomProfile, KineticFamily, KineticLaw, PotentialFamily, PotentialLaw, SystemSpec, require_counts,
+)
 from envtheory.qnum import q_fermion_asymptotic
 from envtheory.roots import brentq
 from envtheory.solver import solve_nbody
@@ -172,6 +175,44 @@ def test_a_scan_grid_past_the_float_range_warns_nothing(tmp_path, capsys):
     spec = SystemSpec(3, 3, KineticLaw.nonrelativistic(1.0), twobody=PotentialLaw.power_law(1.0, 2.0))
     with pytest.raises(NoStationaryPoint):
         solve_nbody(spec, 1e300)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_critical_scale_scan_past_the_float_range_is_one_error_line(tmp_path, capsys):
+    # the scan grid around the screening length 1e305 leaves the float range
+    text = SYSTEM + KINETIC + YUKAWA.replace("coupling = 1.0", "coupling = 5.0\nscreening = 1e305")
+    assert run_cli(tmp_path, capsys, text, "critical", "--mode", "twobody") == (
+        1, "error: the critical coupling at Q = 3.0 and mass 1.0 is not finite, got nan\n", ""
+    )
+
+
+# --- integers past the float range --------------------------------------------------
+
+PAIRS_PAST_RANGE = "n must keep the pair count n (n - 1) / 2 within the float range, got "
+HUGE_INTEGERS = [
+    ("points-per-decade", SWEEP + f"\n[solver]\npoints_per_decade = {10**400}\n",
+     "config error: [solver] points_per_decade must be finite, got inf"),
+    ("max-iterations", SWEEP + f"\n[solver]\nmax_iterations = {10**400}\n",
+     "config error: [solver] max_iterations must be finite, got inf"),
+    ("n-1e200-at-q-3", STATE.replace("n = 3", f"n = {10**200}") + "q = 3\n",
+     f"config error: line 2: [system] {PAIRS_PAST_RANGE}{10**200}"),
+    ("n-1e400-boson", SWEEP.replace("n = 3", f"n = {10**400}"),
+     f"config error: line 2: [system] {PAIRS_PAST_RANGE}{10**400}"),
+    ("d-1e400-boson", SWEEP.replace("d = 3", f"d = {10**400}"), "error: the boson-ground-state Q is past the float range"),
+    ("quanta-1e400", STATE + f"quanta = {10**400},0 0,0\n", "error: the oscillator-tower Q is past the float range"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, expected", [case[1:] for case in HUGE_INTEGERS], ids=[case[0] for case in HUGE_INTEGERS])
+def test_an_integer_past_the_float_range_is_one_error_line(tmp_path, capsys, text, expected):
+    assert run_cli(tmp_path, capsys, text, "solve") == (1, expected + "\n", "")
+
+
+def test_the_pair_count_rule_sits_at_the_float_range():
+    require_counts(n=10**154)  # 5e307 pairs
+    with pytest.raises(ValueError, match="^" + re.escape(PAIRS_PAST_RANGE)):
+        require_counts(n=2 * 10**154)  # 2e308 pairs
 
 
 # --- library errors ----------------------------------------------------------------

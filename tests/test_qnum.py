@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -14,7 +15,7 @@ from envtheory import (
     q_from_quanta,
     q_two_body_auxiliary,
 )
-from envtheory.errors import UnsupportedAuxiliary
+from envtheory.errors import NonFiniteResult, UnsupportedAuxiliary
 from envtheory.qnum import _AIRY_ZEROS
 
 
@@ -71,6 +72,42 @@ def test_fermion_asymptotic_scaling():
     q1 = float(q_fermion_asymptotic(500, d, 1))
     q2 = float(q_fermion_asymptotic(500, d, 2))
     assert q1 / q2 == pytest.approx(2.0 ** (1.0 / d), rel=1e-12)
+
+
+def _fermion_q_mpmath(n, d, degeneracy=1):
+    with mpmath.workdps(50):
+        return float(d / mpmath.mpf(d + 1) * (mpmath.factorial(d) * mpmath.mpf(n) ** (d + 1) / degeneracy) ** (mpmath.mpf(1) / d))
+
+
+@pytest.mark.parametrize("n, d", [(3, 200), (3, 3_000_000), (10**100, 3)], ids=["d-200", "d-3e6", "n-1e100"])
+def test_fermion_asymptotic_past_the_float_range_of_its_factors(n, d):
+    # d! or n ** (d + 1) leaves the float range while Q does not
+    start = time.perf_counter()
+    q = float(q_fermion_asymptotic(n, d))
+    assert time.perf_counter() - start < 1.0
+    assert q == pytest.approx(_fermion_q_mpmath(n, d), rel=1e-13, abs=0.0)
+
+
+def test_fermion_asymptotic_keeps_its_floats_up_to_d_170():
+    rng = np.random.default_rng(170)
+    compared = 0
+    for _ in range(2000):
+        n, d, g = int(2 ** rng.uniform(1, 20)), int(rng.integers(2, 171)), int(rng.integers(1, 9))
+        try:
+            want = d / (d + 1.0) * (math.factorial(d) * float(n) ** (d + 1) / g) ** (1.0 / d)
+        except OverflowError:
+            continue
+        if 0.0 < want < math.inf:
+            assert float(q_fermion_asymptotic(n, d, g)).hex() == want.hex(), (n, d, g)
+            compared += 1
+    assert compared > 800  # n drawn on a log scale, so large d keeps small n in range
+
+
+def test_a_q_past_the_float_range_is_non_finite():
+    for call in (lambda: q_fermion_asymptotic(3, 10**400), lambda: q_boson_ground(3, 10**400),
+                 lambda: q_from_quanta(StateSpec(((10**400, 0),)), 3), lambda: q_two_body_auxiliary(2.0, 10**400, 0, 3)):
+        with pytest.raises(NonFiniteResult, match=" Q is past the float range$"):
+            call()
 
 
 def test_two_body_auxiliary_towers():

@@ -151,7 +151,7 @@ def _scan_verdict(values):
         return samples
 
     with pytest.raises((NoStationaryPoint, ScanExhausted)) as err:
-        solver._scan_and_polish(residual, 1.0, SolverConfig())
+        solver._scan_passes(residual, 1.0, SolverConfig())
     return type(err.value), str(err.value)
 
 
@@ -213,7 +213,7 @@ def _bits(brackets):
 
 
 def _finite_nonzero_pattern(rng: random.Random) -> tuple[list[float], list[float]]:
-    """A pattern for the finder's fast path: every sample finite and nonzero."""
+    """A pattern with every sample finite and nonzero, so each bracket is a flip of the sign bit."""
     size = rng.choice((1, 2, rng.randint(2, 40)))
     grid = sorted(rng.uniform(1e-3, 1e3) for _ in range(size))
     extremes = (5e-324, -5e-324, 2.2e-308, -1e-310, 1.7e308, -1.7e308)

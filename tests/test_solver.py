@@ -307,8 +307,12 @@ def test_a_sampled_zero_is_a_root_with_its_own_sample(zero):
             scalar_calls.append(r0)
         return np.where(r0 == at, zero, at - r0)
 
-    roots = solver._scan_and_polish(residual, 2.5, SolverConfig())
-    assert [(r0.hex(), value.hex()) for r0, value in roots] == [(at.hex(), zero.hex())]
+    (bracket,) = solver._scan_passes(residual, 2.5, SolverConfig())
+    assert [x.hex() for x in bracket] == [at.hex(), at.hex(), zero.hex(), zero.hex()]
+    lo, hi, f_lo, f_hi = bracket
+    # polished as ``_solve`` polishes it: the sample is the root's own value
+    r0, value = brentq(residual, lo, hi, xtol=1e-300, fa=f_lo, fb=f_hi)
+    assert (r0.hex(), value.hex()) == (at.hex(), zero.hex())
     assert scalar_calls == []
 
 
