@@ -13,6 +13,8 @@ curvature is sampled by Richardson-refined central differences.
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Literal
@@ -174,9 +176,20 @@ class PerturbationSpec:
     def __post_init__(self) -> None:
         if self.kinetic is None and self.onebody is None and self.twobody is None:
             raise ValueError("a perturbation needs at least one coefficient/shape pair")
-        for name, pair in (("tau", self.kinetic), ("eta", self.onebody), ("epsilon", self.twobody)):
-            if pair is not None:
-                checked(pair[0], name)
+        for slot, name, shapes in (
+            ("kinetic", "tau", (KineticLaw, PotentialLaw)),
+            ("onebody", "eta", (PotentialLaw,)),
+            ("twobody", "epsilon", (PotentialLaw,)),
+        ):
+            pair = getattr(self, slot)
+            if pair is None:
+                continue
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                raise TypeError(f"{slot} must be a (coefficient, shape) pair or None, got {pair!r}")
+            checked(pair[0], name)
+            if not isinstance(pair[1], shapes):
+                kinds = " or ".join(kind.__name__ for kind in shapes)
+                raise TypeError(f"{slot} shape must be a {kinds}, got {pair[1]!r}")
 
 
 def perturbed_energy(
@@ -248,8 +261,10 @@ def critical_coupling(
 
     The flag carried by the result states on which side of the true critical
     coupling this estimate falls, inherited from the bound direction of the
-    envelope level itself.  A coupling beyond the float range (say, from
-    an enormous Q) raises ``NonFiniteResult``.
+    envelope level itself.  Where the prefactor is not a normal float or
+    Q**2 is not finite, as at a huge N, the same quotient is formed with no
+    power of N or Q.  A coupling beyond the float range (say, from an
+    enormous Q) raises ``NonFiniteResult``.
     """
     if mode not in ("onebody", "twobody"):
         raise ValueError(f"mode must be 'onebody' or 'twobody', got {mode!r}")
@@ -262,10 +277,16 @@ def critical_coupling(
     kappa = shape.coupling if shape.profile is None else 1.0
     y0 = _profile_stationary_scale(shape, kappa)
     w0 = float(-shape.value(y0) / kappa)
-    if mode == "twobody":
-        value = (2.0 / (n * (n - 1.0) ** 2)) * (qv * qv / mass) / (y0 * y0 * w0)
+    try:
+        prefactor = 2.0 / (n * (n - 1.0) ** 2) if mode == "twobody" else 1.0 / (2.0 * n * n)
+    except OverflowError:  # (n - 1) ** 2 past the float range
+        prefactor = 0.0
+    if prefactor >= sys.float_info.min and math.isfinite(qv * qv):
+        value = prefactor * (qv * qv / mass) / (y0 * y0 * w0)
+    elif mode == "twobody":
+        value = _quotient((2.0, qv, qv), (n, n - 1, n - 1, mass, y0, y0, w0))
     else:
-        value = (1.0 / (2.0 * n * n)) * (qv * qv / mass) / (y0 * y0 * w0)
+        value = _quotient((qv, qv), (2.0, n, n, mass, y0, y0, w0))
     if not np.isfinite(value):
         raise NonFiniteResult(f"the critical coupling at Q = {qv} and mass {mass} is not finite, got {value}")
 
@@ -274,6 +295,25 @@ def critical_coupling(
     tag = term_convexity(shape, (y0 / 10.0, 10.0 * y0))
     verdict = ConvexityVerdict.from_terms({"kinetic": Convexity.LINEAR, "well": tag})
     return CriticalCoupling(mode=mode, y0=y0, value=value, bound=verdict.classification)
+
+
+def _quotient(numerators, denominators) -> float:
+    """The product of ``numerators`` over the product of ``denominators``, none of them 0.
+
+    Mantissas and binary exponents are multiplied apart, so no partial
+    product leaves the float range; a quotient past it is inf.
+    """
+    mantissa, exponent = 1.0, 0
+    for factor in numerators:
+        m, e = math.frexp(factor)
+        mantissa, exponent = mantissa * m, exponent + e
+    for factor in denominators:
+        m, e = math.frexp(factor)
+        mantissa, exponent = mantissa / m, exponent - e
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
 
 
 def _profile_stationary_scale(shape: PotentialLaw, kappa: float) -> float:

@@ -32,7 +32,6 @@ from .model import (
     PotentialFamily,
     PotentialLaw,
     StateSpec,
-    Statistics,
     SystemSpec,
     checked,
     require_counts,
@@ -223,8 +222,7 @@ class RunConfig:
     sections: Sections
     n: int
     d: int
-    statistics: Statistics
-    degeneracy: int
+    degeneracy: int  # read only by the fermion tower
     kinetic: KineticLaw | None
     onebody: PotentialLaw | None
     twobody: PotentialLaw | None
@@ -239,9 +237,7 @@ class RunConfig:
             raise MissingSection("a [kinetic] section is required for this command")
         if laws["onebody"] is None and laws["twobody"] is None:
             raise MissingSection("an [onebody] or [twobody] section is required")
-        return SystemSpec(
-            n=self.n, d=self.d, statistics=self.statistics, degeneracy=self.degeneracy, **laws
-        )
+        return SystemSpec(n=self.n, d=self.d, **laws)
 
     def resolve_q(self) -> QValue:
         state = self.state
@@ -269,18 +265,13 @@ def config_from_sections(sections: Sections) -> RunConfig:
         raise MissingSection("a [system] section is required")
 
     system = sections["system"]
-    _reject_unknown("system", system, {"n", "d", "statistics", "degeneracy"})
+    _reject_unknown("system", system, {"n", "d", "degeneracy"})
     _require("system", system, "n")
     _require("system", system, "d")
     n = _get_number("system", system, "n", int)
     d = _get_number("system", system, "d", int)
     for key, value in (("n", n), ("d", d)):
         _check_count(key, value, _line_of(system, key))
-    statistics = Statistics(
-        _get_choice(
-            "system", system, "statistics", {s.value for s in Statistics}, "unspecified"
-        )
-    )
     degeneracy = _get_number("system", system, "degeneracy", int, 1)
     _check_count("degeneracy", degeneracy, _line_of(system, "degeneracy"))
 
@@ -344,7 +335,6 @@ def config_from_sections(sections: Sections) -> RunConfig:
         sections=sections,
         n=n,
         d=d,
-        statistics=statistics,
         degeneracy=degeneracy,
         kinetic=kinetic,
         onebody=onebody,
@@ -481,23 +471,16 @@ def _sweep_values(args) -> list[float]:
 def _swept_law(cfg: RunConfig, section: str, key: str, first: float):
     """The law of [section] at each swept value of ``key``, from its parsed parameters.
 
-    Every point's law is one checked ``law_cls.of`` call; an unknown key or
-    a swept ``family`` is the error a config naming ``first`` there gives.
+    Every point's law is the parsed law with ``key`` replaced, which checks
+    it; an unknown key or a swept ``family`` is the error a config naming
+    ``first`` there gives.
     """
-    law_cls, families = _LAW_SECTIONS[section]
     law = getattr(cfg, section)
-    names = [param.name for param in FAMILIES[law.family].params]
     swept = {key: (0, repr(first))}
-    _get_choice(section, swept, "family", families)
-    _reject_unknown(section, swept, set(names))
+    _get_choice(section, swept, "family", _LAW_SECTIONS[section][1])
+    _reject_unknown(section, swept, {param.name for param in FAMILIES[law.family].params})
     where = f"line {_line_of(cfg.sections[section], 'family')}: [{section}] "
-    params = [getattr(law, name) for name in names]
-    at = names.index(key)
-
-    def at_value(value: float):
-        return _reported(where, law_cls.of, law.family, *params[:at], value, *params[at + 1 :])
-
-    return at_value
+    return lambda value: _reported(where, replace, law, **{key: value})
 
 
 def _cmd_sweep(cfg: RunConfig, args) -> list[dict]:

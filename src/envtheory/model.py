@@ -16,7 +16,9 @@ samples its chart curvature.
 
 Each family is one ``LawFamily`` record in ``FAMILIES``: its parameters with
 their ranges and config defaults, its value and derivative, and its curvature
-rule.  The laws and the CLI read every per-family fact from that table.
+rule.  The laws and the CLI read every per-family fact from that table, and a
+law checks its parameters against it however it is built: by ``of``, a named
+constructor, directly or by ``dataclasses.replace``.
 
 All evaluation methods accept floats or numpy arrays of strictly positive
 arguments and are pure functions of the law's parameters.
@@ -56,12 +58,6 @@ class BoundKind(Enum):
     LOWER = "LowerBound"
     EXACT = "Exact"
     UNKNOWN = "Unknown"
-
-
-class Statistics(Enum):
-    BOSON = "boson"
-    FERMION = "fermion"
-    UNSPECIFIED = "unspecified"
 
 
 class KineticFamily(Enum):
@@ -106,6 +102,12 @@ class CustomProfile:
 
     value: Callable[..., object]
     derivative: Callable[..., object] | None = None
+
+    def __post_init__(self) -> None:
+        if not callable(self.value):
+            raise TypeError(f"value must be callable, got {self.value!r}")
+        if self.derivative is not None and not callable(self.derivative):
+            raise TypeError(f"derivative must be callable or None, got {self.derivative!r}")
 
 
 def checked(value, what: str, positive: bool = False) -> float:
@@ -239,20 +241,25 @@ class LawFamily:
     tag: Callable = lambda law, lam: None
     short_range: bool = False
 
-    def fields(self, args) -> dict[str, float]:
-        """Field values of a law with parameters ``args``, checked in table order."""
+    def named(self, args) -> dict:
+        """The parameters ``args``, given in table order, by name."""
         if len(args) != len(self.params):
             raise TypeError(f"{self.label} takes {len(self.params)} parameters, got {len(args)}")
-        fields = {}
-        for param, value in zip(self.params, args):
+        return {param.name: value for param, value in zip(self.params, args)}
+
+    def check(self, law) -> None:
+        """Check each parameter field of ``law`` in table order, and store it as a float."""
+        for param in self.params:
+            value = getattr(law, param.name)
             try:
-                fields[param.name] = checked(value, param.name)
+                number = checked(value, param.name)
             except ValueError as exc:
                 raise ValueError(f"{self.label} {exc}") from None
             lack = param.lack(value)
             if lack is not None:
                 raise ValueError(f"{self.label} needs {lack}")
-        return fields
+            if number is not value:
+                object.__setattr__(law, param.name, number)
 
 
 def _tagged(convexity: Convexity) -> Callable:
@@ -426,6 +433,13 @@ FAMILIES: dict[KineticFamily | PotentialFamily, LawFamily] = {
 }
 
 
+def _family_of(law, families: type[Enum]) -> LawFamily:
+    """The ``FAMILIES`` record of ``law``, whose family must be a member of ``families``."""
+    if not isinstance(law.family, families):
+        raise TypeError(f"family must be a {families.__name__}, got {law.family!r}")
+    return FAMILIES[law.family]
+
+
 @dataclass(frozen=True)
 class KineticLaw:
     """Single-particle kinetic energy T(p); its family record in ``FAMILIES`` holds the formulas."""
@@ -436,12 +450,15 @@ class KineticLaw:
     stiffness: float = 0.0  # exponent rate of the exponential-quadratic family
     profile: CustomProfile | None = None
 
+    def __post_init__(self) -> None:
+        _family_of(self, KineticFamily).check(self)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def of(cls, family: KineticFamily, *params: float) -> "KineticLaw":
-        """A law of ``family`` from its parameters in table order, each one checked."""
-        return cls(family, **FAMILIES[family].fields(params))
+        """A law of ``family`` from its parameters in table order."""
+        return cls(family, **FAMILIES[family].named(params))
 
     @classmethod
     def nonrelativistic(cls, mass: float) -> "KineticLaw":
@@ -497,15 +514,20 @@ class PotentialLaw:
     coupling: float = 0.0  # short-range well depth
     screening: float = 1.0  # short-range length scale
     profile: CustomProfile | None = None
-    short_range: bool = False
+    short_range: bool = False  # a built-in family's comes from ``FAMILIES``; a custom law keeps its own
+
+    def __post_init__(self) -> None:
+        record = _family_of(self, PotentialFamily)
+        record.check(self)
+        if self.family is not PotentialFamily.CUSTOM:
+            object.__setattr__(self, "short_range", record.short_range)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def of(cls, family: PotentialFamily, *params: float) -> "PotentialLaw":
-        """A law of ``family`` from its parameters in table order, each one checked."""
-        record = FAMILIES[family]
-        return cls(family, short_range=record.short_range, **record.fields(params))
+        """A law of ``family`` from its parameters in table order."""
+        return cls(family, **FAMILIES[family].named(params))
 
     @classmethod
     def power_law(cls, amplitude: float, exponent: float) -> "PotentialLaw":
@@ -550,14 +572,8 @@ class PotentialLaw:
         return FAMILIES[self.family].derivative(self, x)
 
     def derivative_function(self) -> Callable:
-        """``derivative`` as a function of x alone, its family formula looked up once."""
-        formula = FAMILIES[self.family].derivative
-
-        def derivative(x):
-            _require_positive(x, "separation")
-            return formula(self, x)
-
-        return derivative
+        """``derivative`` as a function of x alone, unchecked: the solver checks each separation it forms."""
+        return functools.partial(FAMILIES[self.family].derivative, self)
 
     def convexity_tag(self, aux_exponent: float | None = None) -> Convexity | None:
         """Sign of the chart curvature on all of s > 0; None for a custom profile."""
@@ -573,11 +589,9 @@ class SystemSpec:
     kinetic: KineticLaw
     onebody: PotentialLaw | None = None
     twobody: PotentialLaw | None = None
-    statistics: Statistics = Statistics.UNSPECIFIED
-    degeneracy: int = 1
 
     def __post_init__(self) -> None:
-        require_counts(n=self.n, d=self.d, degeneracy=self.degeneracy)
+        require_counts(n=self.n, d=self.d)
         if not isinstance(self.kinetic, KineticLaw):
             raise TypeError(f"kinetic must be a KineticLaw, got {self.kinetic!r}")
         for slot in ("onebody", "twobody"):

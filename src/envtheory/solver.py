@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .model import (
     PotentialLaw,
     StationaryRoot,
     SystemSpec,
+    _require_positive,
     auxiliary_exponent,
     chart_exponent,
     checked,
@@ -163,7 +165,8 @@ def stationary_residual(spec: SystemSpec, q: QValue | float, r0):
 def _residual_of(n, c, kinetic, onebody, twobody):
     """F(q, r0) for n particles in c pairs, from each term's derivative function (None if absent).
 
-    The numbers may be arrays that broadcast against r0.
+    The numbers may be arrays that broadcast against r0.  Each separation is
+    checked positive just before its term is evaluated.
     """
     root_c = np.sqrt(c)
 
@@ -171,9 +174,13 @@ def _residual_of(n, c, kinetic, onebody, twobody):
         p0 = q / r0
         res = n * p0 * kinetic(p0)
         if onebody is not None:
-            res = res - r0 * onebody(r0 / n)
+            x = r0 / n
+            _require_positive(x, "separation")
+            res = res - r0 * onebody(x)
         if twobody is not None:
-            res = res - root_c * r0 * twobody(r0 / root_c)
+            x = r0 / root_c
+            _require_positive(x, "separation")
+            res = res - root_c * r0 * twobody(x)
         return res
 
     return residual
@@ -357,12 +364,13 @@ def _block_key(spec: SystemSpec, q):
 def _block_residual(specs: list[SystemSpec], qs: np.ndarray, r0: np.ndarray) -> np.ndarray:
     """F at r0[k, :] for point specs[k], for every k, in one evaluation: one row per point.
 
-    Each law is rebuilt with its parameters as (points, 1) columns, so the
-    formulas of ``FAMILIES`` broadcast over the points unchanged.  A number
-    every point shares stays the points' own scalar, and is evaluated once
-    for the whole block: when the points share Q, ``r0`` may be one (1, S)
-    grid row, so p0, the kinetic term and every unswept law take one row
-    and only the terms whose parameters differ spread to one row per point.
+    Each law's formula in ``FAMILIES`` is bound to a namespace of its
+    parameters as (points, 1) columns, so it broadcasts over the points
+    unchanged.  A number every point shares stays the points' own scalar,
+    and is evaluated once for the whole block: when the points share Q,
+    ``r0`` may be one (1, S) grid row, so p0, the kinetic term and every
+    unswept law take one row and only the terms whose parameters differ
+    spread to one row per point.
     ``np.power`` takes a fast path for some scalar exponents (2, 0.5, -1,
     ...) that a column of exponents does not, so a power law whose exponent
     differs between rows is evaluated row by row, one ``np.power`` call per
@@ -391,11 +399,9 @@ def _block_residual(specs: list[SystemSpec], qs: np.ndarray, r0: np.ndarray) -> 
         elif law.family is PotentialFamily.POWER_LAW and not shared([each.exponent for each in laws]):
             terms.append(row_by_row(laws))
         else:
-            params = {
-                param.name: column([getattr(each, param.name) for each in laws])
-                for param in FAMILIES[law.family].params
-            }
-            terms.append(type(law)(law.family, **params).derivative_function())
+            record = FAMILIES[law.family]
+            params = {param.name: column([getattr(each, param.name) for each in laws]) for param in record.params}
+            terms.append(partial(record.derivative, SimpleNamespace(**params)))
     residual = _residual_of(
         column([spec.n for spec in specs]), column([float(spec.pair_count) for spec in specs]), *terms
     )

@@ -1,6 +1,8 @@
 import math
+import random
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -198,6 +200,30 @@ def test_perturbation_spec_rejects_non_finite_coefficients(slot, name, value):
         PerturbationSpec(**{slot: (value, shape)})
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ((0.1, None), "^twobody shape must be a PotentialLaw, got None$"),
+        ((0.1, "x^2"), "^twobody shape must be a PotentialLaw, got 'x\\^2'$"),
+        ((0.1,), "^twobody must be a \\(coefficient, shape\\) pair or None, got \\(0.1,\\)$"),
+        ([0.1, PotentialLaw.power_law(1.0, 2.0)], "^twobody must be a \\(coefficient, shape\\) pair or None"),
+    ],
+    ids=["no-shape", "string-shape", "no-pair", "list"],
+)
+def test_perturbation_spec_checks_each_shape_at_construction(pair, message):
+    with pytest.raises(TypeError, match=message):
+        PerturbationSpec(twobody=pair)
+
+
+def test_perturbation_spec_takes_a_kinetic_shape_of_either_law():
+    for shape in (KineticLaw.nonrelativistic(1.0), PotentialLaw.power_law(1.0, 4.0)):
+        assert PerturbationSpec(kinetic=(0.1, shape)).kinetic == (0.1, shape)
+    with pytest.raises(TypeError, match="^kinetic shape must be a KineticLaw or PotentialLaw, got 1.0$"):
+        PerturbationSpec(kinetic=(0.1, 1.0))
+    with pytest.raises(TypeError, match="^onebody shape must be a PotentialLaw, got KineticLaw"):
+        PerturbationSpec(onebody=(0.1, KineticLaw.nonrelativistic(1.0)))
+
+
 # --- critical couplings -------------------------------------------------------
 
 
@@ -306,6 +332,54 @@ def test_critical_coupling_beyond_the_float_range_is_an_error():
         with pytest.raises(NonFiniteResult, match="is not finite, got inf"):
             critical_coupling(mode, PotentialLaw.yukawa(1.0, 1.0), 3, 1e300, 1.0)
         assert math.isfinite(critical_coupling(mode, PotentialLaw.yukawa(1.0, 1.0), 3, 1e150, 1.0).value)
+
+
+def _critical_mpmath(mode, n, q, mass):
+    """The Yukawa (coupling 5, screening 1) threshold at y0 = 1, w(y0) = 1/e, to 40 digits."""
+    with mpmath.workdps(40):
+        n, q = mpmath.mpf(n), mpmath.mpf(q)
+        prefactor = 2 / (n * (n - 1) ** 2) if mode == "twobody" else 1 / (2 * n * n)
+        return float(prefactor * q * q / mass * mpmath.e)
+
+
+@pytest.mark.parametrize(
+    "mode, n, q, mass, expected",
+    [
+        ("twobody", 10**107, None, 1.0, 1.2232268228065704e-106),
+        ("twobody", 15 * 10**153, None, 1.0, 8.1548454853771357e-154),
+        ("onebody", 15 * 10**153, None, 1.0, 3.0580670570164259),
+        ("twobody", 3, 1e200, 1e300, None),
+        ("onebody", 3, 1e200, 1e300, None),
+    ],
+    ids=["twobody-n-1e107", "twobody-n-1.5e154", "onebody-n-1.5e154", "twobody-q-squared-inf", "onebody-q-squared-inf"],
+)
+def test_critical_coupling_past_the_powers_float_range(mode, n, q, mass, expected):
+    # the boson tower's Q at d = 3 is 3 (n - 1) / 2; n (n - 1)**2 or Q**2 leaves the float range
+    q = q_boson_ground(n, 3) if q is None else q
+    reference = _critical_mpmath(mode, n, float(q), mass)
+    if expected is not None:
+        assert reference == pytest.approx(expected, rel=1e-15, abs=0.0)
+    result = critical_coupling(mode, PotentialLaw.yukawa(5.0, 1.0), n, q, mass)
+    assert result.y0 == pytest.approx(1.0, rel=1e-14)
+    assert result.value == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("mode", ["onebody", "twobody"])
+def test_critical_coupling_keeps_its_bits_where_its_powers_are_normal(mode):
+    # the expression every corpus and earlier release used, wherever its
+    # prefactor is a normal float and Q * Q is finite
+    rng = random.Random(2026)
+    for shape in (PotentialLaw.yukawa(5.0, 1.0), PotentialLaw.exponential(2.0, 0.7), PotentialLaw.gaussian(1.0, 2.0)):
+        for _ in range(100):
+            n = int(10 ** rng.uniform(math.log10(2), 100))
+            q, mass = 10 ** rng.uniform(-3, 100), 10 ** rng.uniform(-3, 3)
+            result = critical_coupling(mode, shape, n, q, mass)
+            y0, w0 = result.y0, float(-shape.value(result.y0) / shape.coupling)
+            if mode == "twobody":
+                value = (2.0 / (n * (n - 1.0) ** 2)) * (q * q / mass) / (y0 * y0 * w0)
+            else:
+                value = (1.0 / (2.0 * n * n)) * (q * q / mass) / (y0 * y0 * w0)
+            assert result.value == value, (n, q, mass)
 
 
 def test_critical_bound_side_is_reported():

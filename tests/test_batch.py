@@ -503,6 +503,18 @@ def test_a_scan_error_is_raised_by_its_own_point():
     assert outcome[0] is NonPositiveArgument and "shape=(44801,)" in outcome[1]
 
 
+@pytest.mark.parametrize("slot", ["onebody", "twobody"])
+@pytest.mark.parametrize("q", [5e-324, 1e-321, 3e-320])
+def test_a_vanishing_separation_is_raised_alike_by_block_and_loop(slot, q):
+    # the grid around a subnormal Q holds r0 whose separation rounds to 0; the
+    # residual checks each separation it forms, in the block as in the loop
+    specs = [SystemSpec(3, 3, KineticLaw.nonrelativistic(1.0), **{slot: PotentialLaw.power_law(a, 2.0)}) for a in (1.0, 2.0)]
+    qs = [q] * len(specs)
+    outcome = _blocked(specs, qs)
+    assert outcome == _each(specs, qs)
+    assert outcome[0] is NonPositiveArgument and outcome[1].startswith("separation must be strictly positive")
+
+
 def test_empty_input():
     assert solve_nbody_many([], []) == []
 

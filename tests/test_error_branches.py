@@ -137,6 +137,22 @@ def test_a_solve_on_the_asymptotic_fermion_tower(tmp_path, capsys):
     assert row[:4] == ["3", "3", _fmt(q.value), _fmt(solve_nbody(spec, q).energy)]
 
 
+@pytest.mark.parametrize("degeneracy", [1, 2])
+def test_the_system_degeneracy_moves_the_fermion_tower_q(tmp_path, capsys, degeneracy):
+    text = STATE.replace("d = 3\n", f"d = 3\ndegeneracy = {degeneracy}\n") + "tower = fermion-asymptotic\n"
+    code, err, out = run_cli(tmp_path, capsys, text, "solve")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split(",")[2] == _fmt(q_fermion_asymptotic(3, 3, degeneracy).value)
+    assert q_fermion_asymptotic(3, 3, 2).value < q_fermion_asymptotic(3, 3, 1).value
+
+
+def test_particle_statistics_is_no_system_key(tmp_path, capsys):
+    # [state] tower chooses bosons or fermions; a statistics key would be read by nothing
+    text = STATE.replace("d = 3\n", "d = 3\nstatistics = fermion\n") + "tower = boson-gs\n"
+    code, err, out = run_cli(tmp_path, capsys, text, "solve")
+    assert (code, err, out) == (1, "config error: line 4: unknown key 'statistics' in [system]\n", "")
+
+
 def test_an_oracle_run_in_an_l_1_sector(tmp_path, capsys):
     # the relative oscillator has mu = 1/2 and V = r^2, so omega = 2 and E = 2 (2n + l + 3/2)
     code, err, out = run_cli(tmp_path, capsys, PAIR + "\n[state]\nquanta = 0,1\n", "oracle", "--levels", "2")

@@ -1,11 +1,12 @@
 """The law-family table: one record per family, constructors that match it, finite parameters."""
 
+import dataclasses
 import inspect
 import math
 
 import pytest
 
-from envtheory import KineticFamily, KineticLaw, PotentialFamily, PotentialLaw
+from envtheory import CustomProfile, KineticFamily, KineticLaw, PotentialFamily, PotentialLaw, critical_coupling
 from envtheory.cli import parse_config
 from envtheory.errors import ConstraintViolation
 from envtheory.model import FAMILIES
@@ -96,3 +97,92 @@ def test_non_finite_parameter_fails_at_construction(family, index, bad):
     args[index] = bad
     with pytest.raises(ValueError, match="must be finite"):
         make(*args)
+
+
+# --- one checked path: ``of``, direct construction and ``dataclasses.replace`` ---------
+
+
+def _paths(family, args):
+    """The law of ``family`` with parameters ``args``, built each of the three ways."""
+    law_cls = KineticLaw if isinstance(family, KineticFamily) else PotentialLaw
+    named = dict(zip((p.name for p in FAMILIES[family].params), args))
+    valid = CONSTRUCTORS[family][0](*CONSTRUCTORS[family][1])
+    return {
+        "of": lambda: law_cls.of(family, *args),
+        "direct": lambda: law_cls(family, **named),
+        "replace": lambda: dataclasses.replace(valid, **named),
+    }
+
+
+def _outcome(make):
+    try:
+        return make()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("family", NON_CUSTOM, ids=lambda f: f.value)
+def test_every_construction_path_gives_the_same_law(family):
+    args = [int(value) if value == int(value) else value for value in CONSTRUCTORS[family][1]]
+    laws = [make() for make in _paths(family, args).values()]
+    assert laws[0] == laws[1] == laws[2] == CONSTRUCTORS[family][0](*CONSTRUCTORS[family][1])
+    for law in laws:
+        assert [type(getattr(law, p.name)) for p in FAMILIES[family].params] == [float] * len(args)
+        if isinstance(law, PotentialLaw):
+            assert law.short_range is FAMILIES[family].short_range
+
+
+def _out_of_range(param):
+    return param.bound - 1.0 if param.rule == ">=" else param.bound
+
+
+BAD_CASES = [
+    (family, index, bad)
+    for family in NON_CUSTOM
+    for index, param in enumerate(FAMILIES[family].params)
+    for bad in (math.nan, math.inf, -math.inf, _out_of_range(param))
+]
+
+
+@pytest.mark.parametrize("family, index, bad", BAD_CASES, ids=[f"{f.value}-{i}-{b}" for f, i, b in BAD_CASES])
+def test_every_construction_path_rejects_a_bad_parameter_alike(family, index, bad):
+    args = list(CONSTRUCTORS[family][1])
+    args[index] = bad
+    messages = {path: _outcome(make) for path, make in _paths(family, args).items()}
+    assert len(set(messages.values())) == 1, messages
+    assert messages["of"].startswith(FAMILIES[family].label + " ")
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: dataclasses.replace(KineticLaw.nonrelativistic(1.0), mass=math.nan),
+         "nonrelativistic kinetic law mass must be finite, got nan"),
+        (lambda: KineticLaw(KineticFamily.NONRELATIVISTIC), "nonrelativistic kinetic law needs mass > 0, got 0.0"),
+        (lambda: dataclasses.replace(PotentialLaw.coulomb(1.0), strength=-1.0),
+         "coulomb potential needs strength > 0, got -1.0"),
+    ],
+    ids=["replaced-nan-mass", "default-mass", "replaced-negative-strength"],
+)
+def test_a_law_that_skipped_of_fails_at_construction(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_a_law_family_must_be_of_its_own_kind():
+    with pytest.raises(TypeError, match="^family must be a KineticFamily"):
+        KineticLaw(PotentialFamily.COULOMB)
+    with pytest.raises(TypeError, match="^family must be a PotentialFamily"):
+        PotentialLaw("yukawa", coupling=5.0)
+
+
+def test_short_range_comes_from_the_table_except_for_a_custom_law():
+    direct = PotentialLaw(PotentialFamily.YUKAWA, coupling=5.0)
+    assert direct.short_range and direct == PotentialLaw.yukawa(5.0)
+    assert critical_coupling("twobody", direct, 3, 3.0, 1.0) == critical_coupling(
+        "twobody", PotentialLaw.yukawa(5.0), 3, 3.0, 1.0
+    )
+    assert not PotentialLaw(PotentialFamily.COULOMB, strength=1.0, short_range=True).short_range
+    assert not dataclasses.replace(PotentialLaw.yukawa(5.0), family=PotentialFamily.COULOMB, strength=1.0).short_range
+    custom = PotentialLaw.custom(CustomProfile(lambda x: -1.0 / (1.0 + x * x)), short_range=True)
+    assert custom.short_range and not dataclasses.replace(custom, short_range=False).short_range

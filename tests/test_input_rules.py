@@ -13,7 +13,7 @@ import pytest
 
 from envtheory.analysis import _chart, classify_two_body, critical_coupling
 from envtheory.errors import EvaluationDomainError, InvalidAuxiliaryExponent
-from envtheory.model import KineticLaw, PotentialLaw, StateSpec, SystemSpec, require_counts
+from envtheory.model import CustomProfile, KineticLaw, PotentialLaw, StateSpec, SystemSpec, require_counts
 from envtheory.apps import boson_star_max_mass
 from envtheory.oracle import RadialProblem, SemiclassicalGeometry, harmonic_exact, radial_eigenvalue, radial_eigenvalues
 from envtheory.qnum import airy_zero, q_boson_ground, q_fermion_asymptotic, q_from_quanta, q_two_body_auxiliary
@@ -22,6 +22,19 @@ from envtheory.solver import SolverConfig, auxiliary_energy, solve_two_body
 NON_FINITE = [math.nan, math.inf, -math.inf]
 KINETIC = KineticLaw.nonrelativistic(1.0)
 LINEAR = PotentialLaw.power_law(1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: CustomProfile(3.0), "^value must be callable, got 3.0$"),
+        (lambda: CustomProfile(math.sqrt, 0.5), "^derivative must be callable or None, got 0.5$"),
+    ],
+    ids=["value", "derivative"],
+)
+def test_a_custom_profile_checks_its_functions_at_construction(make, message):
+    with pytest.raises(TypeError, match=message):
+        make()
 
 
 def test_invalid_auxiliary_exponent_is_an_evaluation_domain_error():
@@ -177,8 +190,7 @@ def test_numpy_integer_counts_are_accepted():
 # one count rule behind every caller: the same wording wherever a count comes in
 COUNT_CALLERS = [
     ("require_counts", lambda n, d, degeneracy: require_counts(n=n, d=d, degeneracy=degeneracy), "n d degeneracy"),
-    ("SystemSpec", lambda n, d, degeneracy: SystemSpec(n, d, KINETIC, twobody=LINEAR, degeneracy=degeneracy),
-     "n d degeneracy"),
+    ("SystemSpec", lambda n, d, degeneracy: SystemSpec(n, d, KINETIC, twobody=LINEAR), "n d"),
     ("q_boson_ground", lambda n, d, degeneracy: q_boson_ground(n, d), "n d"),
     ("harmonic_exact", lambda n, d, degeneracy: harmonic_exact(n, d, 1.0, 1.0, 0.0, StateSpec.ground(3)), "n d"),
     ("q_fermion_asymptotic", lambda n, d, degeneracy: q_fermion_asymptotic(n, d, degeneracy), "n d degeneracy"),

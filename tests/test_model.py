@@ -19,7 +19,6 @@ from envtheory import (
     QValue,
     StateSpec,
     StationaryRoot,
-    Statistics,
     SystemSpec,
     critical_coupling,
     term_convexity,
@@ -313,18 +312,17 @@ def test_system_spec_validation():
         SystemSpec(n=3, d=3, kinetic=kin)  # no potential at all
     spec = SystemSpec(n=5, d=3, kinetic=kin, twobody=pot)
     assert spec.pair_count == 10.0
-    assert spec.statistics is Statistics.UNSPECIFIED
 
 
 @pytest.mark.parametrize(
-    "counts", [{"n": 2.5}, {"n": 3.0}, {"d": 3.0}, {"degeneracy": 1.5}, {"n": "3"}]
+    "counts", [{"n": 2.5}, {"n": 3.0}, {"d": 3.0}, {"n": "3"}]
 )
 def test_system_spec_counts_must_be_integers(counts):
     kin = KineticLaw.nonrelativistic(1.0)
     pot = PotentialLaw.power_law(1.0, 2.0)
     with pytest.raises(ValueError, match="must be an integer"):
         SystemSpec(**{"n": 3, "d": 3, **counts}, kinetic=kin, twobody=pot)
-    spec = SystemSpec(n=np.int64(4), d=np.int32(3), degeneracy=np.int64(2), kinetic=kin, twobody=pot)
+    spec = SystemSpec(n=np.int64(4), d=np.int32(3), kinetic=kin, twobody=pot)
     assert spec.pair_count == 6
 
 
