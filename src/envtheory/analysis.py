@@ -41,7 +41,6 @@ from .model import (
     require_counts,
     require_finite,
 )
-from .qnum import QValue
 from .roots import brentq, scan
 
 _SAMPLES = 33
@@ -199,20 +198,25 @@ def perturbed_energy(
 
     The correction is N tau t(p0) + N eta u(r0/N) + C_N eps v(r0/sqrt(C_N)).
     A warning is emitted when its size exceeds a tenth of |E|, where first
-    order stops being trustworthy.
+    order stops being trustworthy; a level past the float range raises
+    ``NonFiniteResult``.
     """
     n = spec.n
     c = float(spec.pair_count)
     correction = 0.0
-    if pert.kinetic is not None:
-        tau, shape = pert.kinetic
-        correction += n * tau * float(shape.value(base.p0))
-    if pert.onebody is not None:
-        eta, shape = pert.onebody
-        correction += n * eta * float(shape.value(base.r0 / n))
-    if pert.twobody is not None:
-        eps, shape = pert.twobody
-        correction += c * eps * float(shape.value(base.r0 / np.sqrt(c)))
+    with np.errstate(all="ignore"):  # a shape past the float range is caught below
+        if pert.kinetic is not None:
+            tau, shape = pert.kinetic
+            correction += n * tau * float(shape.value(base.p0))
+        if pert.onebody is not None:
+            eta, shape = pert.onebody
+            correction += n * eta * float(shape.value(base.r0 / n))
+        if pert.twobody is not None:
+            eps, shape = pert.twobody
+            correction += c * eps * float(shape.value(base.r0 / np.sqrt(c)))
+    energy = base.energy + correction
+    if not math.isfinite(energy):
+        raise NonFiniteResult(f"the first-order corrected level is not finite, got {energy}")
     if abs(correction) > 0.1 * abs(base.energy):
         warnings.warn(
             f"first-order correction {correction:.6g} exceeds 10% of the level "
@@ -220,7 +224,7 @@ def perturbed_energy(
             PerturbationSizeWarning,
             stacklevel=2,
         )
-    return base.energy + correction
+    return energy
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +249,7 @@ def critical_coupling(
     mode: Literal["onebody", "twobody"],
     shape: PotentialLaw,
     n: int,
-    q: QValue | float,
+    q: float,
     mass: float,
 ) -> CriticalCoupling:
     """Minimal well depth binding N nonrelativistic particles.

@@ -8,14 +8,15 @@ algebra closes.  Tests verify that the generic route reproduces them.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollapseRegime, PerturbationSizeWarning
+from .analysis import _quotient
+from .errors import CollapseRegime, NonFiniteResult, PerturbationSizeWarning
 from .model import checked, require_count, require_counts
-from .qnum import QValue
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,8 @@ def baryon_bounds(params: BaryonParams) -> tuple[float, float]:
         )
     e_upper = math.sqrt(4.0 * c * (params.a1 + params.a2 * root_c) * upper_margin)
     e_lower = math.sqrt(2.0 * c * (params.a1 + params.a2 * n) * lower_margin)
+    if not math.isfinite(e_upper + e_lower):
+        raise NonFiniteResult(f"the baryon bounds are not finite, got ({e_upper}, {e_lower})")
     return e_upper, e_lower
 
 
@@ -83,20 +86,33 @@ class BosonStarParams:
         checked(self.alpha, "attraction strength", positive=True)
 
 
-def boson_star_mass(params: BosonStarParams, q: QValue | float) -> float:
+def boson_star_mass(params: BosonStarParams, q: float) -> float:
     """Total-energy upper bound M = N m sqrt(1 - N (N-1)^3 alpha^2 / (8 Q^2)).
 
     Past the square root's zero the stationary point disappears: that is the
-    collapse threshold of the self-gravitating system.
+    collapse threshold of the self-gravitating system.  Where Q**2 is not a
+    normal float or the expression leaves the float range, the ratio is
+    formed with no power of N, alpha or Q.
     """
     n, m, alpha = params.n, params.mass, params.alpha
     qv = checked(q, "quantum number", positive=True)
-    arg = 1.0 - n * (n - 1.0) ** 3 * alpha * alpha / (8.0 * qv * qv)
+    ratio = math.nan
+    if qv * qv >= sys.float_info.min:
+        try:
+            ratio = n * (n - 1.0) ** 3 * alpha * alpha / (8.0 * qv * qv)
+        except OverflowError:  # (n - 1) ** 3 past the float range
+            pass
+    if not 0.0 < ratio < math.inf:
+        ratio = _quotient((n, n - 1, n - 1, n - 1, alpha, alpha), (8.0, qv, qv))
+    arg = 1.0 - ratio
     if arg < 0.0:
         raise CollapseRegime(
             f"alpha={alpha} exceeds the collapse threshold at n={n}, Q={qv}"
         )
-    return n * m * math.sqrt(arg)
+    value = n * m * math.sqrt(arg)
+    if not math.isfinite(value):
+        raise NonFiniteResult(f"the boson-star mass at Q = {qv} and mass {m} is not finite, got {value}")
+    return value
 
 
 def boson_star_limit(d: int) -> float:
@@ -133,7 +149,7 @@ def boson_star_max_mass(
 
 
 def minimal_length_energy(
-    n: int, d: int, mass: float, spring: float, deformation: float, q: QValue | float
+    n: int, d: int, mass: float, spring: float, deformation: float, q: float
 ) -> float:
     """Harmonic system with a small quartic kinetic deformation, at first order.
 
@@ -150,6 +166,9 @@ def minimal_length_energy(
     qv = checked(q, "quantum number", positive=True)
     base = math.sqrt(2.0 * n * spring / mass) * qv
     correction = 2.0 * spring * deformation * qv * qv
+    energy = base + correction
+    if not math.isfinite(energy):
+        raise NonFiniteResult(f"the minimal-length level at Q = {qv} is not finite, got {energy}")
     if correction > 0.1 * base:
         warnings.warn(
             f"quartic correction {correction:.6g} exceeds 10% of the harmonic level "
@@ -157,4 +176,4 @@ def minimal_length_energy(
             PerturbationSizeWarning,
             stacklevel=2,
         )
-    return base + correction
+    return energy

@@ -36,13 +36,7 @@ from .model import (
     checked,
     require_counts,
 )
-from .qnum import (
-    QProvenance,
-    QValue,
-    q_boson_ground,
-    q_fermion_asymptotic,
-    q_from_quanta,
-)
+from .qnum import q_boson_ground, q_fermion_asymptotic, q_from_quanta
 
 _SECTION_NAMES = (
     "system",
@@ -226,7 +220,7 @@ class RunConfig:
     kinetic: KineticLaw | None
     onebody: PotentialLaw | None
     twobody: PotentialLaw | None
-    state: str | StateSpec | QValue  # a tower name, the [state] quanta, or the [state] q
+    state: str | StateSpec | float  # a tower name, the [state] quanta, or the [state] q
     solver: solver.SolverConfig
     perturbation: analysis.PerturbationSpec | None
 
@@ -239,9 +233,9 @@ class RunConfig:
             raise MissingSection("an [onebody] or [twobody] section is required")
         return SystemSpec(n=self.n, d=self.d, **laws)
 
-    def resolve_q(self) -> QValue:
+    def resolve_q(self) -> float:
         state = self.state
-        if isinstance(state, QValue):
+        if isinstance(state, float):
             return state
         if isinstance(state, StateSpec):
             if len(state.quanta) != self.n - 1:
@@ -295,8 +289,7 @@ def config_from_sections(sections: Sections) -> RunConfig:
             state = _parse_quanta(*data["quanta"])
         else:
             q = _get_number("state", data, "q")
-            _reported(f"line {_line_of(data, 'q')}: [state] ", checked, q, "q", positive=True)
-            state = QValue(q, QProvenance.USER_DEFINED)
+            state = _reported(f"line {_line_of(data, 'q')}: [state] ", checked, q, "q", positive=True)
 
     # [solver] keys are SolverConfig's fields, each parsed as its default's type
     data = sections.get("solver", {})
@@ -368,9 +361,9 @@ def _need(law, slot: str, family, command: str) -> None:
         raise ConstraintViolation(f"'{command}' needs [{slot}] family = {family.value}")
 
 
-def _level_row(system: SystemSpec, q: QValue, sol) -> dict:
+def _level_row(system: SystemSpec, q: float, sol) -> dict:
     """One level's columns, in order, as raw values; ``run`` prints each through ``_cell``."""
-    return dict(N=system.n, D=system.d, Q=q.value, E=sol.energy, r0=sol.r0, p0=sol.p0,
+    return dict(N=system.n, D=system.d, Q=q, E=sol.energy, r0=sol.r0, p0=sol.p0,
                 bound=sol.bound.classification, n_roots=sol.n_roots)
 
 
@@ -393,7 +386,7 @@ def _cmd_critical(cfg: RunConfig, args) -> list[dict]:
     q = cfg.resolve_q()
     result = analysis.critical_coupling(args.mode, shape, cfg.n, q, cfg.kinetic.mass)
     return [
-        dict(mode=args.mode, N=cfg.n, D=cfg.d, Q=q.value, m=cfg.kinetic.mass, y0=result.y0,
+        dict(mode=args.mode, N=cfg.n, D=cfg.d, Q=q, m=cfg.kinetic.mass, y0=result.y0,
              critical_value=result.value, bound=result.bound)
     ]
 
@@ -403,7 +396,7 @@ def _cmd_perturb(cfg: RunConfig, args) -> list[dict]:
         raise MissingSection("a [perturbation] section is required for 'perturb'")
     system, q, sol = _level(cfg)
     corrected = analysis.perturbed_energy(sol, system, cfg.perturbation)
-    return [dict(N=cfg.n, D=cfg.d, Q=q.value, E=sol.energy, E_perturbed=corrected)]
+    return [dict(N=cfg.n, D=cfg.d, Q=q, E=sol.energy, E_perturbed=corrected)]
 
 
 def _cmd_baryon(cfg: RunConfig, args) -> list[dict]:
@@ -418,7 +411,7 @@ def _cmd_bosonstar(cfg: RunConfig, args) -> list[dict]:
     q = cfg.resolve_q()
     params = _reported("", apps.BosonStarParams, n=cfg.n, mass=cfg.kinetic.mass, alpha=cfg.twobody.strength)
     mass_bound = apps.boson_star_mass(params, q)
-    return [dict(N=cfg.n, D=cfg.d, m=cfg.kinetic.mass, alpha=cfg.twobody.strength, Q=q.value, M_upper=mass_bound)]
+    return [dict(N=cfg.n, D=cfg.d, m=cfg.kinetic.mass, alpha=cfg.twobody.strength, Q=q, M_upper=mass_bound)]
 
 
 def _cmd_minlength(cfg: RunConfig, args) -> list[dict]:
@@ -437,7 +430,7 @@ def _cmd_minlength(cfg: RunConfig, args) -> list[dict]:
     kinetic, spring = cfg.kinetic, cfg.twobody.amplitude
     energy = apps.minimal_length_energy(cfg.n, cfg.d, kinetic.mass, spring, kinetic.deformation, q)
     return [
-        dict(N=cfg.n, D=cfg.d, m=kinetic.mass, spring=spring, deformation=kinetic.deformation, Q=q.value, E=energy)
+        dict(N=cfg.n, D=cfg.d, m=kinetic.mass, spring=spring, deformation=kinetic.deformation, Q=q, E=energy)
     ]
 
 

@@ -114,7 +114,7 @@ def checked(value, what: str, positive: bool = False) -> float:
     """``value`` as a finite float, positive when ``positive`` is set.
 
     The one number check behind the law constructors, ``SystemSpec``,
-    ``SolverConfig``, ``QValue``, the solver's Q, the oracles and the closed
+    ``SolverConfig``, the solver's Q, the oracles and the closed
     forms: NaN, ±inf and a value that is not > 0 where ``positive`` asks for
     one raise ValueError naming ``what``.  An integer past the float range
     counts as ±inf.
@@ -157,7 +157,8 @@ def require_counts(n: int | None = None, d: int | None = None, degeneracy: int |
     """``require_count`` on each given system count: n >= 2, d >= 2 and degeneracy >= 1.
 
     Every count is type-checked before any range.  n must also keep its
-    pair count n (n - 1) / 2 within the float range, where the solvers use it.
+    pair count n (n - 1) / 2 within the float range, where the solvers use
+    it, and d must lie within the float range, where the closed forms use it.
     """
     rules = ((n, "n", 2), (d, "d", 2), (degeneracy, "degeneracy", 1))
     counts = [rule for rule in rules if rule[0] is not None]
@@ -167,6 +168,8 @@ def require_counts(n: int | None = None, d: int | None = None, degeneracy: int |
         require_count(count, name, least)
     if n is not None and int(n) * (int(n) - 1) // 2 > sys.float_info.max:
         raise ValueError(f"n must keep the pair count n (n - 1) / 2 within the float range, got {n}")
+    if d is not None and int(d) > sys.float_info.max:
+        raise ValueError(f"d must lie within the float range, got {d}")
 
 
 def _require_positive(x, what: str = "argument") -> None:
@@ -175,8 +178,16 @@ def _require_positive(x, what: str = "argument") -> None:
     else:
         arr = np.asarray(x, dtype=float)
         ok = arr.size > 0 and np.all(arr > 0.0)
-    if not ok:
-        raise NonPositiveArgument(f"{what} must be strictly positive, got {x!r}")
+    if ok:
+        return
+    if isinstance(x, float) or arr.ndim == 0:
+        shown = repr(x)
+    elif arr.size == 0:
+        shown = "an empty array"
+    else:  # the count and the least of the bad values, not the whole array
+        bad = arr[~(arr > 0.0)]
+        shown = f"{bad.size} of {arr.size} values not > 0, the smallest {float(np.fmin.reduce(bad))}"
+    raise NonPositiveArgument(f"{what} must be strictly positive, got {shown}")
 
 
 def _central_difference(f: Callable, x):

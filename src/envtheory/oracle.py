@@ -53,7 +53,7 @@ def harmonic_exact(
             f"net spring constant nu + N rho must be positive, got {spring}"
         )
     omega = math.sqrt(2.0 * spring / mu)
-    return omega * q_from_quanta(state, d).value
+    return omega * q_from_quanta(state, d)
 
 
 # ---------------------------------------------------------------------------

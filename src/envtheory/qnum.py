@@ -15,67 +15,43 @@ McMahon's asymptotic series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 from .errors import NonFiniteResult, UnsupportedAuxiliary
-from .model import StateSpec, checked, require_count, require_counts
+from .model import StateSpec, require_count, require_counts
 
 
-class QProvenance(Enum):
-    OSCILLATOR_TOWER = "oscillator-tower"
-    BOSON_GROUND_STATE = "boson-ground-state"
-    FERMION_ASYMPTOTIC = "fermion-asymptotic"
-    COULOMB_EXACT = "coulomb-exact"
-    HARMONIC_EXACT = "harmonic-exact"
-    AIRY_LINEAR = "airy-linear"
-    USER_DEFINED = "user-defined"
-
-
-@dataclass(frozen=True)
-class QValue:
-    """A positive global quantum number plus how it was obtained."""
-
-    value: float
-    provenance: QProvenance = QProvenance.USER_DEFINED
-
-    def __post_init__(self) -> None:
-        checked(self.value, "quantum number", positive=True)
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
-def _finite_q(value: float, provenance: QProvenance) -> QValue:
-    """``QValue(value, provenance)``, or NonFiniteResult for a Q past the float range."""
+def _finite_q(value: float, tower: str) -> float:
+    """``value`` as a float, or NonFiniteResult for a Q past the float range or underflowed to 0."""
     if value == math.inf:
-        raise NonFiniteResult(f"the {provenance.value} Q is past the float range")
-    return QValue(value, provenance)
+        raise NonFiniteResult(f"the {tower} Q is past the float range")
+    if value == 0.0:
+        raise NonFiniteResult(f"the {tower} Q underflows to 0")
+    return float(value)
 
 
-def _tower(total: int, pairs: int, d: int, provenance: QProvenance) -> QValue:
+def _tower(total: int, pairs: int, d: int, tower: str) -> float:
     """Q = total + pairs d / 2: ``total`` oscillator quanta over ``pairs`` coordinates in d dimensions."""
     try:
         value = total + pairs * d / 2.0
     except OverflowError:  # an integer past the float range
         value = math.inf
-    return _finite_q(value, provenance)
+    return _finite_q(value, tower)
 
 
-def q_from_quanta(state: StateSpec, d: int) -> QValue:
+def q_from_quanta(state: StateSpec, d: int) -> float:
     """Q for an explicit excitation listing in d spatial dimensions."""
     require_counts(d=d)
     total = sum(2 * n_i + l_i for n_i, l_i in state.quanta)
-    return _tower(total, len(state.quanta), d, QProvenance.OSCILLATOR_TOWER)
+    return _tower(total, len(state.quanta), d, "oscillator-tower")
 
 
-def q_boson_ground(n: int, d: int) -> QValue:
+def q_boson_ground(n: int, d: int) -> float:
     """Ground-state Q for n identical bosons: all internal quanta at zero."""
     require_counts(n=n, d=d)
-    return _tower(0, n - 1, d, QProvenance.BOSON_GROUND_STATE)
+    return _tower(0, n - 1, d, "boson-ground-state")
 
 
-def q_fermion_asymptotic(n: int, d: int, degeneracy: int = 1) -> QValue:
+def q_fermion_asymptotic(n: int, d: int, degeneracy: int = 1) -> float:
     """Large-n ground-state Q for identical fermions with internal degeneracy.
 
     Filling the lowest oscillator shells under the Pauli principle gives
@@ -96,10 +72,10 @@ def q_fermion_asymptotic(n: int, d: int, degeneracy: int = 1) -> QValue:
             value = d / (d + 1.0) * math.exp((math.lgamma(d + 1) + (d + 1) * math.log(n) - math.log(degeneracy)) / d)
         except OverflowError:
             value = math.inf
-    return _finite_q(value, QProvenance.FERMION_ASYMPTOTIC)
+    return _finite_q(value, "fermion-asymptotic")
 
 
-def q_two_body_auxiliary(aux_exponent: float, n: int, l: int, d: int) -> QValue:
+def q_two_body_auxiliary(aux_exponent: float, n: int, l: int, d: int) -> float:
     """Exact two-body tower for the auxiliary exponents that admit one.
 
     Exponent -1 (Coulomb-like auxiliary) gives n + l + (d-1)/2; exponent 2
@@ -112,16 +88,16 @@ def q_two_body_auxiliary(aux_exponent: float, n: int, l: int, d: int) -> QValue:
     require_counts(d=d)
     lam = float(aux_exponent)
     if lam == -1.0:
-        return _tower(n + l, 1, d - 1, QProvenance.COULOMB_EXACT)
+        return _tower(n + l, 1, d - 1, "coulomb-exact")
     if lam == 2.0:
-        return _tower(2 * n + l, 1, d, QProvenance.HARMONIC_EXACT)
+        return _tower(2 * n + l, 1, d, "harmonic-exact")
     if lam == 1.0:
         if d != 3 or l != 0:
             raise UnsupportedAuxiliary(
                 "the linear auxiliary tower is exact only for d=3, l=0"
             )
         alpha = airy_zero(n)
-        return QValue(2.0 * (-alpha / 3.0) ** 1.5, QProvenance.AIRY_LINEAR)
+        return 2.0 * (-alpha / 3.0) ** 1.5
     raise UnsupportedAuxiliary(
         f"no closed-form tower for auxiliary exponent {aux_exponent}"
     )

@@ -56,7 +56,6 @@ from .model import (
     checked,
     require_count,
 )
-from .qnum import QValue
 from .roots import _RTOL_MIN, brentq, log_grid, scan
 
 # Grid samples in one block scan of ``solve_nbody_many``; it bounds the memory
@@ -99,7 +98,7 @@ class SolverConfig:
 _DEFAULT_CONFIG = SolverConfig()
 
 
-def auxiliary_energy(mu: float, rho: float, aux_exponent: float, q: QValue | float) -> float:
+def auxiliary_energy(mu: float, rho: float, aux_exponent: float, q: float) -> float:
     """Closed-form level of the auxiliary power-law system.
 
     A two-body system with kinetic term p**2 / (2 mu) and potential
@@ -145,7 +144,7 @@ def nbody_energy(spec: SystemSpec, r0, p0):
 _bound = (None, None)
 
 
-def stationary_residual(spec: SystemSpec, q: QValue | float, r0):
+def stationary_residual(spec: SystemSpec, q: float, r0):
     """Stationarity defect at trial scale r0 (vectorized over r0)."""
     global _bound
     qv = checked(q, "quantum number", positive=True)
@@ -187,7 +186,7 @@ def _residual_of(n, c, kinetic, onebody, twobody):
 
 
 def solve_nbody(
-    spec: SystemSpec, q: QValue | float, config: SolverConfig | None = None, *, _brackets=None
+    spec: SystemSpec, q: float, config: SolverConfig | None = None, *, _brackets=None
 ) -> EnvelopeSolution:
     """Envelope level of the N-body system at global quantum number Q.
 
@@ -207,7 +206,7 @@ def solve_nbody(
 
 
 def solve_nbody_many(
-    specs: list[SystemSpec], qs: list[QValue | float], config: SolverConfig | None = None
+    specs: list[SystemSpec], qs: list[float], config: SolverConfig | None = None
 ) -> list[EnvelopeSolution]:
     """``[solve_nbody(spec, q, config) for spec, q in zip(specs, qs)]``, solved in blocks.
 
@@ -250,7 +249,7 @@ def two_body_energy(kinetic: KineticLaw, potential: PotentialLaw, r0, p0):
     return kinetic.value(p0) + potential.value(r0)
 
 
-def two_body_residual(kinetic: KineticLaw, potential: PotentialLaw, q: QValue | float, r0):
+def two_body_residual(kinetic: KineticLaw, potential: PotentialLaw, q: float, r0):
     qv = checked(q, "quantum number", positive=True)
     p0 = qv / r0
     return p0 * kinetic.derivative(p0) - r0 * potential.derivative(r0)
@@ -260,7 +259,7 @@ def solve_two_body(
     kinetic: KineticLaw,
     potential: PotentialLaw,
     aux_exponent: float | None,
-    q: QValue | float,
+    q: float,
     config: SolverConfig | None = None,
 ) -> EnvelopeSolution:
     """Envelope level of a two-body system in relative coordinates.

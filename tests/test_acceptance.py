@@ -232,7 +232,7 @@ def test_criterion_06_minimal_length_polynomial():
     exact_poly = True
     for nq in range(0, 3):
         for l in range(0, 5 - 2 * nq):
-            q = et.QValue(2 * nq + l + 1.5)
+            q = 2 * nq + l + 1.5
             poly_factor = 4 * nq * nq + l * l + 4 * nq * l + 6 * nq + 3 * l + 2.25
             poly = 2.0 * k * beta * poly_factor
             # quarter-integer arithmetic is exact in binary floats, so the
@@ -268,15 +268,15 @@ def test_criterion_06_minimal_length_polynomial():
 def test_criterion_07_critical_couplings():
     shape_y = et.PotentialLaw.yukawa(1.0, 1.0)
     shape_e = et.PotentialLaw.exponential(1.0, 1.0)
-    y_yuk = et.critical_coupling("twobody", shape_y, 2, et.QValue(1.5), 1.0).y0
-    y_exp = et.critical_coupling("twobody", shape_e, 2, et.QValue(1.5), 1.0).y0
+    y_yuk = et.critical_coupling("twobody", shape_y, 2, 1.5, 1.0).y0
+    y_exp = et.critical_coupling("twobody", shape_e, 2, 1.5, 1.0).y0
     y0_ok = abs(y_yuk - 1.0) <= 1e-12 and abs(y_exp - 2.0) <= 1e-12
     pair_consts, one_consts, y0_spread = [], [], []
     for n in (2, 3, 5):
         for qv in (1.0, 2.5, 7.0):
             for m in (0.5, 1.0, 4.0):
-                g = et.critical_coupling("twobody", shape_y, n, et.QValue(qv), m)
-                kcc = et.critical_coupling("onebody", shape_y, n, et.QValue(qv), m)
+                g = et.critical_coupling("twobody", shape_y, n, qv, m)
+                kcc = et.critical_coupling("onebody", shape_y, n, qv, m)
                 pair_consts.append(g.value * n * (n - 1) ** 2 * m / qv**2)
                 one_consts.append(kcc.value * 2.0 * n * n * m / qv**2)
                 y0_spread.append(g.y0)

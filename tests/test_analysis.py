@@ -13,7 +13,6 @@ from envtheory import (
     KineticLaw,
     PerturbationSpec,
     PotentialLaw,
-    QValue,
     SystemSpec,
     classify_bound,
     classify_two_body,
@@ -229,7 +228,7 @@ def test_perturbation_spec_takes_a_kinetic_shape_of_either_law():
 
 def test_critical_scale_yukawa():
     cc = critical_coupling(
-        "twobody", PotentialLaw.yukawa(1.0, 1.0), 2, QValue(1.5), 1.0
+        "twobody", PotentialLaw.yukawa(1.0, 1.0), 2, 1.5, 1.0
     )
     assert cc.y0 == pytest.approx(1.0, abs=1e-12)
     assert cc.value == pytest.approx(2.25 * math.e, rel=1e-12)
@@ -237,7 +236,7 @@ def test_critical_scale_yukawa():
 
 def test_critical_scale_exponential():
     cc = critical_coupling(
-        "twobody", PotentialLaw.exponential(1.0, 1.0), 2, QValue(1.5), 1.0
+        "twobody", PotentialLaw.exponential(1.0, 1.0), 2, 1.5, 1.0
     )
     assert cc.y0 == pytest.approx(2.0, abs=1e-12)
     # w(2) = e^{-2}: g_c = Q^2/m * e^2 / 4 at N=2
@@ -246,7 +245,7 @@ def test_critical_scale_exponential():
 
 def test_critical_scale_gaussian():
     cc = critical_coupling(
-        "twobody", PotentialLaw.gaussian(1.0, 1.0), 2, QValue(1.5), 1.0
+        "twobody", PotentialLaw.gaussian(1.0, 1.0), 2, 1.5, 1.0
     )
     assert cc.y0 == pytest.approx(1.0, abs=1e-12)
     assert cc.value == pytest.approx(2.25 * math.e, rel=1e-12)
@@ -255,8 +254,8 @@ def test_critical_scale_gaussian():
 def test_critical_scale_tracks_screening_length():
     # y0 is proportional to the range of the well; the depth threshold
     # scales with 1/range^2 through y0^2 w(y0)
-    a = critical_coupling("twobody", PotentialLaw.yukawa(1.0, 1.0), 2, QValue(1.5), 1.0)
-    b = critical_coupling("twobody", PotentialLaw.yukawa(1.0, 3.0), 2, QValue(1.5), 1.0)
+    a = critical_coupling("twobody", PotentialLaw.yukawa(1.0, 1.0), 2, 1.5, 1.0)
+    b = critical_coupling("twobody", PotentialLaw.yukawa(1.0, 3.0), 2, 1.5, 1.0)
     assert b.y0 == pytest.approx(3.0 * a.y0, rel=1e-12)
     # yukawa carries a 1/x: w(y0) drops by the extra 1/3, so value scales 1/3
     assert b.value == pytest.approx(a.value / 3.0, rel=1e-10)
@@ -271,12 +270,12 @@ def test_critical_value_homogeneity():
     for n in (2, 3, 5):
         for qv in (1.0, 2.5, 7.0):
             for m in (0.5, 1.0, 4.0):
-                g = critical_coupling("twobody", shape, n, QValue(qv), m)
+                g = critical_coupling("twobody", shape, n, qv, m)
                 assert g.value * n * (n - 1) ** 2 * m / qv**2 == pytest.approx(
                     pair_const, rel=1e-10
                 )
                 assert g.y0 == pytest.approx(1.0, abs=1e-12)
-                k = critical_coupling("onebody", shape, n, QValue(qv), m)
+                k = critical_coupling("onebody", shape, n, qv, m)
                 assert k.value * 2.0 * n * n * m / qv**2 == pytest.approx(
                     one_const, rel=1e-10
                 )
@@ -284,7 +283,7 @@ def test_critical_value_homogeneity():
 
 def test_critical_requires_short_range():
     with pytest.raises(NotShortRange):
-        critical_coupling("twobody", PotentialLaw.coulomb(1.0), 2, QValue(1.5), 1.0)
+        critical_coupling("twobody", PotentialLaw.coulomb(1.0), 2, 1.5, 1.0)
 
 
 def test_critical_rejects_profile_without_turnover():
@@ -293,37 +292,30 @@ def test_critical_rejects_profile_without_turnover():
         CustomProfile(value=lambda x: -1.0 / (x * x)), short_range=True
     )
     with pytest.raises(NoCriticalPoint):
-        critical_coupling("twobody", law, 2, QValue(1.5), 1.0)
+        critical_coupling("twobody", law, 2, 1.5, 1.0)
 
 
 def test_critical_scan_without_a_finite_sample_is_not_finite():
     # 1/(x x) overflows on the whole scan around screening 1e-200
     with pytest.raises(NonFiniteResult, match="screening length 1e-200"):
-        critical_coupling("twobody", PotentialLaw.yukawa(1.0, 1e-200), 3, QValue(1.5), 1.0)
+        critical_coupling("twobody", PotentialLaw.yukawa(1.0, 1e-200), 3, 1.5, 1.0)
     # a scan with finite samples and no sign change keeps its NoCriticalPoint
     law = PotentialLaw.custom(
         CustomProfile(value=lambda x: np.where(x < 1.0, np.nan, -1.0 / (x * x))), short_range=True
     )
     with pytest.raises(NoCriticalPoint):
-        critical_coupling("twobody", law, 2, QValue(1.5), 1.0)
+        critical_coupling("twobody", law, 2, 1.5, 1.0)
 
 
-# Each case builds its Q inside pytest.raises, because QValue(inf) itself raises.
 @pytest.mark.parametrize(
-    "make_q, mass",
-    [
-        (lambda: QValue(1.5), math.nan),
-        (lambda: QValue(1.5), math.inf),
-        (lambda: math.inf, 1.0),
-        (lambda: QValue(math.inf), 1.0),
-        (lambda: math.nan, 1.0),
-    ],
-    ids=["mass-nan", "mass-inf", "q-inf", "QValue-inf", "q-nan"],
+    "q, mass",
+    [(1.5, math.nan), (1.5, math.inf), (math.inf, 1.0), (math.nan, 1.0)],
+    ids=["mass-nan", "mass-inf", "q-inf", "q-nan"],
 )
-def test_critical_rejects_non_finite_inputs(make_q, mass):
+def test_critical_rejects_non_finite_inputs(q, mass):
     for mode in ("onebody", "twobody"):
         with pytest.raises(ValueError):
-            critical_coupling(mode, PotentialLaw.yukawa(1.0, 1.0), 2, make_q(), mass)
+            critical_coupling(mode, PotentialLaw.yukawa(1.0, 1.0), 2, q, mass)
 
 
 def test_critical_coupling_beyond_the_float_range_is_an_error():
@@ -384,7 +376,7 @@ def test_critical_coupling_keeps_its_bits_where_its_powers_are_normal(mode):
 
 def test_critical_bound_side_is_reported():
     cc = critical_coupling(
-        "twobody", PotentialLaw.yukawa(1.0, 1.0), 2, QValue(1.5), 1.0
+        "twobody", PotentialLaw.yukawa(1.0, 1.0), 2, 1.5, 1.0
     )
     # envelope lies above the true level, so binding needs more depth than
     # the true threshold: the estimate is an upper bound on the coupling
@@ -400,7 +392,7 @@ def test_critical_scale_on_a_grid_zero_is_that_point():
         ),
         short_range=True,
     )
-    assert critical_coupling("twobody", law, 2, QValue(1.5), 1.0).y0 == 1.0
+    assert critical_coupling("twobody", law, 2, 1.5, 1.0).y0 == 1.0
 
 
 @pytest.mark.parametrize(
@@ -426,7 +418,7 @@ def test_critical_scale_polishes_from_its_scan(shape):
     with np.errstate(all="ignore"):
         (lo, hi, _, _), *_ = sign_change_brackets(grid, residual(grid))
     want = brentq(lambda t: float(residual(t)), lo, hi, xtol=1e-300, rtol=4.0 * EPS)[0]
-    assert critical_coupling("twobody", shape, 2, QValue(1.5), 1.0).y0 == want
+    assert critical_coupling("twobody", shape, 2, 1.5, 1.0).y0 == want
 
 
 def test_critical_scale_evaluates_no_scanned_point_again():

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,6 @@ from envtheory import (
     KineticLaw,
     PerturbationSpec,
     PotentialLaw,
-    QValue,
     SystemSpec,
     baryon_bounds,
     boson_star_limit,
@@ -21,7 +21,7 @@ from envtheory import (
     q_boson_ground,
     solve_nbody,
 )
-from envtheory.errors import CollapseRegime, PerturbationSizeWarning
+from envtheory.errors import CollapseRegime, NonFiniteResult, PerturbationSizeWarning
 
 
 # --- light-quark baryon bounds -------------------------------------------------
@@ -256,6 +256,50 @@ def test_boson_star_params_reject_non_finite(mass, alpha):
         BosonStarParams(n=3, mass=mass, alpha=alpha)
 
 
+def test_boson_star_mass_keeps_its_expression_where_q_squared_is_normal():
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        n, mass, alpha = int(10 ** rng.uniform(0.31, 6)), 10 ** rng.uniform(-5, 5), 10 ** rng.uniform(-150, 0)
+        q = math.sqrt(n * (n - 1.0) ** 3 / 8.0) * alpha * 10 ** rng.uniform(0.0, 3.0)  # ratio in (1e-6, 1)
+        want = n * mass * math.sqrt(1.0 - n * (n - 1.0) ** 3 * alpha * alpha / (8.0 * q * q))
+        assert boson_star_mass(BosonStarParams(n, mass, alpha), q).hex() == want.hex(), (n, mass, alpha, q)
+
+
+def _boson_star_mass_mpmath(n, mass, alpha, q):
+    with mpmath.workdps(60):
+        n, alpha, q = mpmath.mpf(n), mpmath.mpf(alpha), mpmath.mpf(q)
+        return float(n * mass * mpmath.sqrt(1 - n * (n - 1) ** 3 * alpha**2 / (8 * q**2)))
+
+
+@pytest.mark.parametrize(
+    "n, alpha, q",
+    [(2, 3e-160, 7e-160), (10**120, 0.1299, 1e300), (2, 1.5e154, 1e154)],
+    ids=["q-squared-subnormal", "n-cubed-overflows", "q-squared-overflows"],
+)
+def test_boson_star_mass_past_the_float_range_of_its_factors(n, alpha, q):
+    want = _boson_star_mass_mpmath(n, 0.617, alpha, q)
+    assert boson_star_mass(BosonStarParams(n, 0.617, alpha), q) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_a_boson_star_whose_q_squared_underflows_collapses():
+    with pytest.raises(CollapseRegime, match="^alpha=0.1299 exceeds the collapse threshold at n=4, Q=1e-308$"):
+        boson_star_mass(BosonStarParams(4, 0.617, 0.1299), 1e-308)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_closed_form_past_the_float_range_is_non_finite():
+    with pytest.raises(NonFiniteResult, match=r"^the baryon bounds are not finite, got \(inf, inf\)$"):
+        baryon_bounds(BaryonParams(n=5, d=3, a1=1e308, a2=1e308))
+    with pytest.raises(NonFiniteResult, match=r"^the boson-star mass at Q = 1.5 and mass 1e\+308 is not finite, got inf$"):
+        boson_star_mass(BosonStarParams(n=2, mass=1e308, alpha=0.1), 1.5)
+    with pytest.raises(NonFiniteResult, match="^the minimal-length level at Q = 3.0 is not finite, got inf$"):
+        minimal_length_energy(3, 3, 1.0, 1e308, 0.01, 3.0)
+    spec = SystemSpec(3, 3, KineticLaw.nonrelativistic(1.0), twobody=PotentialLaw.power_law(1.0, 2.0))
+    steep = PerturbationSpec(twobody=(-0.01, PotentialLaw.power_law(1.0, 1e308)))
+    with pytest.raises(NonFiniteResult, match="^the first-order corrected level is not finite, got -inf$"):
+        perturbed_energy(solve_nbody(spec, 1e30), spec, steep)
+
+
 # --- harmonic system with a quartic kinetic deformation -------------------------
 
 
@@ -274,7 +318,7 @@ def test_minimal_length_matches_perturbation_machinery():
     n, d, m, k, beta = 2, 3, 1.3, 0.7, 1e-4
     for nq in range(3):
         for l in range(3):
-            q = QValue(2 * nq + l + d / 2.0)
+            q = 2 * nq + l + d / 2.0
             spec = SystemSpec(
                 n=n,
                 d=d,

@@ -56,7 +56,7 @@ def test_a_two_body_verdict_lies_on_its_side_of_the_closed_form(family, tower, d
     if family == "coulomb":
         potential = PotentialLaw.coulomb(strength)
         q = q_two_body_auxiliary(-1.0, n, l, d)
-        exact = -mu * strength**2 / (2.0 * q.value**2)
+        exact = -mu * strength**2 / (2.0 * q**2)
     else:
         potential = PotentialLaw.power_law(strength, 2.0)
         exact = auxiliary_energy(mu, strength, 2.0, q_two_body_auxiliary(2.0, n, l, d))

@@ -134,7 +134,7 @@ def test_a_solve_on_the_asymptotic_fermion_tower(tmp_path, capsys):
     q = q_fermion_asymptotic(3, 3, 1)
     spec = SystemSpec(3, 3, KineticLaw.nonrelativistic(1.0), twobody=PotentialLaw.power_law(1.0, 2.0))
     row = out.splitlines()[1].split(",")
-    assert row[:4] == ["3", "3", _fmt(q.value), _fmt(solve_nbody(spec, q).energy)]
+    assert row[:4] == ["3", "3", _fmt(q), _fmt(solve_nbody(spec, q).energy)]
 
 
 @pytest.mark.parametrize("degeneracy", [1, 2])
@@ -142,8 +142,8 @@ def test_the_system_degeneracy_moves_the_fermion_tower_q(tmp_path, capsys, degen
     text = STATE.replace("d = 3\n", f"d = 3\ndegeneracy = {degeneracy}\n") + "tower = fermion-asymptotic\n"
     code, err, out = run_cli(tmp_path, capsys, text, "solve")
     assert (code, err) == (0, "")
-    assert out.splitlines()[1].split(",")[2] == _fmt(q_fermion_asymptotic(3, 3, degeneracy).value)
-    assert q_fermion_asymptotic(3, 3, 2).value < q_fermion_asymptotic(3, 3, 1).value
+    assert out.splitlines()[1].split(",")[2] == _fmt(q_fermion_asymptotic(3, 3, degeneracy))
+    assert q_fermion_asymptotic(3, 3, 2) < q_fermion_asymptotic(3, 3, 1)
 
 
 def test_particle_statistics_is_no_system_key(tmp_path, capsys):
@@ -214,7 +214,10 @@ HUGE_INTEGERS = [
      f"config error: line 2: [system] {PAIRS_PAST_RANGE}{10**200}"),
     ("n-1e400-boson", SWEEP.replace("n = 3", f"n = {10**400}"),
      f"config error: line 2: [system] {PAIRS_PAST_RANGE}{10**400}"),
-    ("d-1e400-boson", SWEEP.replace("d = 3", f"d = {10**400}"), "error: the boson-ground-state Q is past the float range"),
+    ("d-1e400-boson", SWEEP.replace("d = 3", f"d = {10**400}"),
+     f"config error: line 3: [system] d must lie within the float range, got {10**400}"),
+    ("n-1e10-d-1e300-boson", SWEEP.replace("n = 3", f"n = {10**10}").replace("d = 3", f"d = {10**300}"),
+     "error: the boson-ground-state Q is past the float range"),
     ("quanta-1e400", STATE + f"quanta = {10**400},0 0,0\n", "error: the oscillator-tower Q is past the float range"),
 ]
 
@@ -229,6 +232,46 @@ def test_the_pair_count_rule_sits_at_the_float_range():
     require_counts(n=10**154)  # 5e307 pairs
     with pytest.raises(ValueError, match="^" + re.escape(PAIRS_PAST_RANGE)):
         require_counts(n=2 * 10**154)  # 2e308 pairs
+
+
+def test_the_dimension_rule_sits_at_the_float_range():
+    require_counts(d=int(sys.float_info.max))
+    with pytest.raises(ValueError, match=r"^d must lie within the float range, got \d+$"):
+        require_counts(d=int(sys.float_info.max) + 1)
+
+
+# --- closed forms and separations past the float range -----------------------------
+
+BOSON_STAR = ("[system]\nn = 4\nd = 3\n\n[kinetic]\nfamily = semirelativistic\nmass = 0.617\n\n"
+              "[twobody]\nfamily = coulomb\nstrength = 0.1299\n")
+MINIMAL_LENGTH = SYSTEM + "[kinetic]\nfamily = minimal-length\nmass = 1.0\ndeformation = 0.01\n\n" + HARMONIC
+FLOAT_RANGE_REPROS = [
+    ("baryon-a-1e308", SYSTEM, "baryon", ["--a1", "1e308", "--a2", "1e308"], 1,
+     "error: the baryon bounds are not finite, got (inf, inf)"),
+    ("baryon-d-1e400", SYSTEM.replace("d = 3", f"d = {10**400}"), "baryon", ["--a1", "1"], 1,
+     f"config error: line 3: [system] d must lie within the float range, got {10**400}"),
+    ("bosonstar-mass-1e308", BOSON_STAR.replace("n = 4", "n = 2").replace("mass = 0.617", "mass = 1e308"), "bosonstar",
+     [], 1, "error: the boson-star mass at Q = 1.5 and mass 1e+308 is not finite, got inf"),
+    ("bosonstar-q-1e-308", BOSON_STAR + "\n[state]\nq = 1e-308\n", "bosonstar", [], 2,
+     "no stationary point: alpha=0.1299 exceeds the collapse threshold at n=4, Q=1e-308"),
+    ("minlength-amplitude-1e308", MINIMAL_LENGTH.replace("amplitude = 1.0", "amplitude = 1e308"), "minlength", [], 1,
+     "error: the minimal-length level at Q = 3.0 is not finite, got inf"),
+    ("perturb-exponent-1e308", STATE + "q = 1e30\n\n[perturbation]\nepsilon = -0.01\nepsilon_exponent = 1e308\n",
+     "perturb", [], 1, "error: the first-order corrected level is not finite, got -inf"),
+    ("solve-q-5e-324", STATE + "q = 5e-324\n", "solve", [], 1,
+     "error: separation must be strictly positive, got 237 of 513 values not > 0, the smallest 0.0"),
+    ("fermion-q-underflow", STATE.replace("d = 3\n", f"d = 3\ndegeneracy = {10**4000}\n") + "tower = fermion-asymptotic\n",
+     "solve", [], 1, "error: the fermion-asymptotic Q underflows to 0"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text, command, flags, code, expected",
+    [case[1:] for case in FLOAT_RANGE_REPROS], ids=[case[0] for case in FLOAT_RANGE_REPROS],
+)
+def test_a_result_past_the_float_range_is_one_error_line(tmp_path, capsys, text, command, flags, code, expected):
+    assert run_cli(tmp_path, capsys, text, command, *flags) == (code, expected + "\n", "")
 
 
 # --- library errors ----------------------------------------------------------------

@@ -52,7 +52,7 @@ PROBE = textwrap.dedent(
         "after_import": after_import,
         "after_solve": after_solve,
         "linalg_after_oracle": "scipy.linalg" in sys.modules,
-        "airy_q50": q_two_body_auxiliary(1.0, 50, 0, 3).value,
+        "airy_q50": q_two_body_auxiliary(1.0, 50, 0, 3),
     }))
     """
 )

@@ -16,7 +16,6 @@ from envtheory import (
     KineticLaw,
     PotentialFamily,
     PotentialLaw,
-    QValue,
     StateSpec,
     StationaryRoot,
     SystemSpec,
@@ -131,7 +130,7 @@ def test_well_profile_strips_coupling():
     # critical_coupling reads the well as W = -kappa w: kappa is a built-in
     # well's coupling, so the threshold does not depend on it, and 1 for a
     # custom profile, whose own depth stays in w
-    q, mass = QValue(1.5), 1.0
+    q, mass = 1.5, 1.0
     for coupling in (5.0, 1.0):
         cc = critical_coupling("twobody", PotentialLaw.yukawa(coupling, 2.0), 2, q, mass)
         assert cc.y0 == pytest.approx(2.0, rel=1e-12)
@@ -175,9 +174,9 @@ def test_require_positive_accepts(x):
         (-math.inf, "-inf"),
         (np.float64(-3.0), "np.float64(-3.0)"),
         (0, "0"),
-        (np.array([1.0, 0.0, 2.0]), "array([1., 0., 2.])"),
-        (np.array([1.0, math.nan]), "array([ 1., nan])"),
-        (np.array([]), "array([], dtype=float64)"),
+        (np.array([1.0, 0.0, 2.0]), "1 of 3 values not > 0, the smallest 0.0"),
+        (np.array([1.0, math.nan]), "1 of 2 values not > 0, the smallest nan"),
+        (np.array([]), "an empty array"),
     ],
     ids=[
         "nan", "float64-nan", "zero", "negative-zero", "negative", "negative-inf",

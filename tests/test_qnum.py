@@ -5,15 +5,24 @@ import mpmath
 import numpy as np
 import pytest
 
+import envtheory
 from envtheory import (
-    QProvenance,
-    QValue,
+    BosonStarParams,
+    KineticLaw,
+    PotentialLaw,
     StateSpec,
+    SystemSpec,
     airy_zero,
+    auxiliary_energy,
+    boson_star_mass,
+    critical_coupling,
+    minimal_length_energy,
     q_boson_ground,
     q_fermion_asymptotic,
     q_from_quanta,
     q_two_body_auxiliary,
+    solve_nbody,
+    solve_two_body,
 )
 from envtheory.errors import NonFiniteResult, UnsupportedAuxiliary
 from envtheory.qnum import _AIRY_ZEROS
@@ -44,7 +53,6 @@ def test_oscillator_tower():
     state = StateSpec(((1, 2), (0, 1)))
     # sum(2n+l) = 4+1 = 5, plus (N-1) D/2 with N=3, D=4
     assert float(q_from_quanta(state, 4)) == pytest.approx(5.0 + 4.0)
-    assert q_from_quanta(state, 4).provenance is QProvenance.OSCILLATOR_TOWER
 
 
 def test_boson_ground_state():
@@ -104,9 +112,13 @@ def test_fermion_asymptotic_keeps_its_floats_up_to_d_170():
 
 
 def test_a_q_past_the_float_range_is_non_finite():
-    for call in (lambda: q_fermion_asymptotic(3, 10**400), lambda: q_boson_ground(3, 10**400),
+    # d past the float range is no count at all; a d within it can still carry Q past it
+    for call in (lambda: q_fermion_asymptotic(3, 10**308), lambda: q_boson_ground(10**10, 10**300),
                  lambda: q_from_quanta(StateSpec(((10**400, 0),)), 3), lambda: q_two_body_auxiliary(2.0, 10**400, 0, 3)):
         with pytest.raises(NonFiniteResult, match=" Q is past the float range$"):
+            call()
+    for call in (lambda: q_fermion_asymptotic(3, 10**400), lambda: q_boson_ground(3, 10**400)):
+        with pytest.raises(ValueError, match=r"^d must lie within the float range, got 10{400}$"):
             call()
 
 
@@ -139,18 +151,63 @@ def test_linear_tower_needs_d3_swave():
         q_two_body_auxiliary(0.5, 0, 0, 3)
 
 
-def test_qvalue_positivity():
-    with pytest.raises(ValueError):
-        QValue(0.0)
-    with pytest.raises(ValueError):
-        QValue(-1.0)
-    assert float(QValue(2.5)) == 2.5
+@pytest.mark.parametrize(
+    "tower",
+    [
+        lambda: q_from_quanta(StateSpec(((1, 2), (0, 1))), 4),
+        lambda: q_boson_ground(3, 3),
+        lambda: q_boson_ground(np.int64(3), np.int64(3)),
+        lambda: q_fermion_asymptotic(1000, 3, 2),
+        lambda: q_fermion_asymptotic(3, 200),
+        lambda: q_two_body_auxiliary(-1.0, 1, 2, 3),
+        lambda: q_two_body_auxiliary(2.0, 1, 2, 3),
+        lambda: q_two_body_auxiliary(1.0, 50, 0, 3),
+    ],
+    ids=["quanta", "boson", "boson-numpy-counts", "fermion", "fermion-logs", "coulomb", "harmonic", "airy"],
+)
+def test_every_tower_returns_a_plain_float(tower):
+    assert type(tower()) is float
 
 
-@pytest.mark.parametrize("value", [math.inf, 1e400, math.nan])
-def test_qvalue_rejects_non_finite(value):
-    with pytest.raises(ValueError):
-        QValue(value)
+def test_the_q_wrapper_names_are_not_exported():
+    for name in ("QValue", "QProvenance"):
+        assert name not in envtheory.__all__
+        assert not hasattr(envtheory, name)
+
+
+def test_a_fermion_q_that_underflows_is_an_error():
+    # log(degeneracy) / d sends the power through exp to 0
+    with pytest.raises(NonFiniteResult, match="^the fermion-asymptotic Q underflows to 0$"):
+        q_fermion_asymptotic(2, 2, 10**4000)
+
+
+def _q_consumers():
+    level = SystemSpec(n=3, d=3, kinetic=KineticLaw.nonrelativistic(1.0), twobody=PotentialLaw.power_law(1.0, 2.0))
+    return [
+        lambda q: solve_nbody(level, q),
+        lambda q: solve_two_body(KineticLaw.nonrelativistic(0.5), PotentialLaw.coulomb(1.0), None, q),
+        lambda q: critical_coupling("twobody", PotentialLaw.yukawa(1.0, 1.0), 2, q, 1.0),
+        lambda q: auxiliary_energy(1.0, 1.0, 2.0, q),
+        lambda q: boson_star_mass(BosonStarParams(n=3, mass=1.0, alpha=0.1), q),
+        lambda q: minimal_length_energy(2, 3, 1.0, 1.0, 1e-3, q),
+    ]
+
+
+@pytest.mark.parametrize("q", [0.0, -1.0])
+def test_every_q_consumer_rejects_a_non_positive_q(q):
+    # Q is a plain float: each consumer's own check is the one positivity rule
+    for consume in _q_consumers():
+        consume(2.5)
+        with pytest.raises(ValueError, match=f"^quantum number must be positive, got {q}$"):
+            consume(q)
+
+
+@pytest.mark.parametrize("q", [math.inf, 1e400, math.nan], ids=["inf", "1e400", "nan"])
+def test_every_q_consumer_rejects_a_non_finite_q(q):
+    message = "positive, got nan" if math.isnan(q) else "finite, got inf"
+    for consume in _q_consumers():
+        with pytest.raises(ValueError, match=f"^quantum number must be {message}$"):
+            consume(q)
 
 
 def test_airy_zeros_against_frozen_table():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
 
-from envtheory import KineticLaw, PotentialLaw, QValue, SolverConfig, solver, two_body_residual
+from envtheory import KineticLaw, PotentialLaw, SolverConfig, solver, two_body_residual
 from envtheory.errors import NoStationaryPoint, ScanExhausted
 from envtheory.roots import brentq, sign_change_brackets
 
@@ -53,7 +53,7 @@ def test_underflowing_interpolation_bisects_as_scipy_does():
 def test_two_body_residual_root_matches_scipy():
     kinetic = KineticLaw.semirelativistic(1.0)
     potential = PotentialLaw.power_law(1.0, 1.0)
-    q = QValue(2.5)
+    q = 2.5
 
     def f(r0):
         return float(two_body_residual(kinetic, potential, q, r0))

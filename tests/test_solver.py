@@ -11,7 +11,6 @@ from envtheory import (
     CustomProfile,
     KineticLaw,
     PotentialLaw,
-    QValue,
     SolverConfig,
     SystemSpec,
     auxiliary_energy,
@@ -155,10 +154,10 @@ def test_two_body_coulomb_framings_agree():
             kinetic=KineticLaw.nonrelativistic(1.0),
             twobody=PotentialLaw.coulomb(1.0),
         ),
-        QValue(1.5),
+        1.5,
     )
     tb = solve_two_body(
-        KineticLaw.nonrelativistic(0.5), PotentialLaw.coulomb(1.0), None, QValue(1.5)
+        KineticLaw.nonrelativistic(0.5), PotentialLaw.coulomb(1.0), None, 1.5
     )
     assert nb.energy == pytest.approx(tb.energy, rel=1e-12)
     assert nb.energy == pytest.approx(-1.0 / 9.0, rel=1e-12)
@@ -190,7 +189,7 @@ def test_two_body_linear_exact_with_linear_tower():
 def test_fourier_swap_invariance():
     # exchanging the kinetic and potential shapes leaves the level alone and
     # swaps the mean radius and momentum
-    q = QValue(2.5)
+    q = 2.5
     a = solve_two_body(
         KineticLaw.nonrelativistic(0.5),  # p^2
         PotentialLaw.power_law(1.0, 1.0),  # + r
@@ -244,7 +243,7 @@ def test_subcritical_well_is_unbound():
         twobody=PotentialLaw.yukawa(0.5, 1.0),
     )
     with pytest.raises(NoStationaryPoint) as err:
-        solve_nbody(spec, QValue(1.5))
+        solve_nbody(spec, 1.5)
     assert "kinetic" in str(err.value)
 
 
@@ -323,7 +322,7 @@ def test_overcritical_yukawa_two_roots():
         kinetic=KineticLaw.nonrelativistic(1.0),
         twobody=PotentialLaw.yukawa(8.0, 1.0),
     )
-    sol = solve_nbody(spec, QValue(1.5))
+    sol = solve_nbody(spec, 1.5)
     assert sol.n_roots == 2
     # the reported level is the lowest one
     assert sol.energy == pytest.approx(min(r.energy for r in sol.roots), rel=0)
@@ -434,17 +433,14 @@ def test_tight_tolerance_is_honored():
 # --- non-finite quantum numbers ---------------------------------------------
 
 
-# Each case builds its Q inside pytest.raises, because QValue(inf) itself raises.
-@pytest.mark.parametrize(
-    "make_q", [lambda: math.inf, lambda: QValue(math.inf), lambda: math.nan], ids=["inf", "QValue-inf", "nan"]
-)
-def test_non_finite_q_is_rejected(make_q):
+@pytest.mark.parametrize("q", [math.inf, math.nan], ids=["inf", "nan"])
+def test_non_finite_q_is_rejected(q):
     with pytest.raises(ValueError):
-        solve_nbody(harmonic_spec(3, 3, 1.0, 1.0), make_q())
+        solve_nbody(harmonic_spec(3, 3, 1.0, 1.0), q)
     with pytest.raises(ValueError):
-        solve_two_body(KineticLaw.nonrelativistic(0.5), PotentialLaw.power_law(1.0, 1.0), 2.0, make_q())
+        solve_two_body(KineticLaw.nonrelativistic(0.5), PotentialLaw.power_law(1.0, 1.0), 2.0, q)
     with pytest.raises(ValueError):
-        auxiliary_energy(1.0, 1.0, 2.0, make_q())
+        auxiliary_energy(1.0, 1.0, 2.0, q)
 
 
 def test_log_grid_equals_the_logspace_expression_bit_for_bit():
