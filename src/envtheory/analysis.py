@@ -265,10 +265,11 @@ def critical_coupling(
 
     The flag carried by the result states on which side of the true critical
     coupling this estimate falls, inherited from the bound direction of the
-    envelope level itself.  Where the prefactor is not a normal float or
-    Q**2 is not finite, as at a huge N, the same quotient is formed with no
-    power of N or Q.  A coupling beyond the float range (say, from an
-    enormous Q) raises ``NonFiniteResult``.
+    envelope level itself.  Where the prefactor, Q**2 or y0**2 w(y0) is
+    not a normal float, as at a huge N, a tiny Q or a tiny screening length,
+    the same quotient is formed with no power of N, Q or y0.  A coupling
+    beyond the float range (say, from an enormous Q), or one that underflows
+    to 0, raises ``NonFiniteResult``.
     """
     if mode not in ("onebody", "twobody"):
         raise ValueError(f"mode must be 'onebody' or 'twobody', got {mode!r}")
@@ -285,7 +286,7 @@ def critical_coupling(
         prefactor = 2.0 / (n * (n - 1.0) ** 2) if mode == "twobody" else 1.0 / (2.0 * n * n)
     except OverflowError:  # (n - 1) ** 2 past the float range
         prefactor = 0.0
-    if prefactor >= sys.float_info.min and math.isfinite(qv * qv):
+    if _normal(prefactor) and _normal(qv * qv) and _normal(y0 * y0 * w0):
         value = prefactor * (qv * qv / mass) / (y0 * y0 * w0)
     elif mode == "twobody":
         value = _quotient((2.0, qv, qv), (n, n - 1, n - 1, mass, y0, y0, w0))
@@ -293,6 +294,8 @@ def critical_coupling(
         value = _quotient((qv, qv), (2.0, n, n, mass, y0, y0, w0))
     if not np.isfinite(value):
         raise NonFiniteResult(f"the critical coupling at Q = {qv} and mass {mass} is not finite, got {value}")
+    if value == 0.0:
+        raise NonFiniteResult(f"the critical coupling at Q = {qv} and mass {mass} underflows to 0")
 
     # The envelope level for a nonrelativistic particle in this well carries
     # the well's own chart curvature (the kinetic chart is linear).
@@ -301,12 +304,20 @@ def critical_coupling(
     return CriticalCoupling(mode=mode, y0=y0, value=value, bound=verdict.classification)
 
 
+def _normal(x: float) -> bool:
+    """True when ``x`` is a normal float: finite, and neither 0 nor subnormal."""
+    return sys.float_info.min <= abs(x) < math.inf
+
+
 def _quotient(numerators, denominators) -> float:
-    """The product of ``numerators`` over the product of ``denominators``, none of them 0.
+    """The product of ``numerators`` over the product of ``denominators``.
 
     Mantissas and binary exponents are multiplied apart, so no partial
-    product leaves the float range; a quotient past it is inf.
+    product leaves the float range; a quotient past it is inf.  A factor of
+    0, inf or NaN gives NaN.
     """
+    if not all(0.0 < abs(factor) < math.inf for factor in (*numerators, *denominators)):
+        return math.nan
     mantissa, exponent = 1.0, 0
     for factor in numerators:
         m, e = math.frexp(factor)

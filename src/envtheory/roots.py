@@ -12,7 +12,11 @@ bracket).  It takes the same steps, returns the same float and raises the
 same errors, so the solve path needs numpy only and skips the cost of
 importing ``scipy.optimize``.  It also takes the endpoint values a scan
 already holds and hands back the value at its root with the root, so a
-level polished from a scan evaluates no point twice.
+level polished from a scan evaluates no point twice.  Given arrays of
+endpoints, it polishes every element as one lane: each lane takes its own
+scalar steps, with the same floats, and ``f`` is called once per iteration
+on the array of every lane's point, which is how a sweep polishes all of
+its brackets at once.
 """
 
 from __future__ import annotations
@@ -48,6 +52,15 @@ def brentq(
     NaN and sign checks an evaluated one does.  f(root) is the value ``f``
     gave (or ``fa``/``fb`` held) at the returned root, so a caller that
     needs it does not evaluate the root again.
+
+    When ``a`` is a numpy array, ``b`` (and ``fa``, ``fb`` if given) are
+    arrays of its shape, and each element is one bracket, a lane.  Every lane
+    takes its scalar polish's steps with the same floats, all lanes in one
+    loop: ``f`` is called once per iteration with the array of the lanes'
+    points, where a finished lane's element is its own root.  The roots and
+    their values come back as two arrays of that shape.  Where lanes fail,
+    the error raised is the one the first failing lane, in element order,
+    raises alone.
     """
     if maxiter < 0:
         raise ValueError(f"maxiter must be >= 0, got {maxiter}")
@@ -55,6 +68,8 @@ def brentq(
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
     if rtol < _RTOL_MIN:
         raise ValueError(f"rtol too small ({rtol:g} < {_RTOL_MIN:g})")
+    if isinstance(a, np.ndarray):
+        return _brentq_lanes(f, a, b, xtol, rtol, maxiter, fa, fb)
 
     def fx(x: float, known: float | None = None) -> float:
         value = float(f(x) if known is None else known)
@@ -104,6 +119,93 @@ def brentq(
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = fx(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _brentq_lanes(f, a, b, xtol, rtol, maxiter, fa, fb):
+    """``brentq`` on every element of the arrays ``a`` and ``b`` at once; see its docstring.
+
+    Each scalar statement becomes an array statement in the same order, each
+    branch a masked copy, so every lane computes the floats its scalar polish
+    computes.  A point and its value travel as one (2, ...) pair, so one copy
+    moves both.  Where the scalar step divides by zero, which it turns into a
+    bisection, the lane's division gives inf or NaN, which fails the same step
+    test: the lane bisects too.  A finished lane's state runs on unread.
+    """
+    errors = {}  # flat lane index -> the error that lane's scalar polish raises
+
+    def fx(x, known, live):
+        values = np.asarray(f(x) if known is None else known, dtype=float)
+        nan = np.isnan(values)
+        if nan.any():
+            for i in np.flatnonzero(nan & live).tolist():
+                message = f"The function value at x={float(x.flat[i])} is NaN; solver cannot continue."
+                errors.setdefault(i, ValueError(message))
+        return values, nan
+
+    xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
+    live = np.ones(xcur.shape, dtype=bool)
+    (fpre, nan_a), (fcur, nan_b) = fx(xpre, fa, live), fx(xcur, fb, live)
+    done = nan_a | nan_b
+    pre, cur = _pair(xpre, fpre), _pair(xcur, fcur)
+    np.copyto(cur, pre, where=fpre == 0.0)
+    done |= cur[1] == 0.0
+    unsigned = ~done & ((pre[1] < 0.0) == (cur[1] < 0.0))
+    for i in np.flatnonzero(unsigned).tolist():
+        errors[i] = ValueError("f(a) and f(b) must have different signs")
+    done |= unsigned
+    found = cur.copy()  # (root, f(root)) of each finished lane
+    blk, steps = np.zeros(cur.shape), np.zeros(cur.shape)  # (xblk, fblk) and (spre, scur)
+    for _ in range(maxiter):
+        if done.all():
+            break
+        with np.errstate(all="ignore"):  # the scalar steps' inf and NaN
+            # a lane whose values differ in sign, neither zero, restarts its contrapoint
+            flip = np.sign(pre[1]) * np.sign(cur[1]) < 0.0
+            np.copyto(blk, pre, where=flip)
+            np.copyto(steps, cur[0] - pre[0], where=flip)
+            swap = np.abs(blk[1]) < np.abs(cur[1])
+            held = cur.copy()
+            np.copyto(cur, blk, where=swap)
+            np.copyto(pre, held, where=swap)
+            np.copyto(blk, held, where=swap)
+            (xpre, fpre), (xcur, fcur), (xblk, fblk), (spre, scur) = pre, cur, blk, steps
+            delta = (xtol + rtol * np.abs(xcur)) / 2.0
+            sbis = (xblk - xcur) / 2.0
+            stop = ~done & ((fcur == 0.0) | (np.abs(sbis) < delta))
+            np.copyto(found, cur, where=stop)
+            done |= stop
+            if done.all():
+                break
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))  # extrapolate
+            np.copyto(stry, -fcur * (xcur - xpre) / (fcur - fpre), where=xpre == xblk)  # interpolate (secant)
+            limit = 3.0 * np.abs(sbis) - delta
+            np.copyto(limit, np.abs(spre), where=np.abs(spre) < limit)
+            good = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) & (2.0 * np.abs(stry) < limit)
+            steps[0], steps[1] = scur, stry  # a good short step
+            np.copyto(steps, sbis, where=~good)  # else bisect
+            step = np.where(sbis > 0.0, delta, -delta)  # a step below delta is delta toward the contrapoint
+            np.copyto(step, steps[1], where=np.abs(steps[1]) > delta)
+            x = xcur + step
+        np.copyto(x, found[0], where=done)
+        pre = cur
+        value, nan = fx(x, None, ~done)
+        cur = _pair(x, value)
+        done |= nan
+    else:
+        for i in np.flatnonzero(~done).tolist():
+            errors[i] = RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    if errors:
+        raise errors[min(errors)]
+    return found[0], found[1]
+
+
+def _pair(x, value) -> np.ndarray:
+    """x and value stacked as one (2, ...) array."""
+    pair = np.empty((2,) + x.shape)
+    pair[0], pair[1] = x, value
+    return pair
 
 
 @functools.lru_cache(maxsize=32)

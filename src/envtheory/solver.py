@@ -23,16 +23,21 @@ with no bracket gives its verdict from its own samples: no positive one means
 attraction wins at every scale (collapse), no negative one that kinetic
 pressure does (unbound).
 
-``solve_nbody_many`` solves a sequence of N-body points, a sweep, in blocks:
-one 2-D scan finds the brackets on every point's first grid, and each point's
-polish starts from them, with its floats unchanged from ``solve_nbody``.
-Points that share Q share that grid, so a law sweep's block scans one grid
-row: p0, the kinetic term and every unswept law are evaluated once for the
-block, and only the swept term once per point.
+``solve_nbody_many`` solves a sequence of N-body points, a sweep, a run of
+points at a time: one 2-D scan per block of points finds the brackets on
+every point's first grid, and one lane polish (``roots.brentq`` over
+arrays) polishes every bracket of the run at once, each lane with the
+floats of its point's own polish in ``solve_nbody``.  Points that share Q
+share that grid, so a law sweep's block scans one grid row: p0, the kinetic
+term and every unswept law are evaluated once for the block, and only the
+swept term once per point.  Both go through ``stationary_residual``, which
+takes a tuple of specs for a block or the lanes of a run.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, fields
 from functools import partial
 from types import SimpleNamespace
@@ -61,6 +66,12 @@ from .roots import _RTOL_MIN, brentq, log_grid, scan
 # Grid samples in one block scan of ``solve_nbody_many``; it bounds the memory
 # a block holds (31 points at the default 513-sample grid).
 _BLOCK_SAMPLES = 2**14
+# Points in one run of ``solve_nbody_many``, polished as lanes of one loop; it
+# bounds the brackets and roots a run holds, and the work done before a
+# failing point raises (a 100,000-point sweep takes 98 runs).
+_RUN_POINTS = 1024
+# The polish's absolute tolerance: the relative one decides.
+_XTOL = 1e-300
 # Grid samples in the widest scan pass one solve may take (16 MiB of floats).
 _MAX_SCAN_SAMPLES = 2**20
 
@@ -144,13 +155,22 @@ def nbody_energy(spec: SystemSpec, r0, p0):
 _bound = (None, None)
 
 
-def stationary_residual(spec: SystemSpec, q: float, r0):
-    """Stationarity defect at trial scale r0 (vectorized over r0)."""
+def stationary_residual(spec: SystemSpec | tuple[SystemSpec, ...], q, r0):
+    """Stationarity defect at trial scale r0 (vectorized over r0).
+
+    ``spec`` may be a tuple of specs whose laws share their families, with
+    ``q`` their Qs as a (points, 1) column, or one float they all share (see
+    ``_column``).  Row k of the 2-D result is then F of ``spec[k]`` at row k
+    of ``r0``, or at its one row when ``r0`` has one: a block's scan and a
+    run's lane polish evaluate every point at once.  Their Qs are not
+    checked here; ``_block_key`` admits only valid ones.
+    """
     global _bound
-    qv = checked(q, "quantum number", positive=True)
+    block = isinstance(spec, tuple)
+    qv = q if block else checked(q, "quantum number", positive=True)
     bound_spec, residual = _bound
     if bound_spec is not spec:
-        residual = _residual_of(
+        residual = _block_residual_of(spec) if block else _residual_of(
             spec.n,
             float(spec.pair_count),
             spec.kinetic.derivative_function(),
@@ -158,6 +178,8 @@ def stationary_residual(spec: SystemSpec, q: float, r0):
             None if spec.twobody is None else spec.twobody.derivative_function(),
         )
         _bound = (spec, residual)
+    if block:
+        return np.broadcast_to(residual(qv, r0), (len(spec), np.shape(r0)[-1]))
     return residual(qv, r0)
 
 
@@ -186,13 +208,13 @@ def _residual_of(n, c, kinetic, onebody, twobody):
 
 
 def solve_nbody(
-    spec: SystemSpec, q: float, config: SolverConfig | None = None, *, _brackets=None
+    spec: SystemSpec, q: float, config: SolverConfig | None = None, *, _roots=None
 ) -> EnvelopeSolution:
     """Envelope level of the N-body system at global quantum number Q.
 
-    ``_brackets`` is internal to ``solve_nbody_many``: the brackets its block
-    scan found on this point's first grid, with their samples, so the polish
-    starts from them.
+    ``_roots`` is internal to ``solve_nbody_many``: this point's (r0, F)
+    pairs from its run's lane polish, the roots its own scan and polish find,
+    so the level is formed from them.
     """
     qv = checked(q, "quantum number", positive=True)
     return _solve(
@@ -201,42 +223,43 @@ def solve_nbody(
         partial(analysis.classify_bound, spec),
         qv,
         config or _DEFAULT_CONFIG,
-        _brackets,
+        _roots,
     )
 
 
 def solve_nbody_many(
     specs: list[SystemSpec], qs: list[float], config: SolverConfig | None = None
 ) -> list[EnvelopeSolution]:
-    """``[solve_nbody(spec, q, config) for spec, q in zip(specs, qs)]``, solved in blocks.
+    """``[solve_nbody(spec, q, config) for spec, q in zip(specs, qs)]``, solved a run at a time.
 
-    Consecutive points whose laws belong to the same families form a block
-    of at most ``_BLOCK_SAMPLES`` grid samples, whatever their parameters,
-    so a sweep of a power-law exponent is blocked too.  A block takes one 2-D
-    stationarity scan, one row per point, and each row sees the floats its
-    single-point scan sees; every point is then solved by ``solve_nbody``
-    from the brackets of its row.  A point with a custom law or an invalid
-    Q, a point whose row has no bracket and every point of a block whose
-    scan raises take the full single-point scan.  Each result, and the error
+    Up to ``_RUN_POINTS`` consecutive points whose laws belong to the same
+    families form a run, whatever their parameters, so a sweep of a
+    power-law exponent is one run too.  A run is scanned in blocks of at most ``_BLOCK_SAMPLES`` grid
+    samples, one 2-D stationarity scan and one row per point, and each row
+    sees the floats its single-point scan sees.  Every bracket of the run is
+    then polished as one lane of one ``brentq`` over arrays, and each point
+    is finished by ``solve_nbody`` from its roots.  A point with a custom law
+    or an invalid Q, a point whose row has no bracket and every point of a
+    block whose scan raises take the full single-point scan; if the lane
+    polish raises, every point of its run does.  Each result, and the error
     of the first point that fails, are therefore those of the loop above.
     """
     cfg = config or _DEFAULT_CONFIG
-    size = max(1, _BLOCK_SAMPLES // log_grid(cfg.decades, cfg.points_per_decade).size)
     solutions: list[EnvelopeSolution] = []
-    block: list = []
-    block_key = None
+    run: list = []
+    run_key = None
     for spec, q in zip(specs, qs, strict=True):
         key = _block_key(spec, q)
-        if block and (key != block_key or len(block) == size):
-            solutions += _solve_block(block, cfg)
-            block = []
+        if run and (key != run_key or len(run) == _RUN_POINTS):
+            solutions += _solve_run(run, cfg)
+            run = []
         if key is None:
             solutions.append(solve_nbody(spec, q, cfg))
         else:
-            block.append((spec, q))
-            block_key = key
-    if block:
-        solutions += _solve_block(block, cfg)
+            run.append((spec, q))
+            run_key = key
+    if run:
+        solutions += _solve_run(run, cfg)
     return solutions
 
 
@@ -285,18 +308,23 @@ def solve_two_body(
 # ---------------------------------------------------------------------------
 
 
-def _solve(residual, energy, verdict, qv: float, cfg: SolverConfig, brackets=None) -> EnvelopeSolution:
+def _solve(residual, energy, verdict, qv: float, cfg: SolverConfig, roots=None) -> EnvelopeSolution:
     """The level at Q: every root of ``residual`` by ``energy``, and one ``verdict`` around the lowest.
 
     Each bracket's root is polished from the bracket's own samples: ``brentq``
     starts from the scan's values at the ends and hands back F at the root it
     returns, so no point is evaluated twice; a zero-width bracket is a
-    sampled zero, which ``brentq`` returns with its sample.
+    sampled zero, which ``brentq`` returns with its sample.  ``roots``, the
+    (r0, F) pairs a lane polish already found, replace the scan and polish.
     """
-    rtol = max(cfg.tolerance, _RTOL_MIN)
+    if roots is None:
+        rtol = max(cfg.tolerance, _RTOL_MIN)
+        roots = (
+            brentq(residual, lo, hi, xtol=_XTOL, rtol=rtol, maxiter=cfg.max_iterations, fa=f_lo, fb=f_hi)
+            for lo, hi, f_lo, f_hi in _scan_passes(residual, qv, cfg)
+        )
     stationary = []
-    for lo, hi, f_lo, f_hi in brackets or _scan_passes(residual, qv, cfg):
-        r0, value = brentq(residual, lo, hi, xtol=1e-300, rtol=rtol, maxiter=cfg.max_iterations, fa=f_lo, fb=f_hi)
+    for r0, value in roots:
         p0 = qv / r0
         stationary.append(StationaryRoot(r0=r0, p0=p0, energy=float(energy(r0, p0)), residual=value))
     stationary.sort(key=lambda root: root.energy)
@@ -344,10 +372,10 @@ def _scan_passes(residual, guess: float, cfg: SolverConfig) -> list[tuple[float,
 
 
 def _block_key(spec: SystemSpec, q):
-    """What a point shares with its block, or None for a point solved alone.
+    """What a point shares with its run, or None for a point solved alone.
 
-    That is its law families alone: a block may mix every parameter,
-    power-law exponents included (see ``_block_residual``).
+    That is its law families alone: a run may mix every parameter,
+    power-law exponents included (see ``_block_residual_of``).
     """
     laws = (spec.kinetic, spec.onebody, spec.twobody)
     families = tuple(None if law is None else law.family for law in laws)
@@ -360,28 +388,34 @@ def _block_key(spec: SystemSpec, q):
     return families
 
 
-def _block_residual(specs: list[SystemSpec], qs: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    """F at r0[k, :] for point specs[k], for every k, in one evaluation: one row per point.
+def _shared(values: list) -> bool:
+    """True when every point holds the same value, with 0.0 and -0.0 told apart."""
+    first = values[0]
+    if values.count(first) != len(values):
+        return False
+    return first != 0 or len({math.copysign(1.0, value) for value in values}) == 1
+
+
+def _column(values):
+    """``values`` as a (points, 1) column, or their one value when every point shares it."""
+    return values[0] if _shared(values) else np.array(values, dtype=float)[:, None]
+
+
+def _block_residual_of(specs: tuple[SystemSpec, ...]):
+    """F(q, r0) for every point of ``specs`` in one evaluation: one row per point.
 
     Each law's formula in ``FAMILIES`` is bound to a namespace of its
-    parameters as (points, 1) columns, so it broadcasts over the points
-    unchanged.  A number every point shares stays the points' own scalar,
-    and is evaluated once for the whole block: when the points share Q,
-    ``r0`` may be one (1, S) grid row, so p0, the kinetic term and every
-    unswept law take one row and only the terms whose parameters differ
-    spread to one row per point.
+    parameters as ``_column``s, so it broadcasts over the points unchanged.
+    A number every point shares stays the points' own scalar, and is
+    evaluated once for all of them: when the points share Q, ``r0`` may be
+    one (1, S) grid row, so p0, the kinetic term and every unswept law take
+    one row and only the terms whose parameters differ spread to one row per
+    point.
     ``np.power`` takes a fast path for some scalar exponents (2, 0.5, -1,
     ...) that a column of exponents does not, so a power law whose exponent
     differs between rows is evaluated row by row, one ``np.power`` call per
-    row with that point's own exponent.  Rows that come out as one are
-    returned as a read-only broadcast view of it.
+    row with that point's own exponent.
     """
-
-    def shared(values) -> bool:
-        return len(set(map(repr, values))) == 1
-
-    def column(values):
-        return values[0] if shared(values) else np.array(values, dtype=float)[:, None]
 
     def row_by_row(laws):
         functions = [law.derivative_function() for law in laws]
@@ -395,33 +429,68 @@ def _block_residual(specs: list[SystemSpec], qs: np.ndarray, r0: np.ndarray) -> 
         law = laws[0]
         if law is None:
             terms.append(None)
-        elif law.family is PotentialFamily.POWER_LAW and not shared([each.exponent for each in laws]):
+        elif law.family is PotentialFamily.POWER_LAW and not _shared([each.exponent for each in laws]):
             terms.append(row_by_row(laws))
         else:
             record = FAMILIES[law.family]
-            params = {param.name: column([getattr(each, param.name) for each in laws]) for param in record.params}
+            params = {param.name: _column([getattr(each, param.name) for each in laws]) for param in record.params}
             terms.append(partial(record.derivative, SimpleNamespace(**params)))
-    residual = _residual_of(
-        column([spec.n for spec in specs]), column([float(spec.pair_count) for spec in specs]), *terms
+    return _residual_of(
+        _column([spec.n for spec in specs]), _column([float(spec.pair_count) for spec in specs]), *terms
     )
-    return np.broadcast_to(residual(column(qs.tolist()), r0), (len(specs), np.shape(r0)[-1]))
 
 
-def _solve_block(block: list, cfg: SolverConfig) -> list[EnvelopeSolution]:
-    """Every point of ``block`` solved by ``solve_nbody`` from the brackets of one 2-D ``scan``.
+def _solve_run(run: list, cfg: SolverConfig) -> list[EnvelopeSolution]:
+    """Every point of ``run`` solved by ``solve_nbody`` from the roots of one lane polish.
 
-    Points that share Q share their grid, so the block samples one (1, S)
-    row, which ``_block_residual`` spreads to a row per point only where a
-    parameter differs; each sample is still the float its point's own scan
-    computes.
+    The run is scanned in blocks of at most ``_BLOCK_SAMPLES`` grid samples.
+    If the lane polish raises, every point of the run is solved alone, so
+    the first point that fails raises its own error.
     """
-    specs = [spec for spec, _ in block]
+    size = max(1, _BLOCK_SAMPLES // log_grid(cfg.decades, cfg.points_per_decade).size)
+    rows = []
+    for start in range(0, len(run), size):
+        rows += _scan_block(run[start : start + size], cfg)
+    try:
+        polished = _polish_rows(run, rows, cfg)
+    except Exception:  # noqa: BLE001 - each point's own solve raises what it raises
+        return [solve_nbody(spec, q, cfg) for spec, q in run]
+    return [solve_nbody(spec, q, cfg, _roots=roots or None) for (spec, q), roots in zip(run, polished)]
+
+
+def _polish_rows(run: list, rows: list[list], cfg: SolverConfig) -> list[list[tuple[float, float]]]:
+    """Each point's (r0, F) roots from its row of brackets: every bracket of the run is a lane of one ``brentq``.
+
+    Each lane computes the floats of its point's own polish.  numpy's
+    floating-point warnings are errors here, so a lane polish that would
+    warn raises, and its points are solved alone, warning as they always do.
+    """
+    lanes = [k for k, row in enumerate(rows) for _ in row]
+    roots: list[list] = [[] for _ in run]
+    if not lanes:
+        return roots
+    lo, hi, f_lo, f_hi = (np.array(column)[:, None] for column in zip(*itertools.chain.from_iterable(rows)))
+    specs = tuple(run[k][0] for k in lanes)
+    residual = partial(stationary_residual, specs, _column([float(run[k][1]) for k in lanes]))
+    raising = {kind: "ignore" if how == "ignore" else "raise" for kind, how in np.geterr().items()}
+    with np.errstate(**raising):
+        rtol = max(cfg.tolerance, _RTOL_MIN)
+        r0, values = brentq(residual, lo, hi, xtol=_XTOL, rtol=rtol, maxiter=cfg.max_iterations, fa=f_lo, fb=f_hi)
+    for k, root in zip(lanes, zip(r0[:, 0].tolist(), values[:, 0].tolist())):
+        roots[k].append(root)
+    return roots
+
+
+def _scan_block(block: list, cfg: SolverConfig) -> list[list]:
+    """The brackets of each point of ``block`` on its first grid, from one 2-D ``scan``; none where the scan raises."""
+    specs = tuple(spec for spec, _ in block)
     qs = np.array([float(q) for _, q in block])
     if (qs == qs[0]).all():
         qs = qs[:1]
+    residual = partial(stationary_residual, specs, _column(qs.tolist()))
     try:
-        _, brackets = scan(partial(_block_residual, specs, qs), qs[:, None], cfg.decades, cfg.points_per_decade)
+        _, brackets = scan(residual, qs[:, None], cfg.decades, cfg.points_per_decade)
     except (ArithmeticError, ValueError, EnvelopeError):
         # the single-point scans raise it again, from the point it belongs to
         brackets = [[]] * len(block)
-    return [solve_nbody(spec, q, cfg, _brackets=pairs) for (spec, q), pairs in zip(block, brackets)]
+    return brackets

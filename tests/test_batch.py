@@ -10,6 +10,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,14 +55,14 @@ def _blocked(specs, qs, config=None):
 
 
 def _count_full_scans(monkeypatch):
-    """The points solved without brackets from a block scan."""
+    """The points solved without roots from a lane polish, so by their own scan and polish."""
     calls = []
     single = solver.solve_nbody
 
-    def counted(spec, q, config=None, *, _brackets=None):
-        if not _brackets:
+    def counted(spec, q, config=None, *, _roots=None):
+        if _roots is None:
             calls.append(q)
-        return single(spec, q, config, _brackets=_brackets)
+        return single(spec, q, config, _roots=_roots)
 
     monkeypatch.setattr(solver, "solve_nbody", counted)
     return calls
@@ -306,7 +307,7 @@ def _assert_block_scans_match(specs, qs):
         grids = [q * log_grid(cfg.decades, cfg.points_per_decade) for q in block_qs]
         with np.errstate(all="ignore"):
             each = np.array([stationary_residual(s, q, g) for s, q, g in zip(block_specs, block_qs, grids)])
-            stacked = solver._block_residual(list(block_specs), np.array(block_qs), np.array(grids))
+            stacked = stationary_residual(block_specs, solver._column(list(block_qs)), np.array(grids))
         np.testing.assert_array_equal(stacked, each)
         assert np.array_equal(np.signbit(stacked), np.signbit(each))
         # the polish starts from a row's samples: each is the point's own scalar F
@@ -348,18 +349,23 @@ def _harmonic(n, d, amplitude=1.0):
 
 
 def _block_scan_rows(monkeypatch, specs, qs):
-    """The r0 grid of the one block ``solve_nbody_many`` scans, each row checked against its point's own scan."""
+    """The r0 grid of the one block ``solve_nbody_many`` scans, each row checked against its point's own scan.
+
+    The scan is the one call of ``stationary_residual`` on a tuple of specs
+    with more than one r0 a row; the lane polish's calls take one r0 a lane.
+    """
     cfg = SolverConfig()
     assert len({solver._block_key(spec, q) for spec, q in zip(specs, qs)}) == 1
     scans = []
-    block_residual = solver._block_residual
+    residual = solver.stationary_residual
 
-    def spy(block_specs, block_qs, r0):
-        values = block_residual(block_specs, block_qs, r0)
-        scans.append((r0, values))
+    def spy(spec, q, r0):
+        values = residual(spec, q, r0)
+        if isinstance(spec, tuple) and np.shape(r0)[-1] > 1:
+            scans.append((r0, values))
         return values
 
-    monkeypatch.setattr(solver, "_block_residual", spy)
+    monkeypatch.setattr(solver, "stationary_residual", spy)
     solve_nbody_many(specs, qs, cfg)
     ((grid, values),) = scans
     with np.errstate(all="ignore"):
@@ -474,6 +480,74 @@ def test_two_root_points():
     assert {sol.n_roots for sol in blocked} == {2}
 
 
+def _lane_polishes(monkeypatch):
+    """The number of lanes of each ``brentq`` call over arrays, the lane polishes of ``solve_nbody_many``."""
+    polishes = []
+    polish = solver.brentq
+
+    def spy(f, a, b, *args, **kwargs):
+        if isinstance(a, np.ndarray):
+            polishes.append(a.size)
+        return polish(f, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "brentq", spy)
+    return polishes
+
+
+_TWO_ROOT_RUNS = {
+    # the committed two-root sweep's system, its coupling swept over two scan blocks
+    "yukawa-coupling": [
+        SystemSpec(2, 3, KineticLaw.nonrelativistic(1.6899), twobody=PotentialLaw.yukawa(g, 1.1232))
+        for g in np.linspace(6.0, 60.0, 40).tolist()
+    ],
+    "gaussian-coupling": [
+        SystemSpec(3, 3, KineticLaw.nonrelativistic(1.0), twobody=PotentialLaw.gaussian(g, 1.0))
+        for g in np.linspace(3.0, 60.0, 40).tolist()
+    ],
+}
+
+
+@pytest.mark.parametrize("specs", _TWO_ROOT_RUNS.values(), ids=_TWO_ROOT_RUNS)
+def test_a_two_root_run_is_one_lane_polish(monkeypatch, specs):
+    qs = [q_boson_ground(spec.n, spec.d) for spec in specs]
+    block = solver._BLOCK_SAMPLES // log_grid(SolverConfig().decades, SolverConfig().points_per_decade).size
+    assert len(specs) > block  # the run spans two scan blocks
+    want = _each(specs, qs)
+    calls = _count_full_scans(monkeypatch)
+    polishes = _lane_polishes(monkeypatch)
+    assert _blocked(specs, qs) == want
+    assert calls == []
+    assert {solution.n_roots for solution in want} == {2}
+    assert polishes == [2 * len(specs)]  # every bracket of the run is a lane of one polish
+
+
+def test_a_long_run_is_polished_run_points_at_a_time(monkeypatch):
+    monkeypatch.setattr(solver, "_RUN_POINTS", 16)
+    specs = _TWO_ROOT_RUNS["yukawa-coupling"]
+    qs = [1.5] * len(specs)
+    want = _each(specs, qs)
+    polishes = _lane_polishes(monkeypatch)
+    assert _blocked(specs, qs) == want
+    assert polishes == [32, 32, 16]  # 16, 16 and 8 points of two roots each
+
+
+def test_a_raising_lane_polish_solves_its_run_point_by_point(monkeypatch):
+    specs = _TWO_ROOT_RUNS["yukawa-coupling"]
+    qs = [1.5] * len(specs)
+    want = _each(specs, qs)
+    calls = _count_full_scans(monkeypatch)
+    polish = solver.brentq
+
+    def failing(f, a, b, *args, **kwargs):
+        if isinstance(a, np.ndarray):
+            raise FloatingPointError("overflow encountered in multiply")
+        return polish(f, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "brentq", failing)
+    assert _blocked(specs, qs) == want
+    assert calls == qs
+
+
 def test_fallback_points_match(monkeypatch):
     # a narrow first scan misses the stiff springs' roots, so they need the expansions
     config = SolverConfig(decades=1.0, points_per_decade=8)
@@ -524,6 +598,24 @@ def test_empty_input():
 def _collapse(n=3):
     # ultrarelativistic kinematics lose to a strong Coulomb attraction at every scale
     return SystemSpec(n, 3, KineticLaw.ultrarelativistic(), twobody=PotentialLaw.coulomb(10.0))
+
+
+@pytest.mark.parametrize("warnings_as_errors", [False, True], ids=["default", "warnings-as-errors"])
+@pytest.mark.parametrize("specs", _TWO_ROOT_RUNS.values(), ids=_TWO_ROOT_RUNS)
+def test_first_error_wins_in_a_lane_polished_run(specs, warnings_as_errors):
+    # a weak well mid-run binds nothing; an invalid Q fails its point before any solve
+    unbound = dataclasses.replace(specs[0], twobody=dataclasses.replace(specs[0].twobody, coupling=0.5))
+    qs = [q_boson_ground(spec.n, spec.d) for spec in specs]
+    for k, m in ((20, 35), (35, 20), (3, 33)):
+        broken_specs, broken_qs = list(specs), list(qs)
+        broken_specs[k] = unbound
+        broken_qs[m] = -1.0
+        with warnings.catch_warnings():
+            if warnings_as_errors:
+                warnings.simplefilter("error")
+            outcome = _blocked(broken_specs, broken_qs)
+            assert outcome == _each(broken_specs, broken_qs)
+        assert outcome[0] is (NoStationaryPoint if k < m else ValueError)
 
 
 def test_first_error_wins_across_blocks():

@@ -262,6 +262,13 @@ FLOAT_RANGE_REPROS = [
      "error: separation must be strictly positive, got 237 of 513 values not > 0, the smallest 0.0"),
     ("fermion-q-underflow", STATE.replace("d = 3\n", f"d = 3\ndegeneracy = {10**4000}\n") + "tower = fermion-asymptotic\n",
      "solve", [], 1, "error: the fermion-asymptotic Q underflows to 0"),
+    # y0**2 w(y0) underflows to 0 at the screening length 1e-200; the quotient with no power of y0 overflows
+    ("critical-screening-1e-200", "[system]\nn = 2\nd = 2\n\n" + KINETIC + "[twobody]\nfamily = exponential\ncoupling = 44\n"
+     "screening = 1e-200\n", "critical", ["--mode", "twobody"], 1,
+     "error: the critical coupling at Q = 1.0 and mass 1.0 is not finite, got inf"),
+    # Q**2 underflows to 0 at a subnormal Q; the quotient with no power of Q underflows too
+    ("critical-q-5e-324", SYSTEM + KINETIC + YUKAWA.replace("coupling = 1.0", "coupling = 5") + "\n[state]\nq = 5e-324\n",
+     "critical", ["--mode", "twobody"], 1, "error: the critical coupling at Q = 5e-324 and mass 1.0 underflows to 0"),
 ]
 
 

@@ -3,11 +3,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
 from envtheory import KineticLaw, PotentialLaw, SolverConfig, solver, two_body_residual
 from envtheory.errors import NoStationaryPoint, ScanExhausted
-from envtheory.roots import brentq, sign_change_brackets
+from envtheory.roots import _RTOL_MIN, brentq, sign_change_brackets
 
 EPS = 2.220446049250313e-16
 
@@ -127,6 +129,136 @@ def test_value_at_a_zero_endpoint():
 def test_known_endpoint_values_are_checked(fa, fb, message):
     with pytest.raises(ValueError, match=message):
         brentq(lambda x: x - 1.0, 0.0, 2.0, fa=fa, fb=fb)
+
+
+# --- brentq over arrays: one lane per bracket ----------------------------------------
+
+# derandomized, so tier-1 sees the same draws on every run
+LANES = settings(derandomize=True, max_examples=200, deadline=None)
+LINE, CUBIC, STAIRS = 0.0, 1.0, 2.0
+
+
+def _lane_law(x, params):
+    """Each lane's function at its x: a line, a cubic or a staircase through the lane's root.
+
+    A lane is (kind, scale, root, density, offset).  The staircase's plateaus
+    give equal values at distinct points, so secant and inverse-quadratic
+    denominators of exactly 0; an offset of 0 puts a plateau of exact zeros
+    at its root, and a scale of 1e-200 underflows the cubic to exact zeros
+    near its root.  Only exactly rounded operations, so a lane of an array
+    and the same lane alone compute the same floats.
+    """
+    kind, scale, root, density, offset = params.T
+    d = x - root
+    line, cubic, stairs = d, d * d * d + offset * d, np.floor(d * density) + offset
+    return scale * np.where(kind == LINE, line, np.where(kind == CUBIC, cubic, stairs))
+
+
+_LANE = st.tuples(
+    st.sampled_from([LINE, CUBIC, STAIRS]),
+    st.sampled_from([1.0, -1.0, 1e-200, -3e150]),
+    st.floats(0.5, 2.0),
+    st.sampled_from([1.0, 8.0, 1024.0]),
+    st.sampled_from([0.0, 0.25, 0.5]),
+    # the bracket's reach below and above the root: 0 for an endpoint at the root
+    st.one_of(st.just(0.0), st.floats(1e-3, 1.5)),
+    st.one_of(st.just(0.0), st.floats(1e-3, 1.5)),
+    st.booleans(),  # the bracket given high end first
+)
+
+
+def _hex(values):
+    return [float(value).hex() for value in values]
+
+
+@LANES
+@given(lanes=st.lists(_LANE, min_size=1, max_size=12), known=st.booleans(), rtol=st.sampled_from([_RTOL_MIN, 1e-9]))
+def test_every_lane_takes_its_scalar_polish_steps(lanes, known, rtol):
+    params = np.array([lane[:5] for lane in lanes])
+    roots = params[:, 2]
+    below, above = (np.array([lane[k] for lane in lanes]) for k in (5, 6))
+    a, b = roots - below, roots + above
+    swapped = np.array([lane[7] for lane in lanes])
+    a, b = np.where(swapped, b, a), np.where(swapped, a, b)
+    fa, fb = _lane_law(a, params), _lane_law(b, params)
+    valid = (fa == 0.0) | (fb == 0.0) | ((fa < 0.0) != (fb < 0.0))
+    assume(valid.any())
+    params, a, b, fa, fb = params[valid], a[valid], b[valid], fa[valid], fb[valid]
+    ends = {"fa": fa, "fb": fb} if known else {}
+    columns = []
+
+    def f(x):
+        columns.append(x.copy())
+        return _lane_law(x, params)
+
+    got_roots, got_values = brentq(f, a, b, xtol=1e-300, rtol=rtol, maxiter=200, **ends)
+    for k in range(len(a)):
+        xs = []
+
+        def g(x, k=k):
+            xs.append(x)
+            return _lane_law(np.array([x]), params[k : k + 1])[0]
+
+        ends = {"fa": float(fa[k]), "fb": float(fb[k])} if known else {}
+        root, value = brentq(g, float(a[k]), float(b[k]), xtol=1e-300, rtol=rtol, maxiter=200, **ends)
+        assert _hex([root, value]) == _hex([got_roots[k], got_values[k]])
+        lane = [column[k] for column in columns]
+        # the lane evaluates its scalar polish's points in order, then only its root
+        assert _hex(lane[: len(xs)]) == _hex(xs)
+        assert set(_hex(lane[len(xs) :])) <= set(_hex([root]))
+
+
+def _with_nan_gap(x):
+    """x**3 - 2 with NaN on (1.0, 1.5), where its root lies: a polish meets the NaN."""
+    return np.where((x > 1.0) & (x < 1.5), math.nan, x * x * x - 2.0)
+
+
+def _slow(x):
+    """A steep tanh step at 0.3, which Brent reaches only after several bisections."""
+    return np.tanh(30.0 * (x - 0.3))
+
+
+def _lanes_of(functions):
+    """One function of x for an array of lanes, lane k evaluated by ``functions[k]``."""
+    return lambda x: np.array([function(np.array([xk]))[0] for function, xk in zip(functions, x.tolist())])
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - the error itself is the outcome
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "functions, maxiter, error",
+    [
+        ([_slow, _with_nan_gap, _slow], 200, (ValueError, "is NaN; solver cannot continue.")),
+        ([_slow, _slow, _with_nan_gap], 3, (RuntimeError, "Failed to converge after 3 iterations.")),
+        ([_with_nan_gap, _slow], 3, (ValueError, "is NaN; solver cannot continue.")),
+        ([lambda x: x - 1.0, _slow, _with_nan_gap], 0, (RuntimeError, "Failed to converge after 0 iterations.")),
+    ],
+    ids=["nan", "maxiter", "nan-before-maxiter", "maxiter-0"],
+)
+def test_a_failing_lane_raises_what_its_scalar_polish_raises(functions, maxiter, error):
+    a, b = np.full(len(functions), -2.0), np.full(len(functions), 2.0)
+    a[0] = 1.0 if maxiter == 0 else a[0]  # a lane at its root at once stops before any iteration
+    alone = [
+        _outcome(lambda k=k: brentq(lambda x: float(functions[k](np.array([x]))[0]), float(a[k]), float(b[k]), xtol=1e-300, maxiter=maxiter))
+        for k in range(len(functions))
+    ]
+    first = next(outcome for outcome in alone if isinstance(outcome[0], type))
+    assert first[0] is error[0] and first[1].endswith(error[1])
+    with np.errstate(invalid="ignore"):
+        assert _outcome(lambda: brentq(_lanes_of(functions), a, b, xtol=1e-300, maxiter=maxiter)) == first
+
+
+def test_lanes_of_zero_width_and_same_sign_brackets():
+    a = np.array([1.0, 2.0, 0.0])
+    b = np.array([1.0, 3.0, 2.0])
+    assert _outcome(lambda: brentq(lambda x: x - 1.0, a, b)) == (ValueError, "f(a) and f(b) must have different signs")
+    roots, values = brentq(lambda x: x - 1.0, a[[0, 2]], b[[0, 2]], fa=np.array([0.0, -1.0]), fb=np.array([0.0, 1.0]))
+    assert roots.tolist() == [1.0, 1.0] and values.tolist() == [0.0, 0.0]
 
 
 # The solver's verdict on a scan without a bracket, by the overall sign of its samples.

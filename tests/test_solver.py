@@ -518,17 +518,61 @@ def test_nbody_level_polishes_from_its_scan(monkeypatch, spec):
     points = _scalar_points(monkeypatch, "stationary_residual")
     solution = solve_nbody(spec, q)
     _assert_polished_from_the_scan(solution, points, f, q)
-    # the block path hands each row's samples to the same polish, with n,
-    # pair_count and q differing between rows
+    # the block path polishes each row's brackets as lanes of one array, with
+    # n, pair_count and q differing between rows: each lane evaluates its
+    # bracket's scalar polish points, in order, then only its own root again
     other = dataclasses.replace(spec, n=spec.n + 1)
     alone = list(points)
     points.clear()
     other_solution = solve_nbody(other, 2.0)
     other_points = list(points)
     points.clear()
+    columns = _lane_columns(monkeypatch)
     blocked = solve_nbody_many([spec, other, spec], [q, 2.0, q])
     assert blocked == [solution, other_solution, solution]
-    assert sorted(points) == sorted(2 * alone + other_points)
+    if solver._block_key(spec, q) is None:  # a custom law is solved alone
+        assert columns == []
+        assert sorted(points) == sorted(2 * alone + other_points)
+        return
+    assert points == []
+    expected = _scalar_polishes(spec, q) + _scalar_polishes(other, 2.0) + _scalar_polishes(spec, q)
+    lanes = list(zip(*columns))
+    assert len(lanes) == len(expected) == 2 * solution.n_roots + other_solution.n_roots
+    for lane, (xs, root) in zip(lanes, expected):
+        assert list(lane[: len(xs)]) == xs
+        assert set(lane[len(xs) :]) <= {root}
+
+
+def _lane_columns(monkeypatch):
+    """The r0 of each lane at every call the lane polish makes to ``stationary_residual``."""
+    columns = []
+    original = solver.stationary_residual
+
+    def recorded(spec, q, r0):
+        if isinstance(spec, tuple) and np.shape(r0)[-1] == 1:
+            columns.append(np.asarray(r0)[:, 0].tolist())
+        return original(spec, q, r0)
+
+    monkeypatch.setattr(solver, "stationary_residual", recorded)
+    return columns
+
+
+def _scalar_polishes(spec, q):
+    """(the r0 it evaluates, its root) for the scalar polish of each bracket of the first scan of (spec, q)."""
+    grid = q * log_grid(8.0, 64)
+    with np.errstate(all="ignore"):
+        brackets = sign_change_brackets(grid, stationary_residual(spec, q, grid))
+    polishes = []
+    for lo, hi, f_lo, f_hi in brackets:
+        xs = []
+
+        def f(r0):
+            xs.append(r0)
+            return stationary_residual(spec, q, r0)
+
+        root, _ = brentq(f, lo, hi, xtol=1e-300, rtol=max(SolverConfig().tolerance, 4.0 * EPS), maxiter=200, fa=f_lo, fb=f_hi)
+        polishes.append((xs, root))
+    return polishes
 
 
 @pytest.mark.parametrize(
