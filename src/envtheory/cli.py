@@ -11,7 +11,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from . import analysis, apps, oracle, solver
 from .errors import (
@@ -44,7 +44,6 @@ _SECTION_NAMES = (
     "onebody",
     "twobody",
     "state",
-    "solver",
     "perturbation",
 )
 
@@ -221,7 +220,6 @@ class RunConfig:
     onebody: PotentialLaw | None
     twobody: PotentialLaw | None
     state: str | StateSpec | float  # a tower name, the [state] quanta, or the [state] q
-    solver: solver.SolverConfig
     perturbation: analysis.PerturbationSpec | None
 
     def system(self, **laws) -> SystemSpec:
@@ -291,13 +289,6 @@ def config_from_sections(sections: Sections) -> RunConfig:
             q = _get_number("state", data, "q")
             state = _reported(f"line {_line_of(data, 'q')}: [state] ", checked, q, "q", positive=True)
 
-    # [solver] keys are SolverConfig's fields, each parsed as its default's type
-    data = sections.get("solver", {})
-    kinds = {f.name: type(f.default) for f in fields(solver.SolverConfig)}
-    _reject_unknown("solver", data, set(kinds))
-    values = {key: _get_number("solver", data, key, kind) for key, kind in kinds.items() if key in data}
-    solver_cfg = _reported("[solver] ", solver.SolverConfig, **values)
-
     perturbation = None
     if "perturbation" in sections:
         data = sections["perturbation"]
@@ -333,7 +324,6 @@ def config_from_sections(sections: Sections) -> RunConfig:
         onebody=onebody,
         twobody=twobody,
         state=state,
-        solver=solver_cfg,
         perturbation=perturbation,
     )
 
@@ -352,7 +342,7 @@ def _level(cfg: RunConfig):
     """The configured system, its Q and its solved level."""
     system = cfg.system()
     q = cfg.resolve_q()
-    return system, q, solver.solve_nbody(system, q, cfg.solver)
+    return system, q, solver.solve_nbody(system, q)
 
 
 def _need(law, slot: str, family, command: str) -> None:
@@ -505,9 +495,9 @@ def _cmd_sweep(cfg: RunConfig, args) -> list[dict]:
             qs.append(q)
     except Exception:
         # the points before the bad one are solved first: an error there wins
-        solver.solve_nbody_many(systems, qs, cfg.solver)
+        solver.solve_nbody_many(systems, qs)
         raise
-    solutions = solver.solve_nbody_many(systems, qs, cfg.solver)
+    solutions = solver.solve_nbody_many(systems, qs)
     return [
         dict(param=param, value=value, **_level_row(system, q, sol))
         for value, system, q, sol in zip(values, systems, qs, solutions)

@@ -28,9 +28,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from types import SimpleNamespace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -114,10 +116,9 @@ def checked(value, what: str, positive: bool = False) -> float:
     """``value`` as a finite float, positive when ``positive`` is set.
 
     The one number check behind the law constructors, ``SystemSpec``,
-    ``SolverConfig``, the solver's Q, the oracles and the closed
-    forms: NaN, ±inf and a value that is not > 0 where ``positive`` asks for
-    one raise ValueError naming ``what``.  An integer past the float range
-    counts as ±inf.
+    the solver's Q, the oracles and the closed forms: NaN, ±inf and a value
+    that is not > 0 where ``positive`` asks for one raise ValueError naming
+    ``what``.  An integer past the float range counts as ±inf.
     """
     try:
         number = float(value)
@@ -251,6 +252,7 @@ class LawFamily:
     derivative: Callable
     tag: Callable = lambda law, lam: None
     short_range: bool = False
+    custom: bool = False  # a user profile stands in for the parameters
 
     def named(self, args) -> dict:
         """The parameters ``args``, given in table order, by name."""
@@ -259,7 +261,11 @@ class LawFamily:
         return {param.name: value for param, value in zip(self.params, args)}
 
     def check(self, law) -> None:
-        """Check each parameter field of ``law`` in table order, and store it as a float."""
+        """Check each parameter field of ``law`` in table order, and store it as a float.
+
+        Every other field must hold its default (see ``_FOREIGN``), so a law
+        holds exactly its family's fields; a custom law must hold a profile.
+        """
         for param in self.params:
             value = getattr(law, param.name)
             try:
@@ -271,6 +277,12 @@ class LawFamily:
                 raise ValueError(f"{self.label} needs {lack}")
             if number is not value:
                 object.__setattr__(law, param.name, number)
+        pairs, read, defaults = _FOREIGN[law.family]
+        if read(law) != defaults:
+            name = next(name for name, default in pairs if getattr(law, name) != default)
+            raise ValueError(f"{self.label} takes no {name}, got {getattr(law, name)!r}")
+        if self.custom and not isinstance(law.profile, CustomProfile):
+            raise TypeError(f"{self.label} needs a CustomProfile, got {law.profile!r}")
 
 
 def _tagged(convexity: Convexity) -> Callable:
@@ -309,16 +321,14 @@ def _custom_family(kind: str) -> LawFamily:
             raise EvaluationDomainError(f"custom {kind} profile failed at {x!r}") from exc
 
     def value(law, x):
-        if law.profile is None:
-            raise EvaluationDomainError(f"custom {kind} law carries no profile")
         return call(law.profile.value, x)
 
     def derivative(law, x):
-        if law.profile is not None and law.profile.derivative is not None:
+        if law.profile.derivative is not None:
             return call(law.profile.derivative, x)
         return _central_difference(law.value, x)
 
-    return LawFamily(f"custom {kind} law", (), value, derivative)
+    return LawFamily(f"custom {kind} law", (), value, derivative, custom=True)
 
 
 def _short_range_family(
@@ -589,6 +599,30 @@ class PotentialLaw:
     def convexity_tag(self, aux_exponent: float | None = None) -> Convexity | None:
         """Sign of the chart curvature on all of s > 0; None for a custom profile."""
         return FAMILIES[self.family].tag(self, chart_exponent(aux_exponent))
+
+
+def _foreign_fields(law_cls: type, record: LawFamily) -> tuple:
+    """((name, default) pairs, one getter of them, its defaults) for the fields of ``law_cls`` that ``record`` does not name.
+
+    A built-in family's include the profile; a custom law must hold one.
+    ``short_range`` follows ``PotentialLaw``'s own rule.
+    """
+    own = {"family", "short_range", *(param.name for param in record.params)}
+    if record.custom:
+        own.add("profile")
+    foreign = [each for each in fields(law_cls) if each.name not in own]
+    read = operator.attrgetter(*(each.name for each in foreign))
+    defaults = SimpleNamespace(**{each.name: each.default for each in foreign})
+    return tuple((each.name, each.default) for each in foreign), read, read(defaults)
+
+
+# Per family, the fields its laws must leave at their defaults: built once,
+# so a law's check reads them with one getter and compares one tuple.
+_FOREIGN = {
+    family: _foreign_fields(law_cls, FAMILIES[family])
+    for law_cls, families in ((KineticLaw, KineticFamily), (PotentialLaw, PotentialFamily))
+    for family in families
+}
 
 
 @dataclass(frozen=True)

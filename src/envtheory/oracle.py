@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DimensionTooSmall,
+    NonFiniteResult,
     NotConverged,
     UnboundedBelow,
     UnboundOscillator,
@@ -142,7 +143,12 @@ def radial_eigenvalues(problem: RadialProblem, count: int) -> np.ndarray:
         fine = _grid_eigenvalues(problem, points, count)
         scale = np.maximum(np.abs(fine), 1e-30)
         if np.max(np.abs(fine - coarse) / scale) <= _RICHARDSON_REL_TOL:
-            return (4.0 * fine - coarse) / 3.0
+            with np.errstate(all="ignore"):  # levels near the float range's end overflow 4 E_fine
+                levels = (4.0 * fine - coarse) / 3.0
+            bad = np.count_nonzero(~np.isfinite(levels))
+            if bad:
+                raise NonFiniteResult(f"{bad} of {levels.size} extrapolated radial levels are not finite")
+            return levels
         coarse = fine
     raise NotConverged(
         f"radial eigenvalues did not reach {_RICHARDSON_REL_TOL:.0e} relative "

@@ -12,11 +12,14 @@ with C_N = N (N - 1) / 2 pairs and p0 = Q / r0.  A stationary scale is a root
 of F.  The two-body reduction (one relative coordinate) is the same structure
 with E = T(p0) + V(r0) and F = p0 T'(p0) - r0 V'(r0).
 
+A level depends on the system and Q alone, so the solver takes no settings.
 Roots are located by ``roots.scan``, which samples ``roots.log_grid`` scaled
-to the natural guess r0 ~ Q for sign changes, and each bracket is polished
-with a safeguarded bisection/secant method (``roots.brentq``), which starts
-from the scan's own samples at the bracket's ends and hands back F at the
-root, so a level evaluates no point twice.  All roots are reported; the lowest-energy one is
+to the natural guess r0 ~ Q for sign changes, over 8, then 16, then 32
+decades until a pass finds one (``_PASS_DECADES``).  Each bracket is
+polished to 1e-12 relative with a safeguarded bisection/secant method
+(``roots.brentq``), which starts from the scan's own samples at the
+bracket's ends and hands back F at the root, so a level evaluates no point
+twice.  All roots are reported; the lowest-energy one is
 the physical envelope level, and its bound verdict reads each term's chart on
 the one-decade windows (r0/10, 10 r0) and (p0/10, 10 p0) around it.  A scan
 with no bracket gives its verdict from its own samples: no positive one means
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
 from functools import partial
 from types import SimpleNamespace
 
@@ -59,54 +61,25 @@ from .model import (
     auxiliary_exponent,
     chart_exponent,
     checked,
-    require_count,
 )
-from .roots import _RTOL_MIN, brentq, log_grid, scan
+from .roots import brentq, scan
 
-# Grid samples in one block scan of ``solve_nbody_many``; it bounds the memory
-# a block holds (31 points at the default 513-sample grid).
-_BLOCK_SAMPLES = 2**14
+# The polish: each root to 1e-12 relative (the absolute tolerance never
+# decides), in at most 200 Brent iterations.
+_RTOL = 1e-12
+_XTOL = 1e-300
+_MAXITER = 200
+# The scan passes, each over this many decades around Q at ``_PER_DECADE``
+# samples a decade; a pass runs only when the one before finds no bracket.
+_PASS_DECADES = (8.0, 16.0, 32.0)
+_PER_DECADE = 64
+# Points in one block scan of ``solve_nbody_many``: 31 rows of the first
+# pass's 513 samples, about 2**14 samples, bound the memory a block holds.
+_BLOCK_POINTS = 31
 # Points in one run of ``solve_nbody_many``, polished as lanes of one loop; it
 # bounds the brackets and roots a run holds, and the work done before a
 # failing point raises (a 100,000-point sweep takes 98 runs).
 _RUN_POINTS = 1024
-# The polish's absolute tolerance: the relative one decides.
-_XTOL = 1e-300
-# Grid samples in the widest scan pass one solve may take (16 MiB of floats).
-_MAX_SCAN_SAMPLES = 2**20
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tunables for the bracket scan and the polish stage."""
-
-    tolerance: float = 1e-12
-    max_iterations: int = 200
-    bracket_expansion: float = 2.0
-    points_per_decade: int = 64
-    decades: float = 8.0
-
-    def __post_init__(self) -> None:
-        for each in fields(self):
-            checked(getattr(self, each.name), each.name)
-        require_count(self.max_iterations, "max_iterations", 10)
-        if not (0.0 < self.tolerance <= 1e-6):
-            raise ValueError(f"tolerance must lie in (0, 1e-6], got {self.tolerance}")
-        if self.bracket_expansion <= 1.0:
-            raise ValueError(f"bracket_expansion must exceed 1, got {self.bracket_expansion}")
-        require_count(self.points_per_decade, "points_per_decade", 8)
-        checked(self.decades, "decades", positive=True)
-        # the third pass is the widest, at about widest + 1 samples; `not <=` also rejects inf
-        with np.errstate(over="ignore"):  # numpy scalars warn where floats go to inf
-            widest = self.points_per_decade * self.decades * self.bracket_expansion * self.bracket_expansion
-        if not widest + 1 <= _MAX_SCAN_SAMPLES:
-            raise ValueError(
-                f"the widest scan, points_per_decade * decades * bracket_expansion**2 = {self.points_per_decade}"
-                f" * {self.decades} * {self.bracket_expansion}**2, takes more than {_MAX_SCAN_SAMPLES} samples"
-            )
-
-
-_DEFAULT_CONFIG = SolverConfig()
 
 
 def auxiliary_energy(mu: float, rho: float, aux_exponent: float, q: float) -> float:
@@ -207,9 +180,7 @@ def _residual_of(n, c, kinetic, onebody, twobody):
     return residual
 
 
-def solve_nbody(
-    spec: SystemSpec, q: float, config: SolverConfig | None = None, *, _roots=None
-) -> EnvelopeSolution:
+def solve_nbody(spec: SystemSpec, q: float, *, _roots=None) -> EnvelopeSolution:
     """Envelope level of the N-body system at global quantum number Q.
 
     ``_roots`` is internal to ``solve_nbody_many``: this point's (r0, F)
@@ -222,20 +193,17 @@ def solve_nbody(
         partial(nbody_energy, spec),
         partial(analysis.classify_bound, spec),
         qv,
-        config or _DEFAULT_CONFIG,
         _roots,
     )
 
 
-def solve_nbody_many(
-    specs: list[SystemSpec], qs: list[float], config: SolverConfig | None = None
-) -> list[EnvelopeSolution]:
-    """``[solve_nbody(spec, q, config) for spec, q in zip(specs, qs)]``, solved a run at a time.
+def solve_nbody_many(specs: list[SystemSpec], qs: list[float]) -> list[EnvelopeSolution]:
+    """``[solve_nbody(spec, q) for spec, q in zip(specs, qs)]``, solved a run at a time.
 
     Up to ``_RUN_POINTS`` consecutive points whose laws belong to the same
     families form a run, whatever their parameters, so a sweep of a
-    power-law exponent is one run too.  A run is scanned in blocks of at most ``_BLOCK_SAMPLES`` grid
-    samples, one 2-D stationarity scan and one row per point, and each row
+    power-law exponent is one run too.  A run is scanned in blocks of at most ``_BLOCK_POINTS``
+    points, one 2-D stationarity scan and one row per point, and each row
     sees the floats its single-point scan sees.  Every bracket of the run is
     then polished as one lane of one ``brentq`` over arrays, and each point
     is finished by ``solve_nbody`` from its roots.  A point with a custom law
@@ -244,22 +212,21 @@ def solve_nbody_many(
     polish raises, every point of its run does.  Each result, and the error
     of the first point that fails, are therefore those of the loop above.
     """
-    cfg = config or _DEFAULT_CONFIG
     solutions: list[EnvelopeSolution] = []
     run: list = []
     run_key = None
     for spec, q in zip(specs, qs, strict=True):
         key = _block_key(spec, q)
         if run and (key != run_key or len(run) == _RUN_POINTS):
-            solutions += _solve_run(run, cfg)
+            solutions += _solve_run(run)
             run = []
         if key is None:
-            solutions.append(solve_nbody(spec, q, cfg))
+            solutions.append(solve_nbody(spec, q))
         else:
             run.append((spec, q))
             run_key = key
     if run:
-        solutions += _solve_run(run, cfg)
+        solutions += _solve_run(run)
     return solutions
 
 
@@ -283,7 +250,6 @@ def solve_two_body(
     potential: PotentialLaw,
     aux_exponent: float | None,
     q: float,
-    config: SolverConfig | None = None,
 ) -> EnvelopeSolution:
     """Envelope level of a two-body system in relative coordinates.
 
@@ -299,7 +265,6 @@ def solve_two_body(
         partial(two_body_energy, kinetic, potential),
         partial(analysis.classify_two_body, kinetic, potential, lam),
         qv,
-        config or _DEFAULT_CONFIG,
     )
 
 
@@ -308,7 +273,7 @@ def solve_two_body(
 # ---------------------------------------------------------------------------
 
 
-def _solve(residual, energy, verdict, qv: float, cfg: SolverConfig, roots=None) -> EnvelopeSolution:
+def _solve(residual, energy, verdict, qv: float, roots=None) -> EnvelopeSolution:
     """The level at Q: every root of ``residual`` by ``energy``, and one ``verdict`` around the lowest.
 
     Each bracket's root is polished from the bracket's own samples: ``brentq``
@@ -316,17 +281,21 @@ def _solve(residual, energy, verdict, qv: float, cfg: SolverConfig, roots=None) 
     returns, so no point is evaluated twice; a zero-width bracket is a
     sampled zero, which ``brentq`` returns with its sample.  ``roots``, the
     (r0, F) pairs a lane polish already found, replace the scan and polish.
+    The scan, the polish and the energies run with numpy's warnings off, as
+    a lane polish does: a value past the float range reaches the level as
+    inf or NaN, which ``brentq`` or ``StationaryRoot`` reports as the one
+    error, with no warning before it.
     """
-    if roots is None:
-        rtol = max(cfg.tolerance, _RTOL_MIN)
-        roots = (
-            brentq(residual, lo, hi, xtol=_XTOL, rtol=rtol, maxiter=cfg.max_iterations, fa=f_lo, fb=f_hi)
-            for lo, hi, f_lo, f_hi in _scan_passes(residual, qv, cfg)
-        )
     stationary = []
-    for r0, value in roots:
-        p0 = qv / r0
-        stationary.append(StationaryRoot(r0=r0, p0=p0, energy=float(energy(r0, p0)), residual=value))
+    with np.errstate(all="ignore"):
+        if roots is None:
+            roots = (
+                brentq(residual, lo, hi, xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER, fa=f_lo, fb=f_hi)
+                for lo, hi, f_lo, f_hi in _scan_passes(residual, qv)
+            )
+        for r0, value in roots:
+            p0 = qv / r0
+            stationary.append(StationaryRoot(r0=r0, p0=p0, energy=float(energy(r0, p0)), residual=value))
     stationary.sort(key=lambda root: root.energy)
     primary = stationary[0]
     r0, p0 = primary.r0, primary.p0
@@ -340,18 +309,16 @@ def _solve(residual, energy, verdict, qv: float, cfg: SolverConfig, roots=None) 
     )
 
 
-def _scan_passes(residual, guess: float, cfg: SolverConfig) -> list[tuple[float, float, float, float]]:
-    """The brackets of the first of three ever wider scans around ``guess`` that finds any."""
-    decades = cfg.decades
-    for _expansion in range(3):
-        values, brackets = scan(residual, guess, decades, cfg.points_per_decade)
+def _scan_passes(residual, guess: float) -> list[tuple[float, float, float, float]]:
+    """The brackets of the first of the ever wider ``_PASS_DECADES`` scans around ``guess`` that finds any."""
+    for decades in _PASS_DECADES:
+        values, brackets = scan(residual, guess, decades, _PER_DECADE)
         if brackets:
             return brackets
         if np.isnan(values).all():
             raise ScanExhausted(
                 "stationarity residual could not be evaluated anywhere on the scan grid"
             )
-        decades *= cfg.bracket_expansion
     # the widest scan has no zero and no finite sign change; NaN samples carry no sign
     if not (values > 0.0).any():
         raise NoStationaryPoint(
@@ -440,30 +407,28 @@ def _block_residual_of(specs: tuple[SystemSpec, ...]):
     )
 
 
-def _solve_run(run: list, cfg: SolverConfig) -> list[EnvelopeSolution]:
+def _solve_run(run: list) -> list[EnvelopeSolution]:
     """Every point of ``run`` solved by ``solve_nbody`` from the roots of one lane polish.
 
-    The run is scanned in blocks of at most ``_BLOCK_SAMPLES`` grid samples.
+    The run is scanned in blocks of at most ``_BLOCK_POINTS`` points.
     If the lane polish raises, every point of the run is solved alone, so
     the first point that fails raises its own error.
     """
-    size = max(1, _BLOCK_SAMPLES // log_grid(cfg.decades, cfg.points_per_decade).size)
     rows = []
-    for start in range(0, len(run), size):
-        rows += _scan_block(run[start : start + size], cfg)
+    for start in range(0, len(run), _BLOCK_POINTS):
+        rows += _scan_block(run[start : start + _BLOCK_POINTS])
     try:
-        polished = _polish_rows(run, rows, cfg)
+        polished = _polish_rows(run, rows)
     except Exception:  # noqa: BLE001 - each point's own solve raises what it raises
-        return [solve_nbody(spec, q, cfg) for spec, q in run]
-    return [solve_nbody(spec, q, cfg, _roots=roots or None) for (spec, q), roots in zip(run, polished)]
+        return [solve_nbody(spec, q) for spec, q in run]
+    return [solve_nbody(spec, q, _roots=roots or None) for (spec, q), roots in zip(run, polished)]
 
 
-def _polish_rows(run: list, rows: list[list], cfg: SolverConfig) -> list[list[tuple[float, float]]]:
+def _polish_rows(run: list, rows: list[list]) -> list[list[tuple[float, float]]]:
     """Each point's (r0, F) roots from its row of brackets: every bracket of the run is a lane of one ``brentq``.
 
-    Each lane computes the floats of its point's own polish.  numpy's
-    floating-point warnings are errors here, so a lane polish that would
-    warn raises, and its points are solved alone, warning as they always do.
+    Each lane computes the floats of its point's own polish, with numpy's
+    warnings off as in ``_solve``.
     """
     lanes = [k for k, row in enumerate(rows) for _ in row]
     roots: list[list] = [[] for _ in run]
@@ -472,16 +437,14 @@ def _polish_rows(run: list, rows: list[list], cfg: SolverConfig) -> list[list[tu
     lo, hi, f_lo, f_hi = (np.array(column)[:, None] for column in zip(*itertools.chain.from_iterable(rows)))
     specs = tuple(run[k][0] for k in lanes)
     residual = partial(stationary_residual, specs, _column([float(run[k][1]) for k in lanes]))
-    raising = {kind: "ignore" if how == "ignore" else "raise" for kind, how in np.geterr().items()}
-    with np.errstate(**raising):
-        rtol = max(cfg.tolerance, _RTOL_MIN)
-        r0, values = brentq(residual, lo, hi, xtol=_XTOL, rtol=rtol, maxiter=cfg.max_iterations, fa=f_lo, fb=f_hi)
+    with np.errstate(all="ignore"):
+        r0, values = brentq(residual, lo, hi, xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER, fa=f_lo, fb=f_hi)
     for k, root in zip(lanes, zip(r0[:, 0].tolist(), values[:, 0].tolist())):
         roots[k].append(root)
     return roots
 
 
-def _scan_block(block: list, cfg: SolverConfig) -> list[list]:
+def _scan_block(block: list) -> list[list]:
     """The brackets of each point of ``block`` on its first grid, from one 2-D ``scan``; none where the scan raises."""
     specs = tuple(spec for spec, _ in block)
     qs = np.array([float(q) for _, q in block])
@@ -489,7 +452,7 @@ def _scan_block(block: list, cfg: SolverConfig) -> list[list]:
         qs = qs[:1]
     residual = partial(stationary_residual, specs, _column(qs.tolist()))
     try:
-        _, brackets = scan(residual, qs[:, None], cfg.decades, cfg.points_per_decade)
+        _, brackets = scan(residual, qs[:, None], _PASS_DECADES[0], _PER_DECADE)
     except (ArithmeticError, ValueError, EnvelopeError):
         # the single-point scans raise it again, from the point it belongs to
         brackets = [[]] * len(block)

@@ -336,7 +336,7 @@ def test_criterion_09_semiclassical_geometry():
     devs_ok = dev2 < 1e-14 and dev3 < 1e-14 and abs(dev4 - 0.0144) <= 1e-4
     cap = max(et.mean_separation(n, 1.0)[1] for n in range(2, 10**4 + 1))
     cap_ok = cap <= 0.0997
-    tol = et.SolverConfig().tolerance
+    tol = et.solver._RTOL
     worst_residual = 0.0
     solved = 0
     for n in (2, 3, 4, 5):

@@ -20,7 +20,6 @@ from envtheory import (
     CustomProfile,
     KineticLaw,
     PotentialLaw,
-    SolverConfig,
     SystemSpec,
     q_boson_ground,
     solve_nbody,
@@ -35,6 +34,8 @@ from envtheory.model import FAMILIES, KineticFamily, PotentialFamily
 from envtheory.roots import log_grid
 
 CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
+# the unit grid of the first scan pass, which a block scan shares
+_FIRST_GRID = log_grid(solver._PASS_DECADES[0], solver._PER_DECADE)
 
 
 def _outcome(fn):
@@ -45,13 +46,13 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-def _each(specs, qs, config=None):
+def _each(specs, qs):
     """The reference: one single-point solve per point, stopping at the first error."""
-    return _outcome(lambda: [solve_nbody(spec, q, config) for spec, q in zip(specs, qs)])
+    return _outcome(lambda: [solve_nbody(spec, q) for spec, q in zip(specs, qs)])
 
 
-def _blocked(specs, qs, config=None):
-    return _outcome(lambda: solve_nbody_many(specs, qs, config))
+def _blocked(specs, qs):
+    return _outcome(lambda: solve_nbody_many(specs, qs))
 
 
 def _count_full_scans(monkeypatch):
@@ -59,10 +60,10 @@ def _count_full_scans(monkeypatch):
     calls = []
     single = solver.solve_nbody
 
-    def counted(spec, q, config=None, *, _roots=None):
+    def counted(spec, q, *, _roots=None):
         if _roots is None:
             calls.append(q)
-        return single(spec, q, config, _roots=_roots)
+        return single(spec, q, _roots=_roots)
 
     monkeypatch.setattr(solver, "solve_nbody", counted)
     return calls
@@ -217,8 +218,7 @@ def _neighbour(spec):
 def test_scalar_residual_equals_the_scan_samples(spec):
     # the polish starts from the scan's samples, so F at one point must be the
     # sample the 1-D scan, and the block scan's row, hold there
-    cfg = SolverConfig()
-    grid = 2.5 * log_grid(cfg.decades, cfg.points_per_decade)
+    grid = 2.5 * _FIRST_GRID
     with np.errstate(all="ignore"):
         assert _scalar_samples(spec, 2.5, grid).tobytes() == stationary_residual(spec, 2.5, grid).tobytes()
     if solver._block_key(spec, 2.5) is not None:
@@ -228,7 +228,7 @@ def test_scalar_residual_equals_the_scan_samples(spec):
 
 @pytest.mark.parametrize("kinetic", _ELEMENTWISE_KINETICS, ids=lambda law: law.family.value)
 def test_two_body_scalar_residual_equals_the_scan_samples(kinetic):
-    grid = 2.5 * log_grid(SolverConfig().decades, SolverConfig().points_per_decade)
+    grid = 2.5 * _FIRST_GRID
     with np.errstate(all="ignore"):
         for potential in _ELEMENTWISE_POTENTIALS:
             scalar = np.array([float(two_body_residual(kinetic, potential, 2.5, r0)) for r0 in grid.tolist()])
@@ -300,11 +300,10 @@ _FAMILY_SWEEPS = [
 
 def _assert_block_scans_match(specs, qs):
     """Each block's 2-D scan equals the single-point scans of its points, and their scalar F, bit for bit."""
-    cfg = SolverConfig()
     points = list(zip(specs, qs))
     for _, block in itertools.groupby(points, key=lambda point: solver._block_key(*point)):
         block_specs, block_qs = zip(*block)
-        grids = [q * log_grid(cfg.decades, cfg.points_per_decade) for q in block_qs]
+        grids = [q * _FIRST_GRID for q in block_qs]
         with np.errstate(all="ignore"):
             each = np.array([stationary_residual(s, q, g) for s, q, g in zip(block_specs, block_qs, grids)])
             stacked = stationary_residual(block_specs, solver._column(list(block_qs)), np.array(grids))
@@ -354,7 +353,6 @@ def _block_scan_rows(monkeypatch, specs, qs):
     The scan is the one call of ``stationary_residual`` on a tuple of specs
     with more than one r0 a row; the lane polish's calls take one r0 a lane.
     """
-    cfg = SolverConfig()
     assert len({solver._block_key(spec, q) for spec, q in zip(specs, qs)}) == 1
     scans = []
     residual = solver.stationary_residual
@@ -366,11 +364,11 @@ def _block_scan_rows(monkeypatch, specs, qs):
         return values
 
     monkeypatch.setattr(solver, "stationary_residual", spy)
-    solve_nbody_many(specs, qs, cfg)
+    solve_nbody_many(specs, qs)
     ((grid, values),) = scans
     with np.errstate(all="ignore"):
         for spec, q, grid_row, row in zip(specs, qs, np.broadcast_to(grid, values.shape), values, strict=True):
-            own = float(q) * log_grid(cfg.decades, cfg.points_per_decade)
+            own = float(q) * _FIRST_GRID
             assert grid_row.tobytes() == own.tobytes()
             assert row.tobytes() == np.asarray(stationary_residual(spec, q, own), dtype=float).tobytes()
     return grid
@@ -510,8 +508,7 @@ _TWO_ROOT_RUNS = {
 @pytest.mark.parametrize("specs", _TWO_ROOT_RUNS.values(), ids=_TWO_ROOT_RUNS)
 def test_a_two_root_run_is_one_lane_polish(monkeypatch, specs):
     qs = [q_boson_ground(spec.n, spec.d) for spec in specs]
-    block = solver._BLOCK_SAMPLES // log_grid(SolverConfig().decades, SolverConfig().points_per_decade).size
-    assert len(specs) > block  # the run spans two scan blocks
+    assert len(specs) > solver._BLOCK_POINTS  # the run spans two scan blocks
     want = _each(specs, qs)
     calls = _count_full_scans(monkeypatch)
     polishes = _lane_polishes(monkeypatch)
@@ -549,31 +546,29 @@ def test_a_raising_lane_polish_solves_its_run_point_by_point(monkeypatch):
 
 
 def test_fallback_points_match(monkeypatch):
-    # a narrow first scan misses the stiff springs' roots, so they need the expansions
-    config = SolverConfig(decades=1.0, points_per_decade=8)
-    specs = [_harmonic(3, 3, a) for a in np.geomspace(1.0, 1e4, 40).tolist()]
+    # r0 falls as amplitude**(-1/4): from about 1e15 the stiff springs' roots lie
+    # below the first scan's 4 decades under Q, so those points need the wider passes
+    specs = [_harmonic(3, 3, a) for a in np.geomspace(1.0, 1e24, 40).tolist()]
     qs = [3.0] * len(specs)
     # a custom law and a change of family are solved alone or start a new block
     custom = KineticLaw.custom(CustomProfile(lambda p: p * p / 2.0, lambda p: p))
     specs[7] = SystemSpec(3, 3, custom, twobody=PotentialLaw.power_law(1.0, 2.0))
     specs[20] = SystemSpec(3, 3, KineticLaw.semirelativistic(1.0), twobody=PotentialLaw.power_law(1.0, 2.0))
-    want = _each(specs, qs, config)
+    want = _each(specs, qs)
     calls = _count_full_scans(monkeypatch)
-    assert _blocked(specs, qs, config) == want
+    assert _blocked(specs, qs) == want
     assert 1 < len(calls) < len(specs)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_a_scan_error_is_raised_by_its_own_point():
-    # 700 decades around Q underflow the grid's low end to 0, which the laws reject;
-    # the message counts the 1-D grid of the single-point scan (whose high end
-    # overflows with a RuntimeWarning, as every single solve with this grid does)
+    # around a subnormal Q the grid's low end underflows to 0, which the laws
+    # reject; the block scan holds two grid rows, one per Q, but the message
+    # counts the 513-sample grid of the failing point's single-point scan
     specs = [_harmonic(3, 3, a) for a in (1.0, 2.0)]
-    qs = [3.0] * 2
-    config = SolverConfig(decades=700.0)
-    outcome = _blocked(specs, qs, config)
-    assert outcome == _each(specs, qs, config)
-    assert outcome[0] is NonPositiveArgument and "of 44801 values" in outcome[1]
+    qs = [5e-324, 1e-321]
+    outcome = _blocked(specs, qs)
+    assert outcome == _each(specs, qs)
+    assert outcome[0] is NonPositiveArgument and "of 513 values" in outcome[1]
 
 
 @pytest.mark.parametrize("slot", ["onebody", "twobody"])

@@ -243,21 +243,6 @@ def test_state_q_must_be_finite(tmp_path, capsys, text, expected):
     assert solve_stderr(tmp_path, capsys, STATE_BASE + f"q = {text}\n") == (1, expected)
 
 
-@pytest.mark.parametrize(
-    "key, value, expected",
-    [
-        ("decades", "inf", "config error: [solver] decades must be finite, got inf\n"),
-        ("decades", "nan", "config error: [solver] decades must be finite, got nan\n"),
-        ("bracket_expansion", "nan", "config error: [solver] bracket_expansion must be finite, got nan\n"),
-        ("tolerance", "inf", "config error: [solver] tolerance must be finite, got inf\n"),
-        ("decades", "-1", "config error: [solver] decades must be positive, got -1.0\n"),
-    ],
-)
-def test_solver_values_must_be_finite(tmp_path, capsys, key, value, expected):
-    text = SYSTEM + KINETIC + HARMONIC + f"\n[solver]\n{key} = {value}\n"
-    assert solve_stderr(tmp_path, capsys, text) == (1, expected)
-
-
 PERTURB_BASE = SYSTEM + KINETIC + HARMONIC + "\n[perturbation]\n"
 
 
@@ -338,7 +323,7 @@ def test_usage_errors_keep_their_text_on_a_reused_parser(tmp_path, capsys):
         assert out.getvalue().startswith("N,D,Q,E,r0,p0,bound,n_roots\n3,3,")
 
 
-# --- [system] counts, [solver] keys and n/d sweep points ---------------------------
+# --- [system] counts, the [solver] section and n/d sweep points --------------------
 
 
 @pytest.mark.parametrize(
@@ -383,29 +368,38 @@ def test_count_sweep_below_two_is_a_line_0_config_error(tmp_path, capsys, param)
     assert (code, capsys.readouterr().err, out.getvalue()) == (1, expected, "")
 
 
-def test_empty_solver_section_is_the_default_config():
-    from envtheory.cli import parse_config
-    from envtheory.solver import SolverConfig
+# The scan and the polish are fixed, so no config section sets them: [solver]
+# is an unknown section, whatever it holds.  With "decades = 100" this
+# ultrarelativistic Coulomb collapse once printed a float-artefact level;
+# without the section it exits 2 (test_cli.py::test_exit_code_no_stationary_point).
+COLLAPSE = SYSTEM + "[kinetic]\nfamily = ultrarelativistic\n\n[twobody]\nfamily = coulomb\nstrength = 10\n"
 
-    assert parse_config(SWEEP + "\n[solver]\n").solver == SolverConfig()
-    assert parse_config(SWEEP).solver == SolverConfig()
+
+# Each former setting, and each value that once drew its own diagnostic, is
+# refused at the section header before its line is read.
+SOLVER_SECTIONS = [
+    ("empty", SWEEP + "\n[solver]\n"),
+    ("a-key", SWEEP + "\n[solver]\ntolerance = 1e-12\n"),
+    ("collapse-with-decades", COLLAPSE + "\n[solver]\ndecades = 100\n"),
+    ("max-iterations", SWEEP + "\n[solver]\nmax_iterations = 200\n"),
+    ("bracket-expansion", SWEEP + "\n[solver]\nbracket_expansion = 2.0\n"),
+    ("points-per-decade", SWEEP + "\n[solver]\npoints_per_decade = 64\n"),
+    ("decades-inf", SWEEP + "\n[solver]\ndecades = inf\n"),
+    ("tolerance-nan", SWEEP + "\n[solver]\ntolerance = nan\n"),
+    ("int-type", SWEEP + "\n[solver]\nmax_iterations = 2.5\n"),
+    ("unknown-key", SWEEP + "\n[solver]\ndecades = 4\ncolour = blue\n"),
+    ("before-system", "[solver]\ndecades = 8\n\n" + SWEEP),
+]
 
 
-@pytest.mark.parametrize(
-    "body, expected",
-    [
-        ("decades = 4\ncolour = blue\n", "line 16: unknown key 'colour' in [solver]"),
-        ("max_iterations = 2.5\n", "line 15: [solver] max_iterations: expected an integer, got '2.5'"),
-        ("tolerance = tight\n", "line 15: [solver] tolerance: expected a number, got 'tight'"),
-        ("max_iterations = 5\n", "[solver] max_iterations must be >= 10, got 5"),
-        ("points_per_decade = 4\n", "[solver] points_per_decade must be >= 8, got 4"),
-        ("decades = x\npoints_per_decade = y\n", "line 16: [solver] points_per_decade: expected an integer, got 'y'"),
-    ],
-    ids=["unknown-key", "int-type", "float-type", "iterations-range", "density-range", "field-order"],
-)
-def test_solver_diagnostics_are_pinned(tmp_path, capsys, body, expected):
-    text = SYSTEM + KINETIC + HARMONIC + "\n[solver]\n" + body
-    assert solve_stderr(tmp_path, capsys, text) == (1, f"config error: {expected}\n")
+@pytest.mark.parametrize("text", [case[1] for case in SOLVER_SECTIONS], ids=[case[0] for case in SOLVER_SECTIONS])
+def test_a_solver_section_is_an_unknown_section(tmp_path, capsys, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out = io.StringIO()
+    code = run(["solve", "--config", str(path)], stdout=out)
+    expected = f"config error: line {text.splitlines().index('[solver]') + 1}: unknown section [solver]\n"
+    assert (code, out.getvalue(), capsys.readouterr().err) == (1, "", expected)
 
 
 ORACLE = "[system]\nn = 2\nd = 3\n\n" + KINETIC + HARMONIC

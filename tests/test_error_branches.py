@@ -206,10 +206,11 @@ def test_a_critical_scale_scan_past_the_float_range_is_one_error_line(tmp_path, 
 
 PAIRS_PAST_RANGE = "n must keep the pair count n (n - 1) / 2 within the float range, got "
 HUGE_INTEGERS = [
+    # the scan settings are fixed: a [solver] section is refused at its header, before any value
     ("points-per-decade", SWEEP + f"\n[solver]\npoints_per_decade = {10**400}\n",
-     "config error: [solver] points_per_decade must be finite, got inf"),
+     "config error: line 14: unknown section [solver]"),
     ("max-iterations", SWEEP + f"\n[solver]\nmax_iterations = {10**400}\n",
-     "config error: [solver] max_iterations must be finite, got inf"),
+     "config error: line 14: unknown section [solver]"),
     ("n-1e200-at-q-3", STATE.replace("n = 3", f"n = {10**200}") + "q = 3\n",
      f"config error: line 2: [system] {PAIRS_PAST_RANGE}{10**200}"),
     ("n-1e400-boson", SWEEP.replace("n = 3", f"n = {10**400}"),
@@ -269,6 +270,23 @@ FLOAT_RANGE_REPROS = [
     # Q**2 underflows to 0 at a subnormal Q; the quotient with no power of Q underflows too
     ("critical-q-5e-324", SYSTEM + KINETIC + YUKAWA.replace("coupling = 1.0", "coupling = 5") + "\n[state]\nq = 5e-324\n",
      "critical", ["--mode", "twobody"], 1, "error: the critical coupling at Q = 5e-324 and mass 1.0 underflows to 0"),
+    # the level's energy overflows at its root: the square-root pair's scale * sqrt(x**2 + offset)
+    ("solve-energy-overflow", "[system]\nn = 3\nd = 4\n\n[kinetic]\nfamily = ultrarelativistic\n\n[twobody]\n"
+     "family = squareroot\noffset = 1e308\nscale = 1e200\n", "solve", [], 1,
+     "error: StationaryRoot.energy is not finite, got inf"),
+    # ... and the exponential-quadratic kinetic term's power-law partner x**2 at Q = 1e308
+    ("bounds-energy-overflow", SYSTEM + "[kinetic]\nfamily = exponential-quadratic\nstiffness = 0.4476\n\n[twobody]\n"
+     "family = powerlaw\namplitude = 5e-324\nexponent = 2\n\n[state]\nq = 1e308\n", "bounds", [], 1,
+     "error: StationaryRoot.energy is not finite, got inf"),
+    # the polish evaluates the Coulomb pair's strength / x**2 where x**2 overflows, before the energy does
+    ("perturb-polish-overflow", SYSTEM + "[kinetic]\nfamily = minimal-length\nmass = 2.7825\ndeformation = 0.0971\n\n"
+     "[twobody]\nfamily = coulomb\nstrength = 0.0873\n\n[onebody]\nfamily = powerlaw\namplitude = 5e-324\n"
+     "exponent = 2.0\n\n[perturbation]\nepsilon = -0.0025\nepsilon_exponent = 0.6787\n\n[state]\nq = 1e200\n",
+     "perturb", [], 1, "error: StationaryRoot.energy is not finite, got inf"),
+    # levels near -1e308 overflow the Richardson combination's 4 E_fine
+    ("oracle-levels-overflow", PAIR.replace("mass = 1.0", "mass = 2.2605").replace("amplitude = 1.0", "amplitude = -1e308")
+     .replace("exponent = 2.0", "exponent = -5e-324"), "oracle", ["--levels", "3"], 1,
+     "error: 3 of 3 extrapolated radial levels are not finite"),
 ]
 
 
@@ -297,8 +315,7 @@ def failing(x):
          "coulomb potential takes 1 parameters, got 2"),
         (lambda: PotentialLaw.custom(CustomProfile(failing)).value(2.0), EvaluationDomainError,
          "custom potential profile failed at 2.0"),
-        (lambda: KineticLaw(KineticFamily.CUSTOM).value(2.0), EvaluationDomainError,
-         "custom kinetic law carries no profile"),
+        (lambda: KineticLaw(KineticFamily.CUSTOM), TypeError, "custom kinetic law needs a CustomProfile, got None"),
         (lambda: brentq(math.cos, 0.0, 3.0, maxiter=-1), ValueError, "maxiter must be >= 0, got -1"),
         (lambda: brentq(math.cos, 0.0, 3.0, xtol=0.0), ValueError, "xtol too small (0 <= 0)"),
         (lambda: brentq(math.cos, 0.0, 3.0, rtol=1e-17), ValueError, "rtol too small (1e-17 < 8.88178e-16)"),
@@ -349,9 +366,9 @@ def run_child(tmp_path, text, command, *flags):
         (COULOMB_PAIR, "oracle", ["--rmax", "1e70"],
          "not converged: r_max = 1e+70 over 4000 points cannot resolve the state: the finest grid's cell "
          "3.9062500000000005e+64 is wider than the envelope scale r0 = 4.500000000000012"),
+        # once a scan of 3.2e9 samples; the scan is fixed now, so the section is refused
         (SWEEP + "\n[solver]\npoints_per_decade = 100000000\n", "solve", [],
-         "config error: [solver] the widest scan, points_per_decade * decades * bracket_expansion**2 = "
-         "100000000 * 8.0 * 2.0**2, takes more than 1048576 samples"),
+         "config error: line 14: unknown section [solver]"),
     ],
     ids=["sweep-d-to-1e18", "sweep-1e9-steps", "oracle-1e9-points", "oracle-coulomb-rmax-1e70", "solve-1e8-per-decade"],
 )

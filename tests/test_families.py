@@ -183,6 +183,60 @@ def test_short_range_comes_from_the_table_except_for_a_custom_law():
         "twobody", PotentialLaw.yukawa(5.0), 3, 3.0, 1.0
     )
     assert not PotentialLaw(PotentialFamily.COULOMB, strength=1.0, short_range=True).short_range
-    assert not dataclasses.replace(PotentialLaw.yukawa(5.0), family=PotentialFamily.COULOMB, strength=1.0).short_range
+    moved = dataclasses.replace(PotentialLaw.yukawa(5.0), family=PotentialFamily.COULOMB, strength=1.0, coupling=0.0)
+    assert not moved.short_range and moved == PotentialLaw.coulomb(1.0)
     custom = PotentialLaw.custom(CustomProfile(lambda x: -1.0 / (1.0 + x * x)), short_range=True)
     assert custom.short_range and not dataclasses.replace(custom, short_range=False).short_range
+
+
+# --- a law holds exactly its family's fields ---------------------------------------
+
+LAW_CLASSES = {KineticFamily: KineticLaw, PotentialFamily: PotentialLaw}
+
+
+def _foreign(family):
+    """The fields of ``family``'s law class that its table record does not name, with their defaults."""
+    law_cls = LAW_CLASSES[type(family)]
+    named = {param.name for param in FAMILIES[family].params} | {"family", "profile", "short_range"}
+    return [(f.name, f.default) for f in dataclasses.fields(law_cls) if f.name not in named]
+
+
+@pytest.mark.parametrize("family", NON_CUSTOM, ids=lambda f: f.value)
+def test_a_field_of_another_family_must_hold_its_default(family):
+    make, args = CONSTRUCTORS[family]
+    law = make(*args)
+    label = FAMILIES[family].label
+    for name, default in _foreign(family):
+        assert dataclasses.replace(law, **{name: default}) == law
+        for bad in (default + 5.0, math.nan):
+            with pytest.raises(ValueError, match=f"^{label} takes no {name}, got {bad!r}$"):
+                dataclasses.replace(law, **{name: bad})
+    profile = CustomProfile(abs)
+    with pytest.raises(ValueError, match=f"^{label} takes no profile, got CustomProfile"):
+        dataclasses.replace(law, profile=profile)
+
+
+def test_the_family_table_names_every_foreign_field_a_law_class_holds():
+    # the nonrelativistic law holds neither a deformation nor a stiffness; a power law no coupling
+    assert [name for name, _ in _foreign(KineticFamily.NONRELATIVISTIC)] == ["deformation", "stiffness"]
+    assert "coupling" in [name for name, _ in _foreign(PotentialFamily.POWER_LAW)]
+    # a yukawa well moved to the coulomb family keeps its coupling, which coulomb does not take
+    with pytest.raises(ValueError, match="^coulomb potential takes no coupling, got 5.0$"):
+        dataclasses.replace(PotentialLaw.yukawa(5.0), family=PotentialFamily.COULOMB, strength=1.0)
+    with pytest.raises(ValueError, match="^nonrelativistic kinetic law takes no deformation, got nan$"):
+        KineticLaw(KineticFamily.NONRELATIVISTIC, mass=1.0, deformation=math.nan)
+
+
+@pytest.mark.parametrize("law_cls, family", [(KineticLaw, KineticFamily.CUSTOM), (PotentialLaw, PotentialFamily.CUSTOM)])
+def test_a_custom_law_holds_a_profile_and_no_parameter(law_cls, family):
+    label = FAMILIES[family].label
+    for bad in (None, abs):
+        with pytest.raises(TypeError, match=f"^{label} needs a CustomProfile, got {bad!r}$"):
+            law_cls(family, profile=bad)
+    with pytest.raises(TypeError, match=f"^{label} needs a CustomProfile, got None$"):
+        law_cls.custom(None)
+    law = law_cls.custom(CustomProfile(abs))
+    for name, default in _foreign(family):
+        assert dataclasses.replace(law, **{name: default}) == law
+        with pytest.raises(ValueError, match=f"^{label} takes no {name}, got {default + 2.0!r}$"):
+            dataclasses.replace(law, **{name: default + 2.0})

@@ -17,7 +17,7 @@ from envtheory.model import CustomProfile, KineticLaw, PotentialLaw, StateSpec, 
 from envtheory.apps import boson_star_max_mass
 from envtheory.oracle import RadialProblem, SemiclassicalGeometry, harmonic_exact, radial_eigenvalue, radial_eigenvalues
 from envtheory.qnum import airy_zero, q_boson_ground, q_fermion_asymptotic, q_from_quanta, q_two_body_auxiliary
-from envtheory.solver import SolverConfig, auxiliary_energy, solve_two_body
+from envtheory.solver import auxiliary_energy, solve_two_body
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 KINETIC = KineticLaw.nonrelativistic(1.0)
@@ -266,7 +266,6 @@ COUNT_SITES = [
     ("radial_eigenvalues", lambda k: tuple(radial_eigenvalues(SMALL_WELL, k)), "level count", 1, 2),
     ("radial_eigenvalue", lambda k: radial_eigenvalue(SMALL_WELL, k), "level index", 0, 1),
     ("boson_star_max_mass", lambda k: boson_star_max_mass(3, 1.0, 1e-3, k), "n_max", 2, 100),
-    ("SolverConfig", lambda k: SolverConfig(max_iterations=k), "max_iterations", 10, 50),
 ]
 
 
@@ -281,9 +280,3 @@ def test_every_count_meets_its_least_value_in_one_wording(call, name, least, val
             call(count)
     assert call(np.int64(valid)) == call(valid)
     assert call(np.int64(least)) == call(least)
-
-
-@pytest.mark.parametrize("value", [200.5, 200.0])
-def test_non_integer_max_iterations_is_rejected_at_construction(value):
-    with pytest.raises(ValueError, match=f"^max_iterations must be an integer, got {value}$"):
-        SolverConfig(max_iterations=value)

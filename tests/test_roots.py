@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
-from envtheory import KineticLaw, PotentialLaw, SolverConfig, solver, two_body_residual
+from envtheory import KineticLaw, PotentialLaw, solver, two_body_residual
 from envtheory.errors import NoStationaryPoint, ScanExhausted
 from envtheory.roots import _RTOL_MIN, brentq, sign_change_brackets
 
@@ -283,7 +283,7 @@ def _scan_verdict(values):
         return samples
 
     with pytest.raises((NoStationaryPoint, ScanExhausted)) as err:
-        solver._scan_passes(residual, 1.0, SolverConfig())
+        solver._scan_passes(residual, 1.0)
     return type(err.value), str(err.value)
 
 

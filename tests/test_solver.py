@@ -11,7 +11,6 @@ from envtheory import (
     CustomProfile,
     KineticLaw,
     PotentialLaw,
-    SolverConfig,
     SystemSpec,
     auxiliary_energy,
     nbody_energy,
@@ -306,7 +305,7 @@ def test_a_sampled_zero_is_a_root_with_its_own_sample(zero):
             scalar_calls.append(r0)
         return np.where(r0 == at, zero, at - r0)
 
-    (bracket,) = solver._scan_passes(residual, 2.5, SolverConfig())
+    (bracket,) = solver._scan_passes(residual, 2.5)
     assert [x.hex() for x in bracket] == [at.hex(), at.hex(), zero.hex(), zero.hex()]
     lo, hi, f_lo, f_hi = bracket
     # polished as ``_solve`` polishes it: the sample is the root's own value
@@ -373,61 +372,41 @@ def test_two_body_energy_shape():
     )
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(tolerance=1e-3)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=3)
-    with pytest.raises(ValueError):
-        SolverConfig(bracket_expansion=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(points_per_decade=4)
+def test_tight_tolerance_is_honored():
+    spec = harmonic_spec(3, 3, 1.0, 1.0)
+    sol = solve_nbody(spec, q_boson_ground(3, 3))
+    want_r0 = (3.0 * 9.0 / 2.0) ** 0.25
+    assert solver._RTOL == 1e-12
+    assert sol.r0 == pytest.approx(want_r0, rel=solver._RTOL)
+
+
+def test_the_solver_has_no_settings():
+    # a level depends on the system and Q alone: the scan and polish are fixed
+    import envtheory
+
+    assert not hasattr(envtheory, "SolverConfig") and "SolverConfig" not in envtheory.__all__
+    assert not hasattr(solver, "SolverConfig")
+
+
+_SPEC = harmonic_spec(3, 3, 1.0, 1.0)
+_PAIR = (KineticLaw.nonrelativistic(0.5), PotentialLaw.power_law(1.0, 2.0))
 
 
 @pytest.mark.parametrize(
-    "field", ["tolerance", "max_iterations", "bracket_expansion", "points_per_decade", "decades"]
+    "call",
+    [
+        lambda: solve_nbody(_SPEC, 3.0, None),
+        lambda: solve_nbody(_SPEC, 3.0, config=None),
+        lambda: solve_nbody_many([_SPEC], [3.0], None),
+        lambda: solve_nbody_many([_SPEC], [3.0], config=None),
+        lambda: solve_two_body(*_PAIR, 2.0, 3.0, None),
+        lambda: solve_two_body(*_PAIR, 2.0, 3.0, config=None),
+    ],
+    ids=["nbody", "nbody-keyword", "many", "many-keyword", "two-body", "two-body-keyword"],
 )
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-def test_solver_config_rejects_non_finite(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
-        SolverConfig(**{field: value})
-
-
-def test_solver_config_finite_messages_unchanged():
-    with pytest.raises(ValueError, match=r"^tolerance must lie in \(0, 1e-6\], got 0.001$"):
-        SolverConfig(tolerance=1e-3)
-    with pytest.raises(ValueError, match="^bracket_expansion must exceed 1, got 1.0$"):
-        SolverConfig(bracket_expansion=1.0)
-    with pytest.raises(ValueError, match=r"^decades must be positive, got -1.0$"):
-        SolverConfig(decades=-1.0)
-    # the finite check comes first
-    with pytest.raises(ValueError, match="^decades must be finite, got inf$"):
-        SolverConfig(decades=math.inf)
-
-
-def test_points_per_decade_is_a_count():
-    with pytest.raises(ValueError, match=r"^points_per_decade must be an integer, got 8.5$"):
-        SolverConfig(points_per_decade=8.5)
-    with pytest.raises(ValueError, match="^points_per_decade must be >= 8, got 7$"):
-        SolverConfig(points_per_decade=7)
-    assert SolverConfig(points_per_decade=np.int64(8)).points_per_decade == 8
-
-
-def test_the_widest_scan_is_bounded():
-    # the third pass scans points_per_decade * decades * bracket_expansion**2 + 1 samples, at most 2**20
-    assert SolverConfig(points_per_decade=2**15 - 1).points_per_decade == 2**15 - 1
-    for fields in ({"points_per_decade": 2**15}, {"bracket_expansion": 1e200}, {"decades": 1e300}):
-        with pytest.raises(ValueError, match=r"^the widest scan, .* takes more than 1048576 samples$"):
-            SolverConfig(**fields)
-
-
-def test_tight_tolerance_is_honored():
-    spec = harmonic_spec(3, 3, 1.0, 1.0)
-    sol = solve_nbody(spec, q_boson_ground(3, 3), SolverConfig(tolerance=1e-12))
-    want_r0 = (3.0 * 9.0 / 2.0) ** 0.25
-    assert sol.r0 == pytest.approx(want_r0, rel=1e-12)
+def test_a_solve_function_takes_no_config(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 # --- non-finite quantum numbers ---------------------------------------------
@@ -492,7 +471,7 @@ def _reference_roots(f, grid):
     """The roots as a polish that evaluates its own bracket ends finds them."""
     with np.errstate(all="ignore"):
         brackets = sign_change_brackets(grid, f(grid))
-    rtol = max(SolverConfig().tolerance, 4.0 * EPS)
+    rtol = max(solver._RTOL, 4.0 * EPS)
     return sorted(
         lo if lo == hi else brentq(lambda r: float(f(r)), lo, hi, xtol=1e-300, rtol=rtol, maxiter=200)[0]
         for lo, hi, _, _ in brackets
@@ -570,7 +549,7 @@ def _scalar_polishes(spec, q):
             xs.append(r0)
             return stationary_residual(spec, q, r0)
 
-        root, _ = brentq(f, lo, hi, xtol=1e-300, rtol=max(SolverConfig().tolerance, 4.0 * EPS), maxiter=200, fa=f_lo, fb=f_hi)
+        root, _ = brentq(f, lo, hi, xtol=1e-300, rtol=max(solver._RTOL, 4.0 * EPS), maxiter=200, fa=f_lo, fb=f_hi)
         polishes.append((xs, root))
     return polishes
 
@@ -603,7 +582,7 @@ def test_a_float_power_profile_polishes_within_the_tolerance():
         KineticLaw.custom(CustomProfile(lambda p: p**3, lambda p: 3.0 * p * p)),
         twobody=PotentialLaw.custom(CustomProfile(lambda x: x**1.3, lambda x: 1.3 * x**0.3)),
     )
-    tolerance = SolverConfig().tolerance
+    tolerance = solver._RTOL
     for q in np.linspace(0.5, 20.0, 400).tolist():
         got = sorted(root.r0 for root in solve_nbody(spec, q).roots)
         want = _reference_roots(lambda r0: stationary_residual(spec, q, r0), q * log_grid(8.0, 64))
